@@ -8,6 +8,7 @@ with backoff and do not count as refits).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
@@ -149,6 +150,10 @@ class ProviderRequest:
     message: str  # single user message, no chat history
     model_id: str
     options: Mapping[str, object] = field(default_factory=dict)
+    # the planned session and unit the message was rendered from; in-process
+    # providers answer from them, and no transport ever sends them
+    plan: SessionPlan | None = None
+    unit: SessionUnit | None = None
 
 
 @dataclass(frozen=True)
@@ -279,7 +284,7 @@ def make_session_plans(
     for persona in personas:
         per_format_units: dict[ResponseFormat, tuple[SessionUnit, ...]] = {}
         for fmt in formats:
-            rng = _plan_rng(seed, persona.id, fmt.value)
+            rng = keyed_rng(seed, persona.id, fmt.value)
             if fmt is ResponseFormat.LIKERT:
                 ids = list(inventory.statements)
                 order = rng.permutation(len(ids))
@@ -289,7 +294,7 @@ def make_session_plans(
             else:
                 blocks = list(inventory.blocks)
                 order = rng.permutation(len(blocks))
-                flips = _plan_rng(seed, persona.id, "sides").random(len(blocks)) < 0.5
+                flips = keyed_rng(seed, persona.id, "sides").random(len(blocks)) < 0.5
                 units = []
                 for i in order:
                     b = blocks[i]
@@ -322,9 +327,8 @@ def make_session_plans(
     return plans
 
 
-def _plan_rng(seed: int, *key: str) -> np.random.Generator:
-    import hashlib
-
+def keyed_rng(seed: int, *key: str) -> np.random.Generator:
+    """Generator seeded by SHA-256 of the seed and key parts, joined by U+001F."""
     digest = hashlib.sha256(("\x1f".join([str(seed), *key])).encode()).digest()
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
@@ -356,7 +360,9 @@ def run_session(
     transport_retries = 0
     for unit in plan.units:
         prompt = render_unit_prompt(plan, unit)
-        request = ProviderRequest(message=prompt, model_id=provider.model_id)
+        request = ProviderRequest(
+            message=prompt, model_id=provider.model_id, plan=plan, unit=unit
+        )
         value: int | None = None
         for attempt in range(1 + plan.max_retries):
             reply = None
@@ -427,7 +433,7 @@ def build_rating_plan(
     prompts: list[RatingPrompt] = []
     for rater in raters:
         for rep in range(1, replications + 1):
-            rng = _plan_rng(seed, "rating", rater, str(rep))
+            rng = keyed_rng(seed, "rating", rater, str(rep))
             perm = rng.permutation(len(items))
             for b, start in enumerate(range(0, len(items), block_size), start=1):
                 chunk = [items[i] for i in perm[start : start + block_size]]

@@ -48,6 +48,7 @@ from .irt import (
     fit_map,
     fit_theta_frame,
     load_fit_artifact,
+    unpack,
     write_fit_artifact,
 )
 from .metrics import build_shift_table, summarize_effects
@@ -227,14 +228,14 @@ def cmd_personas(args) -> int:
     return EXIT_OK
 
 
-def _build_provider(args, inventory, pool, personas):
+def _build_provider(args, inventory, pool):
     if args.provider == "sim":
         if args.params:
             params = load_sim_params(_require(args.params, "simulator params"))
         else:
             params = default_sim_params(inventory, pool, seed=args.seed)
         spec = SimSpec(fake_good_delta=args.delta, seed=args.seed)
-        return SimulatorProvider(inventory, pool, personas, params, spec)
+        return SimulatorProvider(params, spec)
     if args.provider == "http":
         if not args.base_url or not args.model:
             raise ConfigError("http provider needs --base-url and --model")
@@ -248,33 +249,41 @@ def cmd_administer(args) -> int:
     personas = load_persona_set(_require(args.personas, "persona set"))
     fmt = _format(args.format)
     cond = _condition(args.condition)
-    provider = _build_provider(args, inventory, pool, personas)
+    provider = _build_provider(args, inventory, pool)
     plans = make_session_plans(
         list(personas), inventory, pool, [fmt], [cond], seed=args.seed,
         respondent_id=provider.model_id,
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sets = []
-    failures = 0
     manifest = RunManifest(
         run_id=f"{fmt.value}-{cond.value}", model_id=provider.model_id,
         seeds={"plan": args.seed}, created_at="",
     )
+    sets, failed = _run_sessions(plans, provider, manifest)
+    out_file = out_dir / f"responses_{fmt.value}_{cond.value}.csv"
+    write_response_sets(sets, out_file)
+    (out_dir / f"manifest_{fmt.value}_{cond.value}.json").write_text(
+        manifest.to_json(), encoding="utf-8"
+    )
+    print(f"wrote {len(sets)} response sets ({len(failed)} failed sessions) -> {out_file}")
+    return EXIT_STAGE if failed and not sets else EXIT_OK
+
+
+def _run_sessions(plans, provider, manifest: RunManifest):
+    """Run every planned session and record it in ``manifest``.
+
+    Returns the complete sessions' response sets and the failed results.
+    """
+    sets, failed = [], []
     for plan in plans:
         result = run_session(plan, provider)
         manifest.record_session(result)
         if result.complete:
             sets.append(result.response_set)
         else:
-            failures += 1
-    out_file = out_dir / f"responses_{fmt.value}_{cond.value}.csv"
-    write_response_sets(sets, out_file)
-    (out_dir / f"manifest_{fmt.value}_{cond.value}.json").write_text(
-        manifest.to_json(), encoding="utf-8"
-    )
-    print(f"wrote {len(sets)} response sets ({failures} failed sessions) -> {out_file}")
-    return EXIT_STAGE if failures and not sets else EXIT_OK
+            failed.append(result)
+    return sets, failed
 
 
 def _load_response_files(path: Path):
@@ -296,52 +305,56 @@ def cmd_fit(args) -> int:
     sets = _load_response_files(_require(args.responses, "response data"))
     fmt = _format(args.format)
     data = build_model_data(sets, inventory, pool, fmt)
-    diag_out: dict = {}
-    if args.backend == "map":
-        fit = fit_map(data, MapOptions(seed=args.seed, n_starts=args.starts))
-        theta = fit.theta_hat
-        diag_out = {
+    theta, item_params, diag = _fit_format(
+        data,
+        args.backend,
+        MapOptions(seed=args.seed, n_starts=args.starts),
+        HmcOptions(seed=args.seed, chains=args.chains, warmup=args.warmup, samples=args.samples),
+    )
+    write_fit_artifact(
+        args.out, data, theta, backend=args.backend, item_params=item_params, diag=diag
+    )
+    # gated after writing, so a fit that fails R-hat can still be inspected
+    _check_rhat(diag, fmt)
+    print(f"fitted {data.n_units} response units ({args.backend}) -> {args.out}")
+    return EXIT_OK
+
+
+def _fit_format(data, backend: str, map_opts: MapOptions, hmc_opts: HmcOptions):
+    """Fit one format with MAP or HMC.
+
+    Returns the trait estimates and the fit artifact's item-parameter and
+    diagnostics dicts.
+    """
+    if backend == "map":
+        fit = fit_map(data, map_opts)
+        diag = {
             "log_posterior": fit.log_posterior,
             "grad_inf_norm": fit.grad_inf_norm,
             "converged": fit.converged,
         }
-        params = fit.params
-    elif args.backend == "hmc":
-        post = fit_hmc(
-            data,
-            HmcOptions(
-                seed=args.seed, chains=args.chains, warmup=args.warmup, samples=args.samples
-            ),
-        )
-        theta = post.theta_hat
-        diag = hmc_diagnostics(post)
-        share = float(np.mean(diag["rhat"] < RHAT_GATE))
-        diag_out = {
-            "rhat_max": float(diag["rhat"].max()),
-            "rhat_share_below_gate": share,
-            "ess_min": float(diag["ess"].min()),
+        return fit.theta_hat, _item_param_dict(data, fit.params), diag
+    if backend == "hmc":
+        post = fit_hmc(data, hmc_opts)
+        rhat_ess = hmc_diagnostics(post)
+        diag = {
+            "rhat_max": float(rhat_ess["rhat"].max()),
+            "rhat_share_below_gate": float(np.mean(rhat_ess["rhat"] < RHAT_GATE)),
+            "ess_min": float(rhat_ess["ess"].min()),
             "divergences": post.divergences,
             "accept_rate": post.accept_rate,
         }
-        from .irt import unpack
-
         params = unpack(data, post.draws.reshape(-1, post.draws.shape[-1]).mean(axis=0))
-        if share < RHAT_SHARE:
-            write_fit_artifact(
-                args.out, data, theta, backend="hmc", item_params=_item_param_dict(data, params),
-                diag=diag_out,
-            )
-            raise DiagnosticsGateError(
-                f"only {share:.1%} of parameters have R-hat < {RHAT_GATE}"
-            )
-    else:
-        raise ConfigError(f"unknown backend: {args.backend!r}")
-    write_fit_artifact(
-        args.out, data, theta, backend=args.backend,
-        item_params=_item_param_dict(data, params), diag=diag_out,
-    )
-    print(f"fitted {data.n_units} response units ({args.backend}) -> {args.out}")
-    return EXIT_OK
+        return post.theta_hat, _item_param_dict(data, params), diag
+    raise ConfigError(f"unknown backend: {backend!r}")
+
+
+def _check_rhat(diag: dict, fmt: ResponseFormat) -> None:
+    share = diag.get("rhat_share_below_gate", 1.0)  # MAP fits have no R-hat
+    if share < RHAT_SHARE:
+        raise DiagnosticsGateError(
+            f"{fmt.value} fit: only {share:.1%} of parameters have R-hat < {RHAT_GATE}"
+        )
 
 
 def _item_param_dict(data, params) -> dict:
@@ -467,7 +480,7 @@ def cmd_pipeline(args) -> int:
     artifacts["sim_params.json"] = _sha256(params_path)
 
     spec = SimSpec(fake_good_delta=cfg["provider"]["fake_good_delta"], seed=seeds["sim"])
-    provider = SimulatorProvider(inventory, pool, personas, params, spec)
+    provider = SimulatorProvider(params, spec)
 
     formats = [_format(f) for f in cfg["formats"]]
     conditions = [_condition(c) for c in cfg["conditions"]]
@@ -486,16 +499,12 @@ def cmd_pipeline(args) -> int:
                 list(personas), inventory, pool, [fmt], [cond],
                 seed=seeds["plan"], respondent_id=provider.model_id,
             )
-            sets = []
-            for plan in plans:
-                result = run_session(plan, provider)
-                manifest.record_session(result)
-                if not result.complete:
-                    raise SdrkitError(
-                        f"administration failed at unit {result.failed_unit} "
-                        f"({fmt.value}/{cond.value})"
-                    )
-                sets.append(result.response_set)
+            sets, failed = _run_sessions(plans, provider, manifest)
+            if failed:
+                raise SdrkitError(
+                    f"administration failed at unit {failed[0].failed_unit} "
+                    f"({fmt.value}/{cond.value})"
+                )
             write_response_sets(sets, out_file)
             artifacts[f"runs/{out_file.name}"] = _sha256(out_file)
 
@@ -515,30 +524,13 @@ def cmd_pipeline(args) -> int:
                 load_response_sets(runs_dir / f"responses_{fmt.value}_{cond.value}.csv")
             )
         data = build_model_data(sets, inventory, pool, fmt)
-        if cfg["backend"] == "hmc":
-            post = fit_hmc(data, HmcOptions(seed=seeds["fit"]))
-            diag = hmc_diagnostics(post)
-            share = float(np.mean(diag["rhat"] < RHAT_GATE))
-            if share < RHAT_SHARE:
-                raise DiagnosticsGateError(
-                    f"{fmt.value} fit: only {share:.1%} of parameters below the R-hat gate"
-                )
-            theta = post.theta_hat
-            from .irt import unpack
-
-            params_hat = unpack(data, post.draws.reshape(-1, post.draws.shape[-1]).mean(0))
-            diag_out = {
-                "rhat_max": float(diag["rhat"].max()),
-                "rhat_share_below_gate": share,
-            }
-        else:
-            fit = fit_map(data, MapOptions(seed=seeds["fit"]))
-            theta = fit.theta_hat
-            params_hat = fit.params
-            diag_out = {"log_posterior": fit.log_posterior, "converged": fit.converged}
+        theta, item_params, diag = _fit_format(
+            data, cfg["backend"], MapOptions(seed=seeds["fit"]), HmcOptions(seed=seeds["fit"])
+        )
+        # gated before writing, because a resumed pipeline reuses any fit file
+        _check_rhat(diag, fmt)
         write_fit_artifact(
-            fit_path, data, theta, backend=cfg["backend"],
-            item_params=_item_param_dict(data, params_hat), diag=diag_out,
+            fit_path, data, theta, backend=cfg["backend"], item_params=item_params, diag=diag
         )
         artifacts[f"fits/{fit_path.name}"] = _sha256(fit_path)
 

@@ -26,6 +26,10 @@ class InventoryError(SdrkitError):
     """Inventory references items that cannot be resolved."""
 
 
+class UndefinedStatisticError(SdrkitError):
+    """A statistic has no defined value for the given data (e.g. zero variance)."""
+
+
 class TraitDomain(enum.Enum):
     """Big Five trait domains, in fixed (A, C, E, N, O) index order."""
 

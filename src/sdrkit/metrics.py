@@ -9,12 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .core import SdrkitError, TRAIT_LABELS
+from .core import SdrkitError, TRAIT_LABELS, UndefinedStatisticError
 from .simulate import DESIRABLE_SIGNS
-
-
-class UndefinedStatisticError(SdrkitError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -11,15 +11,11 @@ from typing import Iterable, Mapping
 import numpy as np
 from scipy import stats
 
-from .core import SdrkitError
+from .core import SdrkitError, UndefinedStatisticError
 
 
 class RatingError(SdrkitError):
     pass
-
-
-class UndefinedStatisticError(SdrkitError):
-    """A statistic has no defined value for the given data (e.g. zero variance)."""
 
 
 class RatingParseError(SdrkitError):

@@ -8,7 +8,6 @@ conjugate. The fake-good condition is modeled as a uniform latent shift of
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .administer import ProviderReply, ProviderRequest, block_id
+from .administer import ProviderReply, ProviderRequest, block_id, keyed_rng
 from .core import (
     DESIRABLE_DIRECTION,
     InstructionCondition,
@@ -29,7 +28,7 @@ from .core import (
     TRAIT_ORDER,
 )
 from .ordinal import category_probs, check_thresholds
-from .personas import Persona, PersonaSet
+from .personas import Persona
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -99,15 +98,6 @@ def effective_theta(
     return z.copy()
 
 
-def _unit_rng(seed: int, persona_id: str, fmt: str, unit_id: str) -> np.random.Generator:
-    # Keyed per unit (not per condition) so delta = 0 reproduces honest
-    # responses bit for bit and paired draws share their noise.
-    digest = hashlib.sha256(
-        "\x1f".join([str(seed), persona_id, fmt, unit_id]).encode()
-    ).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "little"))
-
-
 def _draw_category(eta: float, kappa, rng: np.random.Generator) -> int:
     probs = category_probs(eta, np.asarray(kappa, dtype=float))
     return int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")) + 1
@@ -148,6 +138,33 @@ def default_sim_params(
     return SimParams(items=items, block_kappa=block_kappa)
 
 
+def simulate_answer(
+    persona: Persona,
+    fmt: ResponseFormat,
+    condition: InstructionCondition,
+    unit_id: str,
+    params: SimParams,
+    spec: SimSpec,
+) -> int:
+    """Draw one canonical answer (GFC: as if the pair were shown unflipped).
+
+    The noise is keyed per unit, not per condition, so delta = 0 reproduces
+    honest answers bit for bit and paired draws share their noise.
+    """
+    theta = effective_theta(persona.z, condition, spec.fake_good_delta)
+    if fmt is ResponseFormat.LIKERT:
+        item = _item_params(params, unit_id)
+        eta, kappa = likert_eta(theta, item), item.kappa
+    else:
+        kappa = params.block_kappa.get(unit_id)
+        if kappa is None:
+            raise SdrkitError(f"missing block thresholds for {unit_id}")
+        left, _, right = unit_id.partition("~")  # the inverse of block_id
+        eta = gfc_eta(theta, _item_params(params, left), _item_params(params, right))
+    rng = keyed_rng(spec.seed, persona.id, fmt.value, unit_id)
+    return _draw_category(eta, kappa, rng)
+
+
 def simulate_response_set(
     persona: Persona,
     inventory: Inventory,
@@ -161,30 +178,18 @@ def simulate_response_set(
     Deterministic under ``spec.seed``; per-unit RNG streams make parallel
     simulation identical to serial simulation.
     """
-    theta = effective_theta(np.array(persona.z), condition, spec.fake_good_delta)
-    answers: dict[str, int] = {}
     if fmt is ResponseFormat.LIKERT:
         order = inventory.statements
-        for iid in order:
-            item = _item_params(params, iid)
-            rng = _unit_rng(spec.seed, persona.id, "likert", iid)
-            answers[iid] = _draw_category(likert_eta(theta, item), item.kappa, rng)
     else:
         order = tuple(block_id(b.left, b.right) for b in inventory.blocks)
-        for b in inventory.blocks:
-            bid = block_id(b.left, b.right)
-            kappa = params.block_kappa.get(bid)
-            if kappa is None:
-                raise SdrkitError(f"missing block thresholds for {bid}")
-            eta = gfc_eta(theta, _item_params(params, b.left), _item_params(params, b.right))
-            rng = _unit_rng(spec.seed, persona.id, "gfc", bid)
-            answers[bid] = _draw_category(eta, kappa, rng)
     return ResponseSet(
         respondent_id="sim",
         persona_id=persona.id,
         format=fmt,
         condition=condition,
-        answers=answers,
+        answers={
+            uid: simulate_answer(persona, fmt, condition, uid, params, spec) for uid in order
+        },
         presentation_order=order,
         side_assignment={},
     )
@@ -200,77 +205,25 @@ def _item_params(params: SimParams, item_id: str) -> ItemParams:
 class SimulatorProvider:
     """In-process respondent provider (provider id ``sim``).
 
-    Recovers persona, condition, and unit from the rendered prompt text, then
-    answers from the generative model. Stateless per call and safe to use from
-    concurrent sessions.
+    Answers from the session plan a request carries: the persona's ground
+    truth, the condition, the unit and the displayed side. The prompt text is
+    not read. Stateless per call and safe to use from concurrent sessions.
     """
 
     model_id = "sim"
 
-    def __init__(
-        self,
-        inventory: Inventory,
-        pool: ItemPool,
-        personas: PersonaSet,
-        params: SimParams,
-        spec: SimSpec,
-    ):
-        self.inventory = inventory
-        self.pool = pool
+    def __init__(self, params: SimParams, spec: SimSpec):
         self.params = params
         self.spec = spec
-        self._by_description = {p.description: p for p in personas}
-        self._item_by_text = {pool.get(i).text: i for b in inventory.blocks for i in (b.left, b.right)}
-        self._block_by_texts = {
-            frozenset((pool.get(b.left).text, pool.get(b.right).text)): b
-            for b in inventory.blocks
-        }
 
     def complete(self, request: ProviderRequest) -> ProviderReply:
-        message = request.message
-        persona = self._find_persona(message)
-        condition = (
-            InstructionCondition.FAKE_GOOD
-            if "in the best possible light" in message
-            else InstructionCondition.HONEST
+        plan, unit = request.plan, request.unit
+        if plan is None or unit is None:
+            raise SdrkitError("simulator requests must carry their session plan and unit")
+        answer = simulate_answer(
+            plan.persona, plan.format, plan.condition, unit.id, self.params, self.spec
         )
-        theta = effective_theta(
-            np.array(persona.z), condition, self.spec.fake_good_delta
-        )
-        if "\nStatement: " in message:
-            text = message.split("\nStatement: ", 1)[1].split("\n", 1)[0]
-            iid = self._item_by_text.get(text)
-            if iid is None:
-                raise SdrkitError(f"simulator does not know statement {text!r}")
-            item = _item_params(self.params, iid)
-            rng = _unit_rng(self.spec.seed, persona.id, "likert", iid)
-            answer = _draw_category(likert_eta(theta, item), item.kappa, rng)
-        elif "\nLEFT: " in message:
-            payload = message.split("\nLEFT: ", 1)[1].split("\n", 1)[0]
-            left_text, right_text = payload.split("  ||  RIGHT: ", 1)
-            block = self._block_by_texts.get(frozenset((left_text, right_text)))
-            if block is None:
-                raise SdrkitError("simulator does not know this statement pair")
-            bid = block_id(block.left, block.right)
-            eta = gfc_eta(
-                theta,
-                _item_params(self.params, block.left),
-                _item_params(self.params, block.right),
-            )
-            rng = _unit_rng(self.spec.seed, persona.id, "gfc", bid)
-            canonical = _draw_category(eta, self.params.block_kappa[bid], rng)
-            flipped = left_text == self.pool.get(block.right).text
-            answer = 8 - canonical if flipped else canonical
-        else:
-            raise SdrkitError("prompt carries neither a statement nor a pair")
-        return ProviderReply(text=str(answer))
-
-    def _find_persona(self, message: str) -> Persona:
-        prefix = message.split("\n\nYou will complete", 1)[0]
-        persona = self._by_description.get(prefix)
-        if persona is None:
-            raise SdrkitError("simulator does not recognize the persona description")
-        return persona
+        return ProviderReply(text=str(8 - answer if unit.flipped else answer))
 
 
 def naive_gfc_count_scores(

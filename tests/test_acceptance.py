@@ -58,6 +58,7 @@ from sdrkit.simulate import (
 
 from conftest import small_instrument
 from test_administer import DESC, GOLDEN, ScriptedProvider, make_persona
+from test_simulate import mirrored, planned_request
 from test_assemble import random_instance
 
 
@@ -182,19 +183,16 @@ def test_criterion_04_kernel_identities():
     # left/right antisymmetry: flipping the displayed pair maps answers to 8 - a
     pool, inv = small_instrument()
     personas = sample_personas(5, seed=61)
-    provider = SimulatorProvider(
-        inv, pool, personas, default_sim_params(inv, pool, seed=62), SimSpec(1.0, 63)
+    provider = SimulatorProvider(default_sim_params(inv, pool, seed=62), SimSpec(1.0, 63))
+    plans = make_session_plans(
+        list(personas), inv, pool, [ResponseFormat.GFC], [InstructionCondition.HONEST],
+        seed=64, respondent_id="sim",
     )
-    from sdrkit.administer import ProviderRequest
-
     flips_exact = True
-    for persona in personas:
-        for b in inv.blocks:
-            lt, rt = pool.get(b.left).text, pool.get(b.right).text
-            a = int(provider.complete(ProviderRequest(render_gfc_prompt(
-                persona.description, InstructionCondition.HONEST, lt, rt), "sim")).text)
-            f = int(provider.complete(ProviderRequest(render_gfc_prompt(
-                persona.description, InstructionCondition.HONEST, rt, lt), "sim")).text)
+    for plan in plans:
+        for unit in plan.units:
+            a = int(provider.complete(planned_request(plan, unit)).text)
+            f = int(provider.complete(planned_request(plan, mirrored(unit))).text)
             flips_exact &= f == 8 - a
     ok = sum_err < 1e-12 and surv_err < 1e-12 and flips_exact
     detail = f"sum err {sum_err:.1e}, survivor err {surv_err:.1e}, flip exact {flips_exact}"

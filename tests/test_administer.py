@@ -278,7 +278,7 @@ class FakeSession:
         return self.response
 
 
-def test_http_provider_round_trip(monkeypatch):
+def test_http_provider_round_trip(monkeypatch, small_pool_inventory):
     session = FakeSession(
         FakeResponse(payload={"choices": [{"message": {"content": " 6 "}}]})
     )
@@ -290,6 +290,14 @@ def test_http_provider_round_trip(monkeypatch):
     assert post["json"]["messages"] == [{"role": "user", "content": "hello"}]
     assert post["json"]["model"] == "model-x"
     assert post["headers"]["Authorization"] == "Bearer secret"
+
+    # the planned session and unit stay in process: only the message is sent
+    plan = single_unit_plan(small_pool_inventory)
+    provider.complete(
+        ProviderRequest(message="hello", model_id="model-x", plan=plan, unit=plan.units[0])
+    )
+    assert set(session.posts[1]["json"]) == {"model", "messages"}
+    assert session.posts[1]["json"] == post["json"]
 
 
 def test_http_provider_error_paths(monkeypatch):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sdrkit import metrics
 from sdrkit.ratings import (
     AgreementStats,
     RatingDataset,
@@ -62,6 +63,8 @@ def test_icc_undefined_without_item_variance():
     x = np.full((5, 3), 4.0)
     with pytest.raises(UndefinedStatisticError):
         icc_absolute_agreement(x)
+    # one class, so a caller catching the metrics error also catches this one
+    assert UndefinedStatisticError is metrics.UndefinedStatisticError
 
 
 def test_dataset_validation_and_matrix():

@@ -1,9 +1,17 @@
 """Generative simulator: determinism, shift semantics, and provider parity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sdrkit.administer import block_id, make_session_plans, run_session
+from sdrkit.administer import (
+    ProviderRequest,
+    block_id,
+    make_session_plans,
+    render_unit_prompt,
+    run_session,
+)
 from sdrkit.core import (
     InstructionCondition,
     ResponseFormat,
@@ -119,29 +127,35 @@ def test_fake_good_shift_raises_likert_answers(small_pool_inventory):
 
 def test_provider_agrees_with_direct_simulation(small_pool_inventory):
     pool, inv = small_pool_inventory
-    personas = sample_personas(4, seed=8)
     params = default_sim_params(inv, pool, seed=9)
     spec = SimSpec(fake_good_delta=1.0, seed=10)
-    provider = SimulatorProvider(inv, pool, personas, params, spec)
-    plans = make_session_plans(
-        list(personas), inv, pool, [ResponseFormat.LIKERT, ResponseFormat.GFC],
-        [InstructionCondition.HONEST, InstructionCondition.FAKE_GOOD],
-        seed=11, respondent_id=provider.model_id,
-    )
-    for plan in plans:
-        result = run_session(plan, provider)
-        assert result.complete
-        direct = simulate_response_set(
-            plan.persona, inv, params, plan.format, plan.condition, spec
+    provider = SimulatorProvider(params, spec)
+    # the second set has personas whose descriptions repeat an earlier one's
+    for personas, repeats_description in (
+        (sample_personas(4, seed=8), False),
+        (sample_personas(400, seed=1), True),
+    ):
+        if repeats_description:
+            assert len({p.description for p in personas}) < len(personas)
+        plans = make_session_plans(
+            list(personas), inv, pool, [ResponseFormat.LIKERT, ResponseFormat.GFC],
+            [InstructionCondition.HONEST, InstructionCondition.FAKE_GOOD],
+            seed=11, respondent_id=provider.model_id,
         )
-        got = dict(result.response_set.answers)
-        if plan.format is ResponseFormat.GFC:
-            # undo the display-side flips to compare canonical responses
-            got = {
-                bid: 8 - a if result.response_set.side_assignment[bid] else a
-                for bid, a in got.items()
-            }
-        assert got == dict(direct.answers)
+        for plan in plans:
+            result = run_session(plan, provider)
+            assert result.complete
+            direct = simulate_response_set(
+                plan.persona, inv, params, plan.format, plan.condition, spec
+            )
+            got = dict(result.response_set.answers)
+            if plan.format is ResponseFormat.GFC:
+                # undo the display-side flips to compare canonical responses
+                got = {
+                    bid: 8 - a if result.response_set.side_assignment[bid] else a
+                    for bid, a in got.items()
+                }
+            assert got == dict(direct.answers)
 
 
 def test_gfc_flip_antisymmetry_is_exact(small_pool_inventory):
@@ -149,23 +163,36 @@ def test_gfc_flip_antisymmetry_is_exact(small_pool_inventory):
     personas = sample_personas(6, seed=12)
     params = default_sim_params(inv, pool, seed=13)
     spec = SimSpec(fake_good_delta=1.0, seed=14)
-    provider = SimulatorProvider(inv, pool, personas, params, spec)
-    from sdrkit.administer import render_gfc_prompt
-
-    for persona in personas:
-        for b in inv.blocks:
-            lt, rt = pool.get(b.left).text, pool.get(b.right).text
-            a = int(provider.complete(_req(render_gfc_prompt(
-                persona.description, InstructionCondition.HONEST, lt, rt))).text)
-            flipped = int(provider.complete(_req(render_gfc_prompt(
-                persona.description, InstructionCondition.HONEST, rt, lt))).text)
+    provider = SimulatorProvider(params, spec)
+    plans = make_session_plans(
+        list(personas), inv, pool, [ResponseFormat.GFC], [InstructionCondition.HONEST],
+        seed=15, respondent_id=provider.model_id,
+    )
+    for plan in plans:
+        for unit in plan.units:
+            a = int(provider.complete(planned_request(plan, unit)).text)
+            flipped = int(provider.complete(planned_request(plan, mirrored(unit))).text)
             assert flipped == 8 - a
 
 
-def _req(message):
-    from sdrkit.administer import ProviderRequest
+def test_simulator_needs_the_planned_unit(small_pool_inventory):
+    pool, inv = small_pool_inventory
+    provider = SimulatorProvider(default_sim_params(inv, pool), SimSpec())
+    with pytest.raises(SdrkitError):
+        provider.complete(ProviderRequest(message="Statement: x", model_id="sim"))
 
-    return ProviderRequest(message=message, model_id="sim")
+
+def mirrored(unit):
+    """The same GFC unit with its displayed sides swapped."""
+    return replace(
+        unit, left_text=unit.right_text, right_text=unit.left_text, flipped=not unit.flipped
+    )
+
+
+def planned_request(plan, unit):
+    return ProviderRequest(
+        message=render_unit_prompt(plan, unit), model_id="sim", plan=plan, unit=unit
+    )
 
 
 def test_naive_count_scores_are_ipsative(small_pool_inventory):
