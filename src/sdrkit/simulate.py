@@ -27,7 +27,7 @@ from .core import (
     SdrkitError,
     TRAIT_ORDER,
 )
-from .ordinal import category_probs, check_thresholds
+from .ordinal import _category_probs, check_thresholds
 from .personas import Persona
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -99,7 +99,8 @@ def effective_theta(
 
 
 def _draw_category(eta: float, kappa, rng: np.random.Generator) -> int:
-    probs = category_probs(eta, np.asarray(kappa, dtype=float))
+    # ItemParams and SimParams checked the thresholds at construction
+    probs = _category_probs(eta, np.asarray(kappa, dtype=float))
     return int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")) + 1
 
 

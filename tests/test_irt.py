@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from sdrkit.core import (
     InstructionCondition,
@@ -16,6 +17,7 @@ from sdrkit.irt import (
     HmcOptions,
     MapOptions,
     ModelData,
+    Posterior,
     build_model_data,
     diagnostics,
     ess_bulk,
@@ -153,6 +155,61 @@ def test_posterior_invariant_to_unit_order(small_pool_inventory):
     )
 
 
+def test_model_data_keeps_a_read_only_copy_of_y(small_pool_inventory):
+    data = make_data(small_pool_inventory, ResponseFormat.LIKERT, n_personas=4, seed=22)
+    with pytest.raises(ValueError):
+        data.y[0, 0] = 7
+    source = np.array(data.y)
+    copy = ModelData(design=data.design, y=source, units=data.units)
+    source[:, 0] = np.where(source[:, 0] == 1, 7, 1)  # the caller's array, not the data's
+    x = 0.3 * np.random.default_rng(23).standard_normal(param_dim(data))
+    assert log_posterior(copy, x) == log_posterior(data, x)
+
+
+def test_shuffled_units_give_the_permuted_gradient(small_pool_inventory):
+    data = make_data(small_pool_inventory, ResponseFormat.GFC, n_personas=4, seed=22)
+    perm = np.array([2, 0, 3, 1])
+    shuffled = ModelData(
+        design=data.design, y=data.y[perm], units=tuple(data.units[i] for i in perm)
+    )
+    x = 0.3 * np.random.default_rng(23).standard_normal(param_dim(data))
+    n = data.n_units
+    x_perm = np.concatenate([x[: 5 * n].reshape(n, 5)[perm].ravel(), x[5 * n :]])
+    lp, grad = log_posterior_and_grad(data, x)
+    lp_perm, grad_perm = log_posterior_and_grad(shuffled, x_perm)
+    assert lp_perm == pytest.approx(lp, rel=1e-12)
+    assert np.allclose(grad_perm[: 5 * n].reshape(n, 5), grad[: 5 * n].reshape(n, 5)[perm],
+                       rtol=1e-12, atol=1e-12)
+    assert np.allclose(grad_perm[5 * n :], grad[5 * n :], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("fmt", [ResponseFormat.LIKERT, ResponseFormat.GFC])
+def test_gradient_matches_finite_differences_on_open_and_interior_columns(
+    small_pool_inventory, fmt
+):
+    """Column 0 holds only category 1, column 1 only category 7, column 2
+    every category; the rest are random. Every coordinate is checked."""
+    pool, inv = small_pool_inventory
+    design = likert_design(inv, pool) if fmt is ResponseFormat.LIKERT else gfc_design(inv, pool)
+    n = 7
+    rng = np.random.default_rng(50)
+    y = rng.integers(1, 8, size=(n, design.n_threshold_groups))
+    y[:, 0] = 1
+    y[:, 1] = 7
+    y[:, 2] = np.arange(1, 8)
+    data = ModelData(design=design, y=y, units=tuple(("m", f"p{i}", "honest") for i in range(n)))
+    h = 1e-6
+    for _ in range(3):
+        x = 0.5 * rng.standard_normal(param_dim(data))
+        _, grad = log_posterior_and_grad(data, x)
+        for i in range(len(x)):
+            xp, xm = x.copy(), x.copy()
+            xp[i] += h
+            xm[i] -= h
+            num = (log_posterior(data, xp) - log_posterior(data, xm)) / (2 * h)
+            assert grad[i] == pytest.approx(num, rel=2e-5, abs=2e-5)
+
+
 def test_keying_flip_with_theta_negation_is_invariant(small_pool_inventory):
     """Flipping every keying and negating the matching theta column leaves the
     likelihood unchanged: the model is identified only jointly."""
@@ -288,6 +345,61 @@ def test_ess_correlated_draws_much_smaller():
 def test_ess_constant_draws():
     x = np.full((4, 100), 1.0)
     assert ess_bulk(x) == 400.0
+
+
+def _reference_rhat_ess(x):
+    """Rank-normalized split R-hat and bulk ESS of one (chains, samples)
+    parameter, written out as a loop over chains and lag pairs."""
+    half = x.shape[1] // 2
+    z = np.concatenate([x[:, :half], x[:, half : 2 * half]], axis=0)
+    ranks = stats.rankdata(z.ravel(), method="average")
+    z = special.ndtri((ranks - 0.375) / (z.size + 0.25)).reshape(z.shape)
+    m, n = z.shape
+    within = z.var(axis=1, ddof=1).mean()
+    between = n * z.mean(axis=1).var(ddof=1)
+    if within == 0.0:
+        rhat = 1.0 if between == 0.0 else math.inf
+    else:
+        rhat = math.sqrt(((n - 1) / n * within + between / n) / within)
+    if z.std() == 0.0:
+        return rhat, float(m * n)
+    size = 2 ** math.ceil(math.log2(2 * n))
+    acov = np.empty((m, n))
+    for c in range(m):
+        f = np.fft.rfft(z[c] - z[c].mean(), size)
+        acov[c] = np.fft.irfft(f * np.conj(f), size)[:n] / n
+    within_acov = (acov[:, 0] * n / (n - 1)).mean()
+    var_plus = within_acov * (n - 1) / n + z.mean(axis=1).var(ddof=1)
+    rho = 1.0 - (within_acov - acov.mean(axis=0)) / var_plus
+    tau, prev, t = 1.0, math.inf, 1
+    while t + 1 < n:
+        pair = rho[t] + rho[t + 1]
+        if pair < 0:
+            break
+        prev = min(pair, prev)
+        tau += 2.0 * prev
+        t += 2
+    return rhat, m * n / tau
+
+
+@pytest.mark.parametrize("shape", [(4, 20, 150), (4, 301, 12), (2, 9, 6)])
+def test_diagnostics_match_per_parameter_formulas(shape):
+    rng = np.random.default_rng(35)
+    draws = rng.standard_normal(shape)
+    draws[:, :, 0] = 2.5  # constant
+    draws[0, :, 1] += 5.0  # offset chain
+    draws[:, :, 2] += np.linspace(0.0, 4.0, shape[1])  # within-chain trend
+    draws[:, :, 3] = np.round(draws[:, :, 3])  # ties
+    for t in range(1, shape[1]):
+        draws[:, t, 4] += 0.95 * draws[:, t - 1, 4]  # autocorrelated
+    post = Posterior(draws=draws, units=(), n_units=0, divergences=0, accept_rate=1.0)
+    diag = diagnostics(post)
+    for d in range(shape[2]):
+        rhat, ess = _reference_rhat_ess(draws[:, :, d])
+        assert diag["rhat"][d] == rhat
+        assert diag["ess"][d] == pytest.approx(ess, rel=1e-12)
+        assert split_rhat(draws[:, :, d]) == rhat
+        assert ess_bulk(draws[:, :, d]) == pytest.approx(ess, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sdrkit.core import SdrkitError
 from sdrkit.ordinal import (
+    CategorySplit,
     category_probs,
     check_thresholds,
     log_prob_and_grads,
@@ -103,6 +104,25 @@ def test_log_prob_gradients_match_finite_differences():
         _, g_lo, g_hi = log_prob_and_grads(np.array([eta]), np.array([klo]), np.array([khi]))
         num = (lp(eta + h) - lp(eta - h)) / (2 * h)
         assert abs((g_lo[0] + g_hi[0]) - num) < 1e-5 * max(1.0, abs(num))
+
+
+def test_category_split_with_shared_gaps_matches_threshold_path():
+    """Answers grouped k = 1 | k = 7 | interior, with each interior gap's
+    terms computed once, give what the thresholds alone give."""
+    rng = np.random.default_rng(4)
+    kappa = random_kappa(rng, (3,))
+    ext = np.concatenate([np.full((3, 1), -np.inf), kappa, np.full((3, 1), np.inf)], axis=1)
+    k = np.concatenate([np.ones(5, int), np.full(4, 7), rng.integers(2, 7, size=40)])
+    col = rng.integers(0, 3, size=k.size)
+    eta = rng.normal(0, 2, size=k.size)
+    klo, khi = ext[col, k - 1], ext[col, k]
+    gap = (col * 5 + k - 2)[9:]
+    _, rep, of = np.unique(gap, return_index=True, return_inverse=True)
+    split = CategorySplit(
+        first=slice(0, 5), last=slice(5, 9), interior=slice(9, None), gap_rep=rep, gap_of=of
+    )
+    for a, b in zip(log_prob_and_grads(eta, klo, khi, split), log_prob_and_grads(eta, klo, khi)):
+        assert np.allclose(a, b, rtol=1e-15, atol=0)
 
 
 @settings(max_examples=200, deadline=None)
