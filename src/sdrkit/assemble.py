@@ -20,7 +20,6 @@ from .core import (
     Inventory,
     ItemPool,
     SdrkitError,
-    TRAIT_LABELS,
 )
 
 
@@ -55,16 +54,7 @@ class CandidatePair:
     right_trait: int
     left_key: int
     right_key: int
-
-    @property
-    def trait_pair(self) -> tuple[str, str]:
-        a, b = sorted((self.left_trait, self.right_trait))
-        return (TRAIT_LABELS[a], TRAIT_LABELS[b])
-
-    @property
-    def pair_group(self) -> int:
-        a, b = sorted((self.left_trait, self.right_trait))
-        return _PAIR_INDEX[(a, b)]
+    pair_group: int  # index of the unordered trait pair in TRAIT_PAIRS
 
 
 @dataclass(frozen=True)
@@ -90,6 +80,7 @@ def enumerate_candidates(pool: ItemPool) -> list[CandidatePair]:
         for b in items[i + 1 :]:
             if a.domain == b.domain:
                 continue
+            ta, tb = a.domain.index, b.domain.index
             out.append(
                 CandidatePair(
                     left=a.id,
@@ -97,10 +88,11 @@ def enumerate_candidates(pool: ItemPool) -> list[CandidatePair]:
                     gap=abs(a.desirability - b.desirability),
                     sq=(a.desirability - b.desirability) ** 2,
                     mixed_key=a.keying != b.keying,
-                    left_trait=a.domain.index,
-                    right_trait=b.domain.index,
+                    left_trait=ta,
+                    right_trait=tb,
                     left_key=a.keying,
                     right_key=b.keying,
+                    pair_group=_PAIR_INDEX[(min(ta, tb), max(ta, tb))],
                 )
             )
     return out
@@ -146,15 +138,41 @@ def _check_selection(sel: tuple[CandidatePair, ...], cfg: AssemblyConfig) -> boo
 
 
 class _Search:
-    """Depth-first search over candidates in id order with constraint pruning."""
+    """Depth-first search over candidates in id order with constraint pruning.
+
+    ``__init__`` turns each candidate into one row of plain ints and a float,
+    and the set of used items into an int bitmask, so that a node of the DFS
+    does no attribute or dict lookups.
+    """
 
     def __init__(self, cands: list[CandidatePair], cfg: AssemblyConfig):
         self.cands = cands
         self.cfg = cfg
         self.n = len(cands)
-        p = cfg.block_count
+        self.p = cfg.block_count
+        bit: dict[str, int] = {}
+        for c in cands:
+            for item in (c.left, c.right):
+                bit.setdefault(item, 1 << len(bit))
+        # (item mask, pair group, left trait, right trait,
+        #  traits keyed positive, mixed-key flag, squared gap)
+        self.rows = [
+            (
+                bit[c.left] | bit[c.right],
+                c.pair_group,
+                c.left_trait,
+                c.right_trait,
+                tuple(
+                    t
+                    for t, k in ((c.left_trait, c.left_key), (c.right_trait, c.right_key))
+                    if k > 0
+                ),
+                int(c.mixed_key),
+                c.sq,
+            )
+            for c in cands
+        ]
         # suffix availability counts, index i covers candidates i..n-1
-        self.suf_total = [0] * (self.n + 1)
         self.suf_pair = [[0] * 10 for _ in range(self.n + 1)]
         self.suf_mixed = [0] * (self.n + 1)
         self.suf_plus = [[0] * 5 for _ in range(self.n + 1)]
@@ -162,32 +180,22 @@ class _Search:
         self.suf_min_sq = [math.inf] * (self.n + 1)
         for i in range(self.n - 1, -1, -1):
             c = cands[i]
-            self.suf_total[i] = self.suf_total[i + 1] + 1
             self.suf_pair[i] = list(self.suf_pair[i + 1])
             self.suf_pair[i][c.pair_group] += 1
             self.suf_mixed[i] = self.suf_mixed[i + 1] + c.mixed_key
             self.suf_plus[i] = list(self.suf_plus[i + 1])
-            for t, k in ((c.left_trait, c.left_key), (c.right_trait, c.right_key)):
-                if k > 0:
-                    self.suf_plus[i][t] += 1
+            for t in self.rows[i][4]:
+                self.suf_plus[i][t] += 1
             self.suf_min_sq_pair[i] = list(self.suf_min_sq_pair[i + 1])
             self.suf_min_sq_pair[i][c.pair_group] = min(
                 self.suf_min_sq_pair[i][c.pair_group], c.sq
             )
             self.suf_min_sq[i] = min(self.suf_min_sq[i + 1], c.sq)
-        self.p = p
         self.nodes = 0
         self.budget = cfg.node_budget
         self.budget_hit = False
 
-    # minimum positive-key count required per trait at the final selection
-    def _plus_bounds(self, total_t: int) -> tuple[int, int]:
-        floor = self.cfg.sign_floor
-        lo = math.ceil(floor * total_t - 1e-12)
-        hi = total_t - lo
-        return lo, hi
-
-    def search(self, best_sse: float | None = None, find_all_best: bool = False):
+    def search(self, best_sse: float | None = None):
         """Run the DFS.
 
         With ``best_sse is None`` this is a pure feasibility search returning
@@ -196,146 +204,132 @@ class _Search:
         """
         cfg = self.cfg
         optimize = best_sse is not None
-        best: list[CandidatePair] | None = None
+        rows, n, p = self.rows, self.n, self.p
+        suf_pair, suf_mixed, suf_plus = self.suf_pair, self.suf_mixed, self.suf_plus
+        suf_min_sq_pair, suf_min_sq = self.suf_min_sq_pair, self.suf_min_sq
+        per_pair = cfg.per_trait_pair
+        per_trait = cfg.per_trait
+        check_mixed = cfg.mixed_key_range is not None
+        mixed_lo, mixed_hi = cfg.mixed_key_range if check_mixed else (0, 0)
+        floor = cfg.sign_floor
+        # positive-key count per trait allowed at a final selection that
+        # meets the sign floor with per_trait appearances of each trait
+        sign_prune = floor is not None and per_trait is not None
+        if sign_prune:
+            plo = math.ceil(floor * per_trait - 1e-12)
+            phi = per_trait - plo
+        limit = math.inf if self.budget is None else self.budget
+        best: list[int] | None = None
         best_val = math.inf if optimize else None
-        sel: list[CandidatePair] = []
-        used: set[str] = set()
+        sel: list[int] = []
         trait_counts = [0] * 5
         pair_counts = [0] * 10
         plus = [0] * 5
-        state = {"mixed": 0, "sse": 0.0}
+        nodes = self.nodes
+        # running total, updated in place: the reported optimum is this sum
+        sse = 0.0
 
-        def feasible_here(i: int) -> bool:
-            need = self.p - len(sel)
-            if self.suf_total[i] < need:
-                return False
-            if cfg.per_trait_pair is not None:
-                for g in range(10):
-                    if pair_counts[g] > cfg.per_trait_pair:
-                        return False
-                    if pair_counts[g] + self.suf_pair[i][g] < cfg.per_trait_pair:
-                        return False
-            if cfg.per_trait is not None:
-                for t in range(5):
-                    if trait_counts[t] > cfg.per_trait:
-                        return False
-            if cfg.mixed_key_range is not None:
-                lo, hi = cfg.mixed_key_range
-                if state["mixed"] > hi:
-                    return False
-                if state["mixed"] + min(need, self.suf_mixed[i]) < lo:
-                    return False
-            if cfg.sign_floor is not None and cfg.per_trait is not None:
-                for t in range(5):
-                    plo, phi = self._plus_bounds(cfg.per_trait)
-                    # remaining positive-key slots for t cannot exceed what is left
-                    if plus[t] > phi:
-                        return False
-                    if plus[t] + self.suf_plus[i][t] < plo:
-                        return False
-            return True
-
-        def sse_lower_bound(i: int) -> float:
-            bound = state["sse"]
-            if cfg.per_trait_pair is not None:
-                for g in range(10):
-                    need_g = cfg.per_trait_pair - pair_counts[g]
-                    if need_g > 0:
-                        bound += need_g * self.suf_min_sq_pair[i][g]
-            else:
-                bound += (self.p - len(sel)) * self.suf_min_sq[i]
-            return bound
-
-        def leaf_ok() -> bool:
-            if cfg.per_trait is not None and any(
-                n != cfg.per_trait for n in trait_counts
-            ):
-                return False
-            if cfg.per_trait_pair is not None and any(
-                n != cfg.per_trait_pair for n in pair_counts
-            ):
-                return False
-            if cfg.mixed_key_range is not None:
-                lo, hi = cfg.mixed_key_range
-                if not (lo <= state["mixed"] <= hi):
-                    return False
-            if cfg.sign_floor is not None:
-                for t in range(5):
-                    total = trait_counts[t] * 1  # one slot per appearance
-                    n_plus = plus[t]
-                    n_minus = total - n_plus
-                    if total and (
-                        n_plus < cfg.sign_floor * total - 1e-12
-                        or n_minus < cfg.sign_floor * total - 1e-12
-                    ):
-                        return False
-            return True
-
-        def dfs(i: int) -> bool:
-            nonlocal best, best_val
-            self.nodes += 1
-            if self.budget is not None and self.nodes > self.budget:
+        def dfs(i: int, depth: int, mixed: int, used: int) -> bool:
+            nonlocal nodes, sse, best, best_val
+            nodes += 1
+            if nodes > limit:
                 self.budget_hit = True
                 return True  # unwind
-            if len(sel) == self.p:
-                if leaf_ok():
-                    if not optimize:
-                        best = list(sel)
-                        return True
-                    if state["sse"] < best_val - 1e-15:
-                        best = list(sel)
-                        best_val = state["sse"]
+            need = p - depth
+            if need == 0:
+                # leaf: the selection must meet every constraint exactly
+                if per_trait is not None and trait_counts.count(per_trait) != 5:
+                    return False
+                if per_pair is not None and pair_counts.count(per_pair) != 10:
+                    return False
+                if check_mixed and not (mixed_lo <= mixed <= mixed_hi):
+                    return False
+                if floor is not None:
+                    for total, n_plus in zip(trait_counts, plus):
+                        n_minus = total - n_plus
+                        if total and (
+                            n_plus < floor * total - 1e-12
+                            or n_minus < floor * total - 1e-12
+                        ):
+                            return False
+                if not optimize:
+                    best = list(sel)
+                    return True
+                if sse < best_val - 1e-15:
+                    best = list(sel)
+                    best_val = sse
                 return False
-            if not feasible_here(i):
+            # can candidates i..n-1 still complete the selection?
+            if n - i < need:
                 return False
-            if optimize and sse_lower_bound(i) >= best_val - 1e-15:
-                return False
-            for j in range(i, self.n):
-                c = self.cands[j]
-                if self.suf_total[j] < self.p - len(sel):
-                    break
-                if c.left in used or c.right in used:
+            if per_pair is not None:
+                for have, left in zip(pair_counts, suf_pair[i]):
+                    if have > per_pair or have + left < per_pair:
+                        return False
+            if per_trait is not None:
+                for have in trait_counts:
+                    if have > per_trait:
+                        return False
+            if check_mixed:
+                if mixed > mixed_hi:
+                    return False
+                if mixed + min(need, suf_mixed[i]) < mixed_lo:
+                    return False
+            if sign_prune:
+                for have, left in zip(plus, suf_plus[i]):
+                    if have > phi or have + left < plo:
+                        return False
+            if optimize:
+                bound = sse
+                if per_pair is not None:
+                    for have, min_sq in zip(pair_counts, suf_min_sq_pair[i]):
+                        need_g = per_pair - have
+                        if need_g > 0:
+                            bound += need_g * min_sq
+                else:
+                    bound += need * suf_min_sq[i]
+                if bound >= best_val - 1e-15:
+                    return False
+            # past n - need too few candidates are left to fill the selection
+            for j in range(i, n - need + 1):
+                mask, g, lt, rt, pos, mk, sq = rows[j]
+                if used & mask:
                     continue
-                if cfg.per_trait_pair is not None and (
-                    pair_counts[c.pair_group] >= cfg.per_trait_pair
+                if per_pair is not None and pair_counts[g] >= per_pair:
+                    continue
+                if per_trait is not None and (
+                    trait_counts[lt] >= per_trait or trait_counts[rt] >= per_trait
                 ):
                     continue
-                if cfg.per_trait is not None and (
-                    trait_counts[c.left_trait] >= cfg.per_trait
-                    or trait_counts[c.right_trait] >= cfg.per_trait
-                ):
-                    continue
-                sel.append(c)
-                used.add(c.left)
-                used.add(c.right)
-                trait_counts[c.left_trait] += 1
-                trait_counts[c.right_trait] += 1
-                pair_counts[c.pair_group] += 1
-                state["mixed"] += c.mixed_key
-                state["sse"] += c.sq
-                for t, k in ((c.left_trait, c.left_key), (c.right_trait, c.right_key)):
-                    if k > 0:
-                        plus[t] += 1
-                stop = dfs(j + 1)
+                sel.append(j)
+                trait_counts[lt] += 1
+                trait_counts[rt] += 1
+                pair_counts[g] += 1
+                sse += sq
+                for t in pos:
+                    plus[t] += 1
+                stop = dfs(j + 1, depth + 1, mixed + mk, used | mask)
                 sel.pop()
-                used.discard(c.left)
-                used.discard(c.right)
-                trait_counts[c.left_trait] -= 1
-                trait_counts[c.right_trait] -= 1
-                pair_counts[c.pair_group] -= 1
-                state["mixed"] -= c.mixed_key
-                state["sse"] -= c.sq
-                for t, k in ((c.left_trait, c.left_key), (c.right_trait, c.right_key)):
-                    if k > 0:
-                        plus[t] -= 1
+                trait_counts[lt] -= 1
+                trait_counts[rt] -= 1
+                pair_counts[g] -= 1
+                sse -= sq
+                for t in pos:
+                    plus[t] -= 1
                 if stop:
                     return True
             return False
 
-        dfs(0)
+        dfs(0, 0, 0, 0)
+        # dfs holds itself through its closure, and with it every list above:
+        # break that cycle so the search state is freed now, not at the next
+        # garbage collection
+        del dfs
+        self.nodes = nodes
+        chosen = None if best is None else [self.cands[j] for j in best]
         if optimize:
-            return best, best_val
-        return best
+            return chosen, best_val
+        return chosen
 
 
 def _diagnose_root(cands: list[CandidatePair], cfg: AssemblyConfig) -> str:
@@ -400,6 +394,10 @@ def solve_stage2(
     search = _Search(eligible, cfg)
     best, best_sse = search.search(best_sse=math.inf)
     if best is None:
+        if search.budget_hit:
+            raise BudgetExhaustedError(
+                "node budget exhausted before stage 2 found a selection"
+            )
         raise InfeasibleError("stage 2 infeasible under the stage-1 cap", "combined")
     proof = "budget-exhausted-best-known" if search.budget_hit else "optimal"
     blocks = tuple(GfcBlock(c.left, c.right, c.gap) for c in best)

@@ -1,5 +1,7 @@
 """Exact two-stage assembly solver against hand oracles and brute force."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from sdrkit.assemble import (
     solve_stage1,
     solve_stage2,
 )
-from sdrkit.core import AssemblyConfig, Item, ItemPool, TraitDomain
+from sdrkit.core import AssemblyConfig, Item, ItemPool, TraitDomain, validate_inventory
 
 TRAITS = list(TraitDomain)
 
@@ -49,6 +51,35 @@ def random_instance(rng):
         per_trait_pair=None,
         mixed_key_range=mixed,
         sign_floor=sign_floor,
+    )
+    return make_pool(rows), cfg
+
+
+def random_per_trait_instance(rng):
+    """Ten items, two per trait, for five blocks with each trait used twice.
+
+    Ten items is the most the brute-force oracle accepts under this config
+    (eleven give at least 48 candidates), so every item is used. Most traits
+    get one item of each keying, so the sign floor often leaves a feasible
+    instance.
+    """
+    traits = rng.permutation(np.repeat(np.arange(5), 2))
+    keys = {
+        t: [1, -1] if rng.random() < 0.8 else [int(rng.choice([-1, 1]))] * 2
+        for t in range(5)
+    }
+    rows = [
+        (f"i{i:02d}", TRAITS[t], keys[t].pop(), float(np.round(rng.uniform(1, 9), 2)))
+        for i, t in enumerate(traits)
+    ]
+    lo = int(rng.integers(0, 6))
+    hi = int(rng.integers(lo, 6))
+    cfg = AssemblyConfig(
+        block_count=5,
+        per_trait=2,
+        per_trait_pair=None,
+        mixed_key_range=(lo, hi),
+        sign_floor=0.30 if rng.random() < 0.5 else None,
     )
     return make_pool(rows), cfg
 
@@ -152,6 +183,51 @@ def test_node_budget_signals_exhaustion():
         solve_stage1(enumerate_candidates(pool), cfg)
 
 
+# Recorded standard(10) instance: a 20-item subset of the packaged pool, its
+# optimum and its blocks, copied from instance 2 of
+# perfbench/assemble_instances.json so that this test stands on its own.
+STANDARD_10_ITEMS = (
+    "A06n", "A08p", "A10p", "A11n", "C01p", "C04p", "C07n", "C11n", "E02n", "E04p",
+    "E07p", "E11n", "N03n", "N06p", "N09p", "N11n", "O03n", "O05p", "O06p", "O10n",
+)
+STANDARD_10_M_STAR = 1.5300000000000002
+STANDARD_10_SSE = 3.2332000000000023
+STANDARD_10_BLOCKS = [
+    ("A06n", "C07n"), ("A08p", "E04p"), ("A10p", "N03n"), ("A11n", "O10n"),
+    ("C01p", "E07p"), ("C04p", "O05p"), ("C11n", "N09p"), ("E02n", "N06p"),
+    ("E11n", "O03n"), ("N11n", "O06p"),
+]
+
+
+def standard_10_subset(marker_pool):
+    return ItemPool(tuple(it for it in marker_pool if it.id in STANDARD_10_ITEMS))
+
+
+def test_standard_config_solves_recorded_instance_exactly(marker_pool):
+    subset = standard_10_subset(marker_pool)
+    assert len(subset) == 20
+    cfg = AssemblyConfig.standard(10)
+    sol = assemble(subset, cfg)
+    assert (sol.m_star, sol.sse) == (STANDARD_10_M_STAR, STANDARD_10_SSE)
+    assert [(b.left, b.right) for b in sol.inventory.blocks] == STANDARD_10_BLOCKS
+    assert sol.proof == "optimal"
+    report = validate_inventory(sol.inventory, subset, cfg)
+    assert report.ok, report.failed()
+
+
+def test_stage2_node_budget_signals_exhaustion(marker_pool):
+    subset = standard_10_subset(marker_pool)
+    cands = enumerate_candidates(subset)
+    cfg = AssemblyConfig.standard(10)
+    # stage 1 has shown that a selection exists, so running out of nodes
+    # before reaching one is exhaustion, not infeasibility
+    with pytest.raises(BudgetExhaustedError):
+        solve_stage2(cands, dataclasses.replace(cfg, node_budget=50), STANDARD_10_M_STAR)
+    sol = solve_stage2(cands, dataclasses.replace(cfg, node_budget=500), STANDARD_10_M_STAR)
+    assert sol.proof == "budget-exhausted-best-known"
+    assert validate_inventory(sol.inventory, subset, cfg).ok
+
+
 def test_brute_force_refuses_large_instances():
     rows = [
         (f"x{i:02d}", TRAITS[i % 5], 1, 5.0 + 0.01 * i) for i in range(20)
@@ -184,10 +260,29 @@ def test_solver_matches_brute_force_on_random_instances():
         compared += 1
 
 
+def test_solver_matches_brute_force_with_per_trait_counts():
+    # per_trait turns on the per-trait and sign-floor prunes of the search
+    rng = np.random.default_rng(2024)
+    feasible = 0
+    for _ in range(5):
+        pool, cfg = random_per_trait_instance(rng)
+        cands = enumerate_candidates(pool)
+        try:
+            oracle = brute_force_assemble(cands, cfg)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                solve_stage1(cands, cfg)
+            continue
+        m_star, _ = solve_stage1(cands, cfg)
+        sol = solve_stage2(cands, cfg, m_star)
+        assert sol.m_star == oracle.m_star
+        assert sol.sse == pytest.approx(oracle.sse, abs=1e-9)
+        feasible += 1
+    assert feasible >= 3
+
+
 def test_solution_passes_its_own_validation(marker_pool):
     # small subset of the packaged pool keeps this fast
-    from sdrkit.core import validate_inventory
-
     subset = ItemPool(tuple(marker_pool.items[:20]))
     cfg = AssemblyConfig(block_count=5, mixed_key_range=None, sign_floor=None)
     sol = assemble(subset, cfg)
