@@ -358,9 +358,6 @@ def solve_stage1(
     if not cands:
         raise InfeasibleError("no candidate pairs", "count")
     gaps = sorted({c.gap for c in cands})
-    lo, hi = 0, len(gaps) - 1
-    best: list[CandidatePair] | None = None
-    best_m: float | None = None
 
     def feasible(m: float):
         eligible = [c for c in cands if c.gap <= m]
@@ -370,19 +367,24 @@ def solve_stage1(
             raise BudgetExhaustedError("node budget exhausted during stage-1 feasibility")
         return witness
 
-    if feasible(gaps[-1]) is None:
+    best = feasible(gaps[-1])
+    if best is None:
         raise InfeasibleError(
             "no selection satisfies the constraint set", _diagnose_root(cands, cfg)
         )
+    best_m = max(c.gap for c in best)
+    lo, hi = 0, len(gaps) - 1
     while lo <= hi:
         mid = (lo + hi) // 2
-        witness = feasible(gaps[mid])
+        # the held witness is feasible under every cap from its own largest gap
+        # up, so only smaller caps are searched; the bisection path is kept
+        # because the cost of a feasibility search swings widely between caps
+        witness = best if gaps[mid] >= best_m else feasible(gaps[mid])
         if witness is not None:
-            best, best_m = witness, gaps[mid]
+            best, best_m = witness, max(c.gap for c in witness)
             hi = mid - 1
         else:
             lo = mid + 1
-    assert best is not None and best_m is not None
     return best_m, best
 
 

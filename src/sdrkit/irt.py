@@ -419,7 +419,7 @@ def fit_map(data: ModelData, opts: MapOptions = MapOptions()) -> MapFit:
     alpha_hi = math.log(opts.strength_cap)
     for k in range(off, off + j):
         bounds[k] = (None, alpha_hi)
-    best_x = None
+    best_x = best_grad = None
     best_lp = -np.inf
     converged = False
     for _ in range(max(1, opts.n_starts)):
@@ -435,9 +435,9 @@ def fit_map(data: ModelData, opts: MapOptions = MapOptions()) -> MapFit:
         if -res.fun > best_lp:
             best_lp = -res.fun
             best_x = res.x
+            best_grad = -res.jac  # the gradient L-BFGS-B last evaluated, at res.x
             converged = bool(res.success)
-    grad = grad_log_posterior(data, best_x)
-    projected = grad.copy()
+    projected = best_grad
     at_cap = best_x[off : off + j] >= alpha_hi - 1e-12
     projected[off : off + j][at_cap & (projected[off : off + j] > 0)] = 0.0
     return MapFit(

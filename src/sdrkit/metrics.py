@@ -179,8 +179,8 @@ def summarize_effects(
     honest_theta: np.ndarray,
     z_true: np.ndarray,
 ) -> EffectSummary:
-    raw = np.array([cohens_dz(table.deltas[:, t]) for t in range(5)])
-    tilde = DESIRABLE_SIGNS * raw
+    tilde = directed_dz(table)
+    raw = DESIRABLE_SIGNS * tilde  # the signs are +-1, so this undoes the flip exactly
     rec = recovery_correlations(honest_theta, z_true)
     return EffectSummary(
         format=fmt,

@@ -12,11 +12,11 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .administer import ProviderReply, ProviderRequest, block_id, keyed_rng
+from .administer import ProviderReply, ProviderRequest, SessionPlan, block_id, keyed_rng
 from .core import (
     DESIRABLE_DIRECTION,
     InstructionCondition,
@@ -98,12 +98,6 @@ def effective_theta(
     return z.copy()
 
 
-def _draw_category(eta: float, kappa, rng: np.random.Generator) -> int:
-    # ItemParams and SimParams checked the thresholds at construction
-    probs = _category_probs(eta, np.asarray(kappa, dtype=float))
-    return int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")) + 1
-
-
 def default_sim_params(
     inventory: Inventory,
     pool: ItemPool,
@@ -139,31 +133,41 @@ def default_sim_params(
     return SimParams(items=items, block_kappa=block_kappa)
 
 
-def simulate_answer(
+def simulate_answers(
     persona: Persona,
     fmt: ResponseFormat,
     condition: InstructionCondition,
-    unit_id: str,
+    unit_ids: Sequence[str],
     params: SimParams,
     spec: SimSpec,
-) -> int:
-    """Draw one canonical answer (GFC: as if the pair were shown unflipped).
+) -> np.ndarray:
+    """Draw the canonical answers to ``unit_ids`` in one vectorized pass (GFC:
+    as if each pair were shown unflipped).
 
-    The noise is keyed per unit, not per condition, so delta = 0 reproduces
-    honest answers bit for bit and paired draws share their noise.
+    Each unit's uniform comes from its own keyed stream, so an answer does not
+    depend on which other units are drawn with it or in what order. The noise
+    is keyed per unit, not per condition, so delta = 0 reproduces honest
+    answers bit for bit and paired draws share their noise.
     """
     theta = effective_theta(persona.z, condition, spec.fake_good_delta)
     if fmt is ResponseFormat.LIKERT:
-        item = _item_params(params, unit_id)
-        eta, kappa = likert_eta(theta, item), item.kappa
+        items = [_item_params(params, uid) for uid in unit_ids]
+        eta = [likert_eta(theta, item) for item in items]
+        kappa = [item.kappa for item in items]
     else:
-        kappa = params.block_kappa.get(unit_id)
-        if kappa is None:
-            raise SdrkitError(f"missing block thresholds for {unit_id}")
-        left, _, right = unit_id.partition("~")  # the inverse of block_id
-        eta = gfc_eta(theta, _item_params(params, left), _item_params(params, right))
-    rng = keyed_rng(spec.seed, persona.id, fmt.value, unit_id)
-    return _draw_category(eta, kappa, rng)
+        eta, kappa = [], []
+        for uid in unit_ids:
+            block_kappa = params.block_kappa.get(uid)
+            if block_kappa is None:
+                raise SdrkitError(f"missing block thresholds for {uid}")
+            left, _, right = uid.partition("~")  # the inverse of block_id
+            eta.append(gfc_eta(theta, _item_params(params, left), _item_params(params, right)))
+            kappa.append(block_kappa)
+    u = [keyed_rng(spec.seed, persona.id, fmt.value, uid).random() for uid in unit_ids]
+    # ItemParams and SimParams checked the thresholds at construction
+    cdf = np.cumsum(_category_probs(np.array(eta), np.reshape(kappa, (-1, 6))), axis=-1)
+    # the count of cdf entries <= u is searchsorted(cdf, u, side="right")
+    return (cdf <= np.array(u)[:, None]).sum(axis=-1) + 1
 
 
 def simulate_response_set(
@@ -188,9 +192,9 @@ def simulate_response_set(
         persona_id=persona.id,
         format=fmt,
         condition=condition,
-        answers={
-            uid: simulate_answer(persona, fmt, condition, uid, params, spec) for uid in order
-        },
+        answers=dict(
+            zip(order, simulate_answers(persona, fmt, condition, order, params, spec).tolist())
+        ),
         presentation_order=order,
         side_assignment={},
     )
@@ -208,7 +212,10 @@ class SimulatorProvider:
 
     Answers from the session plan a request carries: the persona's ground
     truth, the condition, the unit and the displayed side. The prompt text is
-    not read. Stateless per call and safe to use from concurrent sessions.
+    not read. On a plan's first request it draws that plan's whole answer
+    table and holds it, with the plan, until a request from another plan
+    object arrives; plans are matched by identity, never by value. Concurrent
+    sessions stay correct, each redrawing when the other replaced the table.
     """
 
     model_id = "sim"
@@ -216,14 +223,22 @@ class SimulatorProvider:
     def __init__(self, params: SimParams, spec: SimSpec):
         self.params = params
         self.spec = spec
+        self._drawn: tuple[SessionPlan, dict[str, int]] | None = None
 
     def complete(self, request: ProviderRequest) -> ProviderReply:
         plan, unit = request.plan, request.unit
         if plan is None or unit is None:
             raise SdrkitError("simulator requests must carry their session plan and unit")
-        answer = simulate_answer(
-            plan.persona, plan.format, plan.condition, unit.id, self.params, self.spec
-        )
+        drawn = self._drawn
+        if drawn is None or drawn[0] is not plan:
+            ids = [u.id for u in plan.units]
+            answers = simulate_answers(
+                plan.persona, plan.format, plan.condition, ids, self.params, self.spec
+            )
+            drawn = self._drawn = (plan, dict(zip(ids, answers.tolist())))
+        answer = drawn[1].get(unit.id)
+        if answer is None:
+            raise SdrkitError(f"unit {unit.id!r} is not in its session plan")
         return ProviderReply(text=str(8 - answer if unit.flipped else answer))
 
 

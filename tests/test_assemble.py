@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from sdrkit import assemble as asm
 from sdrkit.assemble import (
     BudgetExhaustedError,
     InfeasibleError,
@@ -213,6 +214,28 @@ def test_standard_config_solves_recorded_instance_exactly(marker_pool):
     assert sol.proof == "optimal"
     report = validate_inventory(sol.inventory, subset, cfg)
     assert report.ok, report.failed()
+
+
+def test_stage1_never_searches_a_cap_its_witness_already_answers(marker_pool, monkeypatch):
+    searches = []  # (cap, largest gap of the witness found or None), in order
+    real = asm._Search.search
+
+    def recording(self, best_sse=None):
+        witness = real(self, best_sse)
+        found = None if witness is None else max(c.gap for c in witness)
+        searches.append((max(c.gap for c in self.cands), found))
+        return witness
+
+    monkeypatch.setattr(asm._Search, "search", recording)
+    cands = enumerate_candidates(standard_10_subset(marker_pool))
+    m_star, witness = solve_stage1(cands, AssemblyConfig.standard(10))
+    assert m_star == STANDARD_10_M_STAR == max(c.gap for c in witness)
+    held = np.inf
+    for cap, found in searches:
+        assert cap < held
+        if found is not None:
+            held = min(held, found)
+    assert held == m_star
 
 
 def test_stage2_node_budget_signals_exhaustion(marker_pool):

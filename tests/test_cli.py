@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifacts, pipeline resumability."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -186,3 +187,40 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("sdrkit ")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+DATA = Path(__file__).resolve().parents[1] / "src" / "sdrkit" / "data"
+
+# SHA-256 of each file `sdrkit administer --provider sim --seed 7` writes for
+# the recorded 12-persona set on the packaged marker instrument. A change here
+# changes the data of every simulated study, so update it only on purpose.
+SIM_ADMINISTER_DIGESTS = {
+    "manifest_gfc_fake_good.json": "087ec36dbe4bb62f4330b3106f14360544263649eaa3b1193c10418851003418",
+    "manifest_gfc_honest.json": "83c31673701d7fb5707c79f100a893b76013d8432f5d452b39c3a4c4a3fd1ddc",
+    "manifest_likert_fake_good.json": "e37ab9c931c9dcb7836a4d2f0713ea385848b0999ced24eb0942e2b4b647f012",
+    "manifest_likert_honest.json": "418d4c6105b0ac5a17ecd7b6c8778d7765d269e9dc3d4b02db549bc4fd0a9657",
+    "responses_gfc_fake_good.csv": "90ae5bf09361c2b1a1e895f61d623950a1317328ced279067fe673dd66b3e911",
+    "responses_gfc_honest.csv": "8f02bce7869babef9c1bab273cb8af2b7ec74878502d58d5ca995a3b2d3790f8",
+    "responses_likert_fake_good.csv": "9b648415bb796c8df781356fab278ff9a85a7167ff02059f0043d20b352cd2e9",
+    "responses_likert_honest.csv": "dcb0807dd47f56ccfa767dd674f523e9ac5dc91c7963f917f150498ccab1f50c",
+}
+
+
+def test_sim_administer_output_is_byte_stable(tmp_path):
+    """The simulator's answers, and so every written response and manifest,
+    are a fixed function of the persona set, instrument and seed."""
+    for fmt in ("likert", "gfc"):
+        for cond in ("honest", "fake_good"):
+            rc = main([
+                "administer", "--inventory", str(DATA / "marker_inventory_blocks.csv"),
+                "--pool", str(DATA / "marker_inventory_pool.csv"),
+                "--personas", str(GOLDEN / "sim_personas_12.json"),
+                "--format", fmt, "--condition", cond, "--provider", "sim",
+                "--seed", "7", "--out", str(tmp_path),
+            ])
+            assert rc == EXIT_OK
+    digests = {
+        f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()
+    }
+    assert digests == SIM_ADMINISTER_DIGESTS

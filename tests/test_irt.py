@@ -259,6 +259,10 @@ def test_map_reaches_stationary_point(small_pool_inventory):
     assert fit.grad_inf_norm < 1e-3
     assert fit.theta_hat.shape == (6, 5)
     assert np.all(fit.params.a_plus <= MapOptions().strength_cap + 1e-9)
+    # no strength at the cap, so the reported norm is the plain gradient's at
+    # the returned point
+    assert np.all(fit.params.a_plus < MapOptions().strength_cap - 1e-6)
+    assert fit.grad_inf_norm == np.abs(grad_log_posterior(data, fit.params.x)).max()
     # rerun is deterministic
     fit2 = fit_map(data, MapOptions(n_starts=2, seed=0))
     assert fit2.log_posterior == fit.log_posterior

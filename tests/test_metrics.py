@@ -134,6 +134,9 @@ def test_summarize_effects_aggregation():
     table = make_table(honest, fake)
     summary = summarize_effects("likert", table, honest, z)
     assert set(summary.d_tilde) == set(TRAIT_LABELS)
+    # the report's effects are the gated ones, exactly
+    assert list(summary.d_tilde.values()) == directed_dz(table).tolist()
+    assert list(summary.d_z.values()) == [cohens_dz(table.deltas[:, t]) for t in range(5)]
     assert summary.aggregate_d_tilde == pytest.approx(
         np.mean(list(summary.d_tilde.values()))
     )

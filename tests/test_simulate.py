@@ -1,13 +1,17 @@
 """Generative simulator: determinism, shift semantics, and provider parity."""
 
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sdrkit import simulate
 from sdrkit.administer import (
     ProviderRequest,
     block_id,
+    keyed_rng,
     make_session_plans,
     render_unit_prompt,
     run_session,
@@ -17,6 +21,7 @@ from sdrkit.core import (
     ResponseFormat,
     SdrkitError,
 )
+from sdrkit.ordinal import category_probs
 from sdrkit.personas import sample_personas
 from sdrkit.simulate import (
     DESIRABLE_SIGNS,
@@ -29,6 +34,7 @@ from sdrkit.simulate import (
     likert_eta,
     load_sim_params,
     naive_gfc_count_scores,
+    simulate_answers,
     simulate_response_set,
     write_sim_params,
 )
@@ -193,6 +199,177 @@ def planned_request(plan, unit):
     return ProviderRequest(
         message=render_unit_prompt(plan, unit), model_id="sim", plan=plan, unit=unit
     )
+
+
+def reference_answer(persona, fmt, condition, unit_id, params, spec):
+    """One unit drawn on its own, with the public kernel and a sorted search."""
+    theta = effective_theta(persona.z, condition, spec.fake_good_delta)
+    if fmt is ResponseFormat.LIKERT:
+        item = params.items[unit_id]
+        eta, kappa = likert_eta(theta, item), item.kappa
+    else:
+        left, right = unit_id.split("~")
+        eta = gfc_eta(theta, params.items[left], params.items[right])
+        kappa = params.block_kappa[unit_id]
+    cdf = np.cumsum(category_probs(eta, np.asarray(kappa)))
+    u = keyed_rng(spec.seed, persona.id, fmt.value, unit_id).random()
+    return int(np.searchsorted(cdf, u, side="right")) + 1
+
+
+def test_vectorized_draw_matches_per_unit_reference(small_pool_inventory):
+    pool, inv = small_pool_inventory
+    params = default_sim_params(inv, pool, seed=19)
+    personas = sample_personas(400, seed=1)
+    assert len({p.description for p in personas}) < len(personas)
+    for delta in (0.0, 1.0):
+        spec = SimSpec(fake_good_delta=delta, seed=20)
+        for persona in personas:
+            for fmt in ResponseFormat:
+                for cond in InstructionCondition:
+                    got = simulate_response_set(persona, inv, params, fmt, cond, spec).answers
+                    assert got == {
+                        uid: reference_answer(persona, fmt, cond, uid, params, spec)
+                        for uid in got
+                    }
+
+
+def test_answers_do_not_depend_on_unit_order_or_company(small_pool_inventory):
+    pool, inv = small_pool_inventory
+    params = default_sim_params(inv, pool, seed=25)
+    spec = SimSpec(fake_good_delta=1.0, seed=26)
+    persona = sample_personas(1, seed=27).personas[0]
+    for fmt, ids in (
+        (ResponseFormat.LIKERT, list(inv.statements)),
+        (ResponseFormat.GFC, [block_id(b.left, b.right) for b in inv.blocks]),
+    ):
+        cond = InstructionCondition.FAKE_GOOD
+        full = simulate_answers(persona, fmt, cond, ids, params, spec)
+        assert full.shape == (len(ids),)
+        reverse = simulate_answers(persona, fmt, cond, ids[::-1], params, spec)
+        assert reverse.tolist() == full[::-1].tolist()
+        one = simulate_answers(persona, fmt, cond, ids[2:3], params, spec)
+        assert one.tolist() == [full[2]]
+        assert simulate_answers(persona, fmt, cond, [], params, spec).shape == (0,)
+
+
+def test_simulate_answers_rejects_unknown_or_same_trait_units(small_pool_inventory):
+    pool, inv = small_pool_inventory
+    params = default_sim_params(inv, pool, seed=28)
+    spec = SimSpec()
+    persona = sample_personas(1, seed=29).personas[0]
+    honest = InstructionCondition.HONEST
+    no_a1 = replace(params, items={k: v for k, v in params.items.items() if k != "a1"})
+    with pytest.raises(SdrkitError, match="item parameters"):
+        simulate_answers(persona, ResponseFormat.LIKERT, honest, ["c1", "a1"], no_a1, spec)
+    with pytest.raises(SdrkitError, match="item parameters"):
+        simulate_answers(persona, ResponseFormat.GFC, honest, ["a1~c1"], no_a1, spec)
+    with pytest.raises(SdrkitError, match="block thresholds"):
+        simulate_answers(persona, ResponseFormat.GFC, honest, ["a1~e1"], params, spec)
+    same_trait = replace(params, block_kappa={**params.block_kappa, "a1~a2": KAPPA})
+    with pytest.raises(SdrkitError, match="two different traits"):
+        simulate_answers(persona, ResponseFormat.GFC, honest, ["a1~a2"], same_trait, spec)
+    provider = SimulatorProvider(no_a1, spec)
+    (plan,) = make_session_plans(
+        [persona], inv, pool, [ResponseFormat.LIKERT], [honest], seed=0, respondent_id="sim"
+    )
+    with pytest.raises(SdrkitError, match="item parameters"):
+        provider.complete(planned_request(plan, plan.units[0]))
+
+
+def test_provider_draws_each_plan_once_and_matches_plans_by_identity(
+    small_pool_inventory, monkeypatch
+):
+    pool, inv = small_pool_inventory
+    params = default_sim_params(inv, pool, seed=21)
+    spec = SimSpec(fake_good_delta=2.0, seed=22)
+    persona = sample_personas(1, seed=23).personas[0]
+    honest, fake = make_session_plans(
+        [persona], inv, pool, [ResponseFormat.GFC],
+        [InstructionCondition.HONEST, InstructionCondition.FAKE_GOOD],
+        seed=24, respondent_id="sim",
+    )
+    expected = {
+        plan.condition: simulate_response_set(
+            persona, inv, params, plan.format, plan.condition, spec
+        ).answers
+        for plan in (honest, fake)
+    }
+    # the same persona's two sessions must answer differently for this test to
+    # tell them apart
+    assert expected[honest.condition] != expected[fake.condition]
+    # a value-equal copy is another session: it gets its own draw
+    honest_copy = replace(honest)
+    assert honest_copy == honest and honest_copy is not honest
+
+    draws = []
+    real = simulate.simulate_answers
+
+    def counting(*args):
+        draws.append(args[0].id)
+        return real(*args)
+
+    monkeypatch.setattr(simulate, "simulate_answers", counting)
+    provider = SimulatorProvider(params, spec)
+    sequence = []
+    for unit in honest.units:
+        sequence += [(honest, unit), (fake, unit), (honest, mirrored(unit))]
+    sequence += [(honest_copy, honest.units[0]), (honest_copy, honest.units[1])]
+    for plan, unit in sequence:
+        answer = int(provider.complete(planned_request(plan, unit)).text)
+        canonical = 8 - answer if unit.flipped else answer
+        assert canonical == expected[plan.condition][unit.id]
+    switches = 1 + sum(p is not q for (p, _), (q, _) in zip(sequence, sequence[1:]))
+    assert len(draws) == switches
+
+    short = replace(honest, units=honest.units[:1])
+    with pytest.raises(SdrkitError, match="not in its session plan"):
+        provider.complete(planned_request(short, honest.units[1]))
+    (likert,) = make_session_plans(
+        [persona], inv, pool, [ResponseFormat.LIKERT], [InstructionCondition.HONEST],
+        seed=24, respondent_id="sim",
+    )
+    with pytest.raises(SdrkitError, match="not in its session plan"):
+        provider.complete(ProviderRequest("x", "sim", plan=likert, unit=honest.units[0]))
+
+
+def test_provider_shared_by_concurrent_sessions_answers_each_correctly(small_pool_inventory):
+    pool, inv = small_pool_inventory
+    params = default_sim_params(inv, pool, seed=30)
+    spec = SimSpec(fake_good_delta=2.0, seed=31)
+    provider = SimulatorProvider(params, spec)
+    plans = make_session_plans(
+        list(sample_personas(3, seed=32)), inv, pool, list(ResponseFormat),
+        list(InstructionCondition), seed=33, respondent_id="sim",
+    )
+    wrong = []
+
+    def worker(plans_of_worker):
+        for _ in range(30):
+            for plan in plans_of_worker:
+                for unit in plan.units:
+                    try:
+                        answer = int(provider.complete(planned_request(plan, unit)).text)
+                    except SdrkitError as exc:  # a unit looked up in another plan's table
+                        wrong.append((plan.persona.id, unit.id, str(exc)))
+                        continue
+                    expected = simulate_response_set(
+                        plan.persona, inv, params, plan.format, plan.condition, spec
+                    ).answers[unit.id]
+                    if (8 - answer if unit.flipped else answer) != expected:
+                        wrong.append((plan.persona.id, unit.id))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(plans[k::4],)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_naive_count_scores_are_ipsative(small_pool_inventory):
