@@ -224,3 +224,37 @@ def test_sim_administer_output_is_byte_stable(tmp_path):
         f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()
     }
     assert digests == SIM_ADMINISTER_DIGESTS
+
+
+# SHA-256 of every hashed artifact of a fresh 12-persona MAP `sdrkit pipeline`
+# on the packaged marker instrument with the default seeds. They pin the
+# study's data, fits and report; update them only on purpose.
+PIPELINE_DIGESTS = {
+    "personas.json": "1a2cb817f0f02e5c0eb4aef464f593954bb9f68893c34c4a21f400a5a9053876",
+    "sim_params.json": "48d143e6e2448579c22d826ea62e4169dfbf1241c424083181d51320d0620d0b",
+    "runs/responses_likert_honest.csv": "2a2c90e8cba5f108c885e8f11cbf66acfb599b9c97ac025ac403cc23287eaeb3",
+    "runs/responses_likert_fake_good.csv": "6fcac9854c721542a820bd36b5caa0c0e40198509bc79e3eef071f7f74e76f24",
+    "runs/responses_gfc_honest.csv": "ec21021b11d32ed663ff77e6f437472107af2c753f1c7ff741df01f54618e780",
+    "runs/responses_gfc_fake_good.csv": "dec235abd6e36bd4a750b7a39ce601b35d1673f3fbcd86c8cf9360f837448551",
+    "fits/fit_likert.json": "ccc30635d232e939bb5afa2fc1dac4a94c50099cad4b29b8f1baea40c16be77a",
+    "fits/fit_gfc.json": "758016565a98c330d8050f276c7e024d4c8f79dedaa4f152e0a35a8bf995dcbe",
+    "reports/effects.csv": "5d909bd29bc8f73e5bf39a0c3e87105b21b6765211871ab497e51337046d1edb",
+    "reports/tradeoff.csv": "de51e65f1310c774bb818bc7de981afaf5d78c014fc8f08d6a42a9092ea9da07",
+    "reports/report.json": "70f5f6726183667b0351234bc69cd4985a537b2837dddd84cbd060c72bd788bd",
+    "reports/shift_heatmap.svg": "6562eb677fdbdd4a29cb5354859582b20eaeb1ddde083676ba33d685f00510f9",
+    "reports/tradeoff_scatter.svg": "89317bd8876a04158b4c57b16d8d69c817ada680a5ff1dfb75dffa9db4aad481",
+}
+
+
+def test_fresh_pipeline_artifacts_are_byte_stable(tmp_path):
+    out_dir = tmp_path / "run"
+    cfg = tmp_path / "pipeline.json"
+    cfg.write_text(json.dumps({"n_personas": 12, "backend": "map", "out_dir": str(out_dir)}))
+    assert main(["pipeline", "--config", str(cfg)]) == EXIT_OK
+    digests = {
+        rel: hashlib.sha256((out_dir / rel).read_bytes()).hexdigest()
+        for rel in PIPELINE_DIGESTS
+    }
+    assert digests == PIPELINE_DIGESTS
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["artifacts"] == PIPELINE_DIGESTS
