@@ -149,7 +149,6 @@ def parse_single_int(text: str) -> int:
 class ProviderRequest:
     message: str  # single user message, no chat history
     model_id: str
-    options: Mapping[str, object] = field(default_factory=dict)
     # the planned session and unit the message was rendered from; in-process
     # providers answer from them, and no transport ever sends them
     plan: SessionPlan | None = None
@@ -202,7 +201,6 @@ class HttpProvider:
             "model": request.model_id,
             "messages": [{"role": "user", "content": request.message}],
             **self.options,
-            **request.options,
         }
         headers = {"Content-Type": "application/json"}
         if token:
@@ -462,6 +460,7 @@ class RunManifest:
     created_at: str
     sessions: list[dict] = field(default_factory=list)
     artifacts: dict[str, str] = field(default_factory=dict)  # path -> sha256
+    inputs: dict[str, str] = field(default_factory=dict)  # path -> key of its inputs
 
     def record_session(self, result: SessionResult) -> None:
         self.sessions.append(
@@ -477,4 +476,7 @@ class RunManifest:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2, sort_keys=True)
+        fields = dict(self.__dict__)
+        if not self.inputs:  # only pipeline runs key their artifacts on inputs
+            del fields["inputs"]
+        return json.dumps(fields, indent=2, sort_keys=True)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import shutil
 import sys
 from dataclasses import asdict
 from importlib import resources
@@ -104,6 +106,10 @@ def _require(path: str | Path, what: str) -> Path:
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
 
 
 def _condition(label: str) -> InstructionCondition:
@@ -303,21 +309,29 @@ def cmd_fit(args) -> int:
     inventory = load_inventory(_require(args.inventory, "inventory"))
     pool = load_item_pool(_require(args.pool, "item pool"))
     sets = _load_response_files(_require(args.responses, "response data"))
-    fmt = _format(args.format)
-    data = build_model_data(sets, inventory, pool, fmt)
-    theta, item_params, diag = _fit_format(
-        data,
-        args.backend,
+    n_units = _fit_write_gate(
+        sets, inventory, pool, _format(args.format), args.backend,
         MapOptions(seed=args.seed, n_starts=args.starts),
         HmcOptions(seed=args.seed, chains=args.chains, warmup=args.warmup, samples=args.samples),
+        args.out,
     )
-    write_fit_artifact(
-        args.out, data, theta, backend=args.backend, item_params=item_params, diag=diag
-    )
-    # gated after writing, so a fit that fails R-hat can still be inspected
-    _check_rhat(diag, fmt)
-    print(f"fitted {data.n_units} response units ({args.backend}) -> {args.out}")
+    print(f"fitted {n_units} response units ({args.backend}) -> {args.out}")
     return EXIT_OK
+
+
+def _fit_write_gate(sets, inventory, pool, fmt, backend, map_opts, hmc_opts, out) -> int:
+    """Fit one format, write its artifact to ``out``, then apply the R-hat gate;
+    returns the number of units fitted.  ``sdrkit fit`` keeps a fit that fails
+    the gate for inspection; the pipeline discards it unstamped, to be refitted."""
+    data = build_model_data(sets, inventory, pool, fmt)
+    theta, item_params, diag = _fit_format(data, backend, map_opts, hmc_opts)
+    write_fit_artifact(out, data, theta, backend=backend, item_params=item_params, diag=diag)
+    share = diag.get("rhat_share_below_gate", 1.0)  # MAP fits have no R-hat
+    if share < RHAT_SHARE:
+        raise DiagnosticsGateError(
+            f"{fmt.value} fit: only {share:.1%} of parameters have R-hat < {RHAT_GATE}"
+        )
+    return data.n_units
 
 
 def _fit_format(data, backend: str, map_opts: MapOptions, hmc_opts: HmcOptions):
@@ -347,14 +361,6 @@ def _fit_format(data, backend: str, map_opts: MapOptions, hmc_opts: HmcOptions):
         params = unpack(data, post.draws.reshape(-1, post.draws.shape[-1]).mean(axis=0))
         return post.theta_hat, _item_param_dict(data, params), diag
     raise ConfigError(f"unknown backend: {backend!r}")
-
-
-def _check_rhat(diag: dict, fmt: ResponseFormat) -> None:
-    share = diag.get("rhat_share_below_gate", 1.0)  # MAP fits have no R-hat
-    if share < RHAT_SHARE:
-        raise DiagnosticsGateError(
-            f"{fmt.value} fit: only {share:.1%} of parameters have R-hat < {RHAT_GATE}"
-        )
 
 
 def _item_param_dict(data, params) -> dict:
@@ -396,16 +402,23 @@ def cmd_report(args) -> int:
         fit_paths["likert"] = _require(args.fit_likert, "likert fit")
     if args.fit_gfc:
         fit_paths["gfc"] = _require(args.fit_gfc, "gfc fit")
+    _write_report(fit_paths, {f: str(p) for f, p in fit_paths.items()}, personas, Path(args.out))
+    print(f"wrote report tables and plots -> {args.out}")
+    return EXIT_OK
+
+
+REPORT_FILES = ("effects.csv", "tradeoff.csv", "report.json",
+                "shift_heatmap.svg", "tradeoff_scatter.svg")
+
+
+def _write_report(fit_paths: dict[str, Path], sources: dict[str, str], personas, out: Path):
+    """Write the ``REPORT_FILES`` into ``out``; ``sources`` cites each fit."""
     summaries = _summaries_from_fits(fit_paths, personas)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    sources = {fmt: str(p) for fmt, p in fit_paths.items()}
     write_effect_table(summaries, out / "effects.csv")
     write_tradeoff_table(summaries, out / "tradeoff.csv")
     write_report_bundle(summaries, out / "report.json", sources=sources)
     emit_plots(summaries, out)
-    print(f"wrote report tables and plots -> {out}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -443,16 +456,74 @@ def _load_pipeline_config(path: Path) -> dict:
     return cfg
 
 
+class _Stages:
+    """One reuse rule for every pipeline artifact.
+
+    A stage's input key hashes the version, its config slice and its upstream
+    digests (data files by content).  Its files are reused only if the previous
+    manifest holds that key and their current digests; otherwise they are built
+    under ``.tmp/`` and ``os.replace``d into place.  The manifest is rewritten
+    atomically after every stage, so a rerun resumes after the last finished one.
+    """
+
+    def __init__(self, out_dir: Path, manifest: RunManifest, digests: dict[str, str]):
+        self.out_dir, self.manifest, self.digests = out_dir, manifest, dict(digests)
+        try:
+            self.previous = json.loads((out_dir / "manifest.json").read_text("utf-8"))
+        except (OSError, ValueError):  # no earlier run, or its manifest is unreadable
+            self.previous = {}
+
+    def run(self, names, config: dict, upstream, build, sessions=None) -> None:
+        """Reuse or build ``names`` (``build`` gets one path per name); reused
+        runs keep the previous entries for their ``sessions`` (format, condition)."""
+        key = _digest([__version__, config, {n: self.digests[n] for n in upstream}])
+        paths = [self.out_dir / n for n in names]
+        old = self.previous
+        if all(
+            old.get("inputs", {}).get(n) == key and p.is_file()
+            and old["artifacts"].get(n) == _sha256(p)
+            for n, p in zip(names, paths)
+        ):
+            self.manifest.sessions += [
+                s for s in old["sessions"] if (s["format"], s["condition"]) == sessions
+            ]
+        else:
+            staging = self.out_dir / ".tmp"
+            staged = [staging / n for n in names]
+            try:
+                for s, p in zip(staged, paths):
+                    s.parent.mkdir(parents=True, exist_ok=True)
+                    p.parent.mkdir(exist_ok=True)
+                build(*staged)
+                for s, p in zip(staged, paths):
+                    os.replace(s, p)
+            finally:
+                shutil.rmtree(staging, ignore_errors=True)
+        for n, p in zip(names, paths):
+            self.digests[n] = self.manifest.artifacts[n] = _sha256(p)
+            self.manifest.inputs[n] = key
+        tmp = self.out_dir / "manifest.json.tmp"
+        tmp.write_text(self.manifest.to_json(), encoding="utf-8")
+        os.replace(tmp, self.out_dir / "manifest.json")
+
+
+_DATA_FILES = ("pool", "inventory", "ratings")
+
+
 def cmd_pipeline(args) -> int:
-    cfg_path = _require(args.config, "pipeline config")
-    cfg = _load_pipeline_config(cfg_path)
+    cfg = _load_pipeline_config(_require(args.config, "pipeline config"))
     out_dir = Path(cfg.get("out_dir", "run"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = cfg["seeds"]
-    config_hash = hashlib.sha256(
-        json.dumps(cfg, sort_keys=True).encode()
-    ).hexdigest()
-    artifacts: dict[str, str] = {}
+    seeds, sim, backend = cfg["seeds"], cfg["provider"], cfg["backend"]
+    data = [k for k in _DATA_FILES if cfg.get(k)]
+    digests = {k: _sha256(Path(cfg[k])) for k in data}
+    # the study is its config and its data's contents, wherever they are stored
+    study = {k: v for k, v in cfg.items() if k not in ("out_dir", *_DATA_FILES)}
+    manifest = RunManifest(
+        run_id=_digest([__version__, study, digests])[:16],
+        model_id=SimulatorProvider.model_id, seeds=seeds, created_at="",
+    )
+    stages = _Stages(out_dir, manifest, digests)
 
     pool = load_item_pool(cfg["pool"])
     if cfg.get("ratings"):
@@ -460,96 +531,48 @@ def cmd_pipeline(args) -> int:
         pool = pool.with_desirability(table.scores)
     inventory = load_inventory(cfg["inventory"])
 
-    # personas (resumable: reuse the file if it exists)
-    personas_path = out_dir / "personas.json"
-    if not personas_path.exists():
-        ps = sample_personas(cfg["n_personas"], seed=seeds["personas"])
-        write_persona_set(ps, personas_path)
-    personas = load_persona_set(personas_path)
-    artifacts["personas.json"] = _sha256(personas_path)
+    n, seed = cfg["n_personas"], seeds["personas"]
+    stages.run(["personas.json"], {"n_personas": n, "seed": seed}, [],
+               lambda p: write_persona_set(sample_personas(n, seed=seed), p))
+    personas = load_persona_set(out_dir / "personas.json")
 
-    # simulator parameters
-    params_path = out_dir / "sim_params.json"
-    if not params_path.exists():
-        params = default_sim_params(
-            inventory, pool, seed=seeds["params"],
-            matched_discrimination=bool(cfg["provider"]["matched_discrimination"]),
+    seed, matched = seeds["params"], bool(sim["matched_discrimination"])
+    stages.run(["sim_params.json"], {"seed": seed, "matched": matched}, data,
+               lambda p: write_sim_params(default_sim_params(
+                   inventory, pool, seed=seed, matched_discrimination=matched), p))
+    spec = SimSpec(fake_good_delta=sim["fake_good_delta"], seed=seeds["sim"])
+    provider = SimulatorProvider(load_sim_params(out_dir / "sim_params.json"), spec)
+
+    def administer(fmt, cond, path):
+        plans = make_session_plans(
+            list(personas), inventory, pool, [fmt], [cond],
+            seed=seeds["plan"], respondent_id=provider.model_id,
         )
-        write_sim_params(params, params_path)
-    params = load_sim_params(params_path)
-    artifacts["sim_params.json"] = _sha256(params_path)
+        sets, failed = _run_sessions(plans, provider, manifest)
+        if failed:
+            unit = failed[0].failed_unit
+            raise SdrkitError(f"administration failed at unit {unit} ({fmt.value}/{cond.value})")
+        write_response_sets(sets, path)
 
-    spec = SimSpec(fake_good_delta=cfg["provider"]["fake_good_delta"], seed=seeds["sim"])
-    provider = SimulatorProvider(params, spec)
-
-    formats = [_format(f) for f in cfg["formats"]]
     conditions = [_condition(c) for c in cfg["conditions"]]
-    runs_dir = out_dir / "runs"
-    runs_dir.mkdir(exist_ok=True)
-    manifest = RunManifest(
-        run_id=config_hash[:16], model_id=provider.model_id, seeds=seeds, created_at="",
-    )
-    for fmt in formats:
-        for cond in conditions:
-            out_file = runs_dir / f"responses_{fmt.value}_{cond.value}.csv"
-            if out_file.exists():
-                artifacts[f"runs/{out_file.name}"] = _sha256(out_file)
-                continue
-            plans = make_session_plans(
-                list(personas), inventory, pool, [fmt], [cond],
-                seed=seeds["plan"], respondent_id=provider.model_id,
-            )
-            sets, failed = _run_sessions(plans, provider, manifest)
-            if failed:
-                raise SdrkitError(
-                    f"administration failed at unit {failed[0].failed_unit} "
-                    f"({fmt.value}/{cond.value})"
-                )
-            write_response_sets(sets, out_file)
-            artifacts[f"runs/{out_file.name}"] = _sha256(out_file)
+    run_config = {"plan": seeds["plan"], "sim": seeds["sim"], "delta": spec.fake_good_delta}
+    fits = {}
+    for fmt in [_format(f) for f in cfg["formats"]]:
+        runs = [f"runs/responses_{fmt.value}_{cond.value}.csv" for cond in conditions]
+        for rel, cond in zip(runs, conditions):
+            stages.run([rel], run_config, ["personas.json", "sim_params.json", *data],
+                       lambda p: administer(fmt, cond, p), sessions=(fmt.value, cond.value))
+        fits[fmt.value] = f"fits/fit_{fmt.value}.json"
+        stages.run([fits[fmt.value]], {"backend": backend, "seed": seeds["fit"]}, [*runs, *data],
+                   lambda p: _fit_write_gate(
+                       [rs for r in runs for rs in load_response_sets(out_dir / r)],
+                       inventory, pool, fmt, backend,
+                       MapOptions(seed=seeds["fit"]), HmcOptions(seed=seeds["fit"]), p))
 
-    # fits
-    fits_dir = out_dir / "fits"
-    fits_dir.mkdir(exist_ok=True)
-    fit_paths: dict[str, Path] = {}
-    for fmt in formats:
-        fit_path = fits_dir / f"fit_{fmt.value}.json"
-        fit_paths[fmt.value] = fit_path
-        if fit_path.exists():
-            artifacts[f"fits/{fit_path.name}"] = _sha256(fit_path)
-            continue
-        sets = []
-        for cond in conditions:
-            sets.extend(
-                load_response_sets(runs_dir / f"responses_{fmt.value}_{cond.value}.csv")
-            )
-        data = build_model_data(sets, inventory, pool, fmt)
-        theta, item_params, diag = _fit_format(
-            data, cfg["backend"], MapOptions(seed=seeds["fit"]), HmcOptions(seed=seeds["fit"])
-        )
-        # gated before writing, because a resumed pipeline reuses any fit file
-        _check_rhat(diag, fmt)
-        write_fit_artifact(
-            fit_path, data, theta, backend=cfg["backend"], item_params=item_params, diag=diag
-        )
-        artifacts[f"fits/{fit_path.name}"] = _sha256(fit_path)
-
-    # report
-    reports_dir = out_dir / "reports"
-    reports_dir.mkdir(exist_ok=True)
-    summaries = _summaries_from_fits(fit_paths, personas)
-    sources = {fmt: f"fits/fit_{fmt}.json" for fmt in fit_paths}
-    write_effect_table(summaries, reports_dir / "effects.csv")
-    write_tradeoff_table(summaries, reports_dir / "tradeoff.csv")
-    write_report_bundle(summaries, reports_dir / "report.json", sources=sources)
-    emit_plots(summaries, reports_dir)
-    for name in ("effects.csv", "tradeoff.csv", "report.json",
-                 "shift_heatmap.svg", "tradeoff_scatter.svg"):
-        artifacts[f"reports/{name}"] = _sha256(reports_dir / name)
-
-    manifest.artifacts = artifacts
-    manifest.seeds = seeds
-    (out_dir / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
+    stages.run([f"reports/{name}" for name in REPORT_FILES], {}, ["personas.json", *fits.values()],
+               lambda *paths: _write_report(
+                   {fmt: out_dir / rel for fmt, rel in fits.items()}, fits, personas,
+                   paths[0].parent))
     print(f"pipeline complete -> {out_dir}")
     return EXIT_OK
 

@@ -11,7 +11,7 @@ import csv
 import enum
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class SdrkitError(Exception):
@@ -89,7 +89,6 @@ class Item:
 @dataclass(frozen=True)
 class ItemPool:
     items: tuple[Item, ...]
-    excluded_ids: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -127,7 +126,7 @@ class ItemPool:
             Item(it.id, it.text, it.domain, it.keying, float(scores[it.id]))
             for it in self.items
         )
-        return ItemPool(items, self.excluded_ids)
+        return ItemPool(items)
 
 
 @dataclass(frozen=True)
@@ -364,23 +363,20 @@ RESPONSE_HEADER = [
 ]
 
 
-def load_item_pool(path: str | Path, exclude_ids: Iterable[str] = ()) -> ItemPool:
-    """Load an item pool from CSV, applying the configured exclusions.
+def load_item_pool(path: str | Path) -> ItemPool:
+    """Load an item pool from CSV.
 
     Item order is the file order. Raises :class:`PoolError` on duplicate ids,
     unknown domain labels, keying outside {+1, -1}, desirability outside
     [1, 9], or an empty pool.
     """
     path = Path(path)
-    exclude = set(exclude_ids)
     items: list[Item] = []
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not set(POOL_HEADER[:4]) <= set(reader.fieldnames):
             raise PoolError(f"{path}: expected header columns {POOL_HEADER[:4]}")
         for row in reader:
-            if row["id"] in exclude:
-                continue
             try:
                 keying = int(row["keying"])
             except ValueError:
@@ -398,7 +394,7 @@ def load_item_pool(path: str | Path, exclude_ids: Iterable[str] = ()) -> ItemPoo
             )
     if not items:
         raise PoolError(f"{path}: empty pool")
-    return ItemPool(tuple(items), tuple(sorted(exclude)))
+    return ItemPool(tuple(items))
 
 
 def write_item_pool(pool: ItemPool, path: str | Path) -> None:

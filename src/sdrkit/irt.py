@@ -215,17 +215,21 @@ def build_model_data(
     if fmt is ResponseFormat.LIKERT:
         design = likert_design(inventory, pool)
         cols = design.item_ids
-        rows = [[rs.answers[iid] for iid in cols] for rs in sets]
     else:
         design = gfc_design(inventory, pool)
         cols = design.block_ids
-        rows = []
-        for rs in sets:
-            row = []
-            for bid in cols:
-                a = rs.answers[bid]
-                row.append(8 - a if rs.side_assignment.get(bid, False) else a)
-            rows.append(row)
+    rows = []
+    for rs in sets:
+        try:
+            row = [rs.answers[c] for c in cols]
+        except KeyError as exc:
+            raise SdrkitError(
+                f"response set {rs.respondent_id}/{rs.persona_id}/{rs.condition.value} "
+                f"({fmt.value}) has no answer for unit {exc.args[0]!r}"
+            ) from None
+        if design.model == "gfc":
+            row = [8 - a if rs.side_assignment.get(c, False) else a for c, a in zip(cols, row)]
+        rows.append(row)
     units = tuple(
         (rs.respondent_id, rs.persona_id, rs.condition.value) for rs in sets
     )

@@ -3,11 +3,9 @@ recovery, and usage-zone classification."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .core import SdrkitError, TRAIT_LABELS, UndefinedStatisticError
 from .simulate import DESIRABLE_SIGNS
@@ -99,27 +97,6 @@ def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
     if x.std() == 0.0 or y.std() == 0.0:
         raise UndefinedStatisticError("zero variance in correlation input")
     return float(np.corrcoef(x, y)[0, 1])
-
-
-def spearman_r(x: np.ndarray, y: np.ndarray) -> float:
-    if np.asarray(x).size < 3:
-        raise UndefinedStatisticError("correlation needs at least 3 observations")
-    rho = stats.spearmanr(x, y).statistic
-    if not np.isfinite(rho):
-        raise UndefinedStatisticError("spearman correlation undefined")
-    return float(rho)
-
-
-def fisher_ci(r: float, n: int, level: float = 0.95) -> tuple[float, float]:
-    """Fisher z-transform confidence interval for a Pearson correlation."""
-    if n < 4:
-        raise UndefinedStatisticError("Fisher interval needs at least 4 observations")
-    if not -1.0 < r < 1.0:
-        raise UndefinedStatisticError("correlation at the boundary has no interval")
-    z = math.atanh(r)
-    se = 1.0 / math.sqrt(n - 3)
-    crit = stats.norm.ppf(0.5 + level / 2.0)
-    return (math.tanh(z - crit * se), math.tanh(z + crit * se))
 
 
 # ---------------------------------------------------------------------------

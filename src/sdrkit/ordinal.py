@@ -31,10 +31,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def softplus(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
-
-
 def check_thresholds(kappa: np.ndarray) -> None:
     kappa = np.asarray(kappa, dtype=float)
     if kappa.shape[-1] != N_CATEGORIES - 1:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from sdrkit import cli
 from sdrkit.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -258,3 +259,189 @@ def test_fresh_pipeline_artifacts_are_byte_stable(tmp_path):
     assert digests == PIPELINE_DIGESTS
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["artifacts"] == PIPELINE_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# Pipeline resume: artifacts are reused only for the same inputs
+# ---------------------------------------------------------------------------
+
+
+def _run_pipeline(tmp_path, out_dir, **cfg):
+    path = tmp_path / f"{out_dir.name}.json"
+    path.write_text(json.dumps({"backend": "map", "out_dir": str(out_dir), **cfg}))
+    return main(["pipeline", "--config", str(path)])
+
+
+def _small_study(instrument_files, n_personas=4):
+    return {
+        "pool": str(instrument_files / "pool.csv"),
+        "inventory": str(instrument_files / "inventory.csv"),
+        "n_personas": n_personas,
+    }
+
+
+def _contents(out_dir):
+    return {
+        str(p.relative_to(out_dir)): p.read_bytes()
+        for p in sorted(out_dir.rglob("*")) if p.is_file()
+    }
+
+
+def _count_calls(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(cli, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_pipeline_rerun_with_more_personas_recomputes_everything(instrument_files, tmp_path):
+    out_dir = tmp_path / "run"
+    assert _run_pipeline(tmp_path, out_dir, **_small_study(instrument_files, 4)) == EXIT_OK
+    assert _run_pipeline(tmp_path, out_dir, **_small_study(instrument_files, 6)) == EXIT_OK
+    assert len(json.loads((out_dir / "personas.json").read_text())["personas"]) == 6
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert len(manifest["sessions"]) == 6 * 4
+    for fmt in ("likert", "gfc"):
+        fit = json.loads((out_dir / "fits" / f"fit_{fmt}.json").read_text())
+        assert len(fit["theta"]) == 6 * 2
+
+    fresh = tmp_path / "fresh"
+    assert _run_pipeline(tmp_path, fresh, **_small_study(instrument_files, 6)) == EXIT_OK
+    assert _contents(out_dir) == _contents(fresh)
+
+
+@pytest.mark.parametrize(
+    "rel", ["runs/responses_likert_honest.csv", "fits/fit_gfc.json", "manifest.json"]
+)
+def test_pipeline_rebuilds_a_truncated_artifact(instrument_files, tmp_path, rel):
+    out_dir = tmp_path / "run"
+    assert _run_pipeline(tmp_path, out_dir, **_small_study(instrument_files)) == EXIT_OK
+    before = _contents(out_dir)
+    damaged = out_dir / rel
+    damaged.write_bytes(before[rel][: len(before[rel]) // 2])
+    assert _run_pipeline(tmp_path, out_dir, **_small_study(instrument_files)) == EXIT_OK
+    assert _contents(out_dir) == before
+
+
+def test_pipeline_rerun_leaves_manifest_byte_identical(instrument_files, tmp_path, monkeypatch):
+    out_dir = tmp_path / "run"
+    assert _run_pipeline(tmp_path, out_dir, **_small_study(instrument_files)) == EXIT_OK
+    before = _contents(out_dir)
+    assert len(json.loads(before["manifest.json"])["sessions"]) == 4 * 4
+    calls = _count_calls(monkeypatch, "sample_personas", "run_session", "_fit_format")
+    assert _run_pipeline(tmp_path, out_dir, **_small_study(instrument_files)) == EXIT_OK
+    assert _contents(out_dir) == before
+    assert calls == {"sample_personas": 0, "run_session": 0, "_fit_format": 0}
+
+
+def test_pipeline_run_id_depends_on_the_study_not_its_paths(tmp_path):
+    study = {"n_personas": 4}
+    assert _run_pipeline(tmp_path, tmp_path / "a", **study) == EXIT_OK
+    assert _run_pipeline(tmp_path, tmp_path / "b", **study) == EXIT_OK
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("marker_inventory_pool.csv", "marker_inventory_blocks.csv"):
+        (data / name).write_bytes((DATA / name).read_bytes())
+    assert _run_pipeline(
+        tmp_path, tmp_path / "c", **study,
+        pool=str(data / "marker_inventory_pool.csv"),
+        inventory=str(data / "marker_inventory_blocks.csv"),
+    ) == EXIT_OK
+    manifests = {
+        d: json.loads((tmp_path / d / "manifest.json").read_text()) for d in "abc"
+    }
+    assert manifests["a"]["run_id"] == manifests["b"]["run_id"] == manifests["c"]["run_id"]
+    assert manifests["a"] == manifests["b"] == manifests["c"]
+
+    assert _run_pipeline(tmp_path, tmp_path / "d", n_personas=5) == EXIT_OK
+    other = json.loads((tmp_path / "d" / "manifest.json").read_text())
+    assert other["run_id"] != manifests["a"]["run_id"]
+
+
+class Interrupted(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "writer,target,resumed_calls",
+    [
+        # likert is administered and fitted first; the gfc runs and fit remain
+        ("write_response_sets", "responses_gfc_honest.csv",
+         {"sample_personas": 0, "run_session": 4 * 2, "_fit_format": 1}),
+        ("write_fit_artifact", "fit_gfc.json",
+         {"sample_personas": 0, "run_session": 0, "_fit_format": 1}),
+    ],
+)
+def test_interrupted_pipeline_resumes_only_unfinished_stages(
+    instrument_files, tmp_path, monkeypatch, writer, target, resumed_calls
+):
+    fresh = tmp_path / "fresh"
+    assert _run_pipeline(tmp_path, fresh, **_small_study(instrument_files)) == EXIT_OK
+
+    original = getattr(cli, writer)
+
+    def interrupted(*args, **kwargs):
+        path = Path(args[1] if writer == "write_response_sets" else args[0])
+        original(*args, **kwargs)
+        if path.name == target:
+            path.write_bytes(path.read_bytes()[:100])  # a partial write
+            raise Interrupted
+
+    out_dir = tmp_path / "run"
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, writer, interrupted)
+        with pytest.raises(Interrupted):
+            _run_pipeline(tmp_path, out_dir, **_small_study(instrument_files))
+    assert not list(out_dir.rglob(target))
+
+    calls = _count_calls(monkeypatch, "sample_personas", "run_session", "_fit_format")
+    assert _run_pipeline(tmp_path, out_dir, **_small_study(instrument_files)) == EXIT_OK
+    assert calls == resumed_calls
+    assert _contents(out_dir) == _contents(fresh)
+
+
+def test_pipeline_refits_a_fit_that_failed_the_gate(instrument_files, tmp_path, monkeypatch):
+    fresh = tmp_path / "fresh"
+    assert _run_pipeline(tmp_path, fresh, **_small_study(instrument_files)) == EXIT_OK
+
+    original = cli._fit_format
+
+    def unconverged(data, *args, **kwargs):
+        theta, item_params, diag = original(data, *args, **kwargs)
+        if data.design.model == "gfc":
+            diag = {**diag, "rhat_share_below_gate": 0.5}
+        return theta, item_params, diag
+
+    out_dir = tmp_path / "run"
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_fit_format", unconverged)
+        assert _run_pipeline(tmp_path, out_dir, **_small_study(instrument_files)) == 4
+    assert not (out_dir / "fits" / "fit_gfc.json").exists()
+
+    calls = _count_calls(monkeypatch, "_fit_format")
+    assert _run_pipeline(tmp_path, out_dir, **_small_study(instrument_files)) == EXIT_OK
+    assert calls == {"_fit_format": 1}
+    assert _contents(out_dir) == _contents(fresh)
+
+
+def test_fit_on_a_set_missing_answers_is_a_stage_failure(instrument_files, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    assert _run_pipeline(tmp_path, out_dir, **_small_study(instrument_files)) == EXIT_OK
+    responses = out_dir / "runs" / "responses_likert_honest.csv"
+    lines = responses.read_text().splitlines(keepends=True)
+    responses.write_text("".join(lines[:-3]))  # the last set loses three items
+    rc = main([
+        "fit", "--format", "likert", "--responses", str(responses),
+        "--inventory", str(instrument_files / "inventory.csv"),
+        "--pool", str(instrument_files / "pool.csv"),
+        "--backend", "map", "--starts", "1", "--out", str(tmp_path / "fit.json"),
+    ])
+    assert rc == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert "stage failure" in err and "no answer for unit" in err

@@ -1,6 +1,7 @@
 """Posterior correctness, MAP/HMC behavior, and convergence diagnostics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,6 +92,29 @@ def test_build_model_data_requires_format(small_pool_inventory):
     pool, inv = small_pool_inventory
     with pytest.raises(SdrkitError):
         build_model_data([], inv, pool, ResponseFormat.LIKERT)
+
+
+
+@pytest.mark.parametrize("fmt", list(ResponseFormat))
+def test_build_model_data_names_the_set_missing_a_unit(small_pool_inventory, fmt):
+    pool, inv = small_pool_inventory
+    personas = sample_personas(3, seed=0)
+    params = default_sim_params(inv, pool, seed=1)
+    spec = SimSpec(fake_good_delta=1.0, seed=2)
+    sets = [
+        simulate_response_set(p, inv, params, fmt, InstructionCondition.HONEST, spec)
+        for p in personas
+    ]
+    dropped = sets[1].presentation_order[-1]
+    short = sets[1] = replace(
+        sets[1],
+        answers={u: a for u, a in sets[1].answers.items() if u != dropped},
+        presentation_order=sets[1].presentation_order[:-1],
+    )
+    with pytest.raises(SdrkitError) as exc:
+        build_model_data(sets, inv, pool, fmt)
+    message = str(exc.value)
+    assert short.persona_id in message and repr(dropped) in message
 
 
 # ---------------------------------------------------------------------------

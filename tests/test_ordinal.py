@@ -12,7 +12,6 @@ from sdrkit.ordinal import (
     check_thresholds,
     log_prob_and_grads,
     sigmoid,
-    softplus,
     survivor,
     survivor_from_cutpoints,
 )
@@ -32,12 +31,6 @@ def test_sigmoid_matches_closed_form():
     ref = np.where(x >= 0, 1 / (1 + np.exp(-x)), np.exp(x) / (1 + np.exp(x)))
     assert np.allclose(sigmoid(x), ref, atol=0, rtol=1e-15)
     assert sigmoid(np.array([0.0]))[0] == 0.5
-
-
-def test_softplus_is_log1p_exp():
-    x = np.array([-700.0, -5.0, 0.0, 5.0, 700.0])
-    assert np.allclose(softplus(x), np.logaddexp(0.0, x))
-    assert softplus(np.array([700.0]))[0] == 700.0  # no overflow
 
 
 def test_check_thresholds_rejects_bad_shapes_and_order():
