@@ -1,5 +1,6 @@
 """Posterior correctness, MAP/HMC behavior, and convergence diagnostics."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -471,6 +472,19 @@ def test_hmc_agrees_with_map_direction(hmc_posterior, small_pool_inventory):
     a = post.theta_hat.ravel()
     b = fit.theta_hat.ravel()
     assert np.corrcoef(a, b)[0, 1] > 0.8
+
+
+#: SHA-256 of the draws below, recorded when the chains still ran one after
+#: another in one process; however the chains are scheduled, the draws must
+#: not change.
+HMC_DRAWS_SHA256 = "ccd8e21c960be224d443f389ff1aac02bae3027e10b0f5cdbaa121b29f0f0054"
+
+
+def test_hmc_draws_match_the_recorded_digest(small_pool_inventory):
+    data = make_data(small_pool_inventory, ResponseFormat.LIKERT, n_personas=3, seed=40)
+    post = fit_hmc(data, HmcOptions(chains=3, warmup=40, samples=20, seed=2))
+    assert post.draws.shape == (3, 20, param_dim(data))
+    assert hashlib.sha256(post.draws.tobytes()).hexdigest() == HMC_DRAWS_SHA256
 
 
 # ---------------------------------------------------------------------------
