@@ -577,12 +577,19 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text("utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise SdrkitError(f"{path} is not valid JSON: {exc}") from None
+
+
 def cmd_lint(args) -> int:
     run_dir = _require(args.run_dir, "run directory")
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise ConfigError(f"no manifest.json under {run_dir}")
-    manifest = json.loads(manifest_path.read_text("utf-8"))
+    manifest = _read_json(manifest_path)
     problems = []
     for rel, digest in manifest.get("artifacts", {}).items():
         p = run_dir / rel
@@ -592,7 +599,7 @@ def cmd_lint(args) -> int:
             problems.append(f"hash mismatch: {rel}")
     report_json = run_dir / "reports" / "report.json"
     if report_json.exists():
-        bundle = json.loads(report_json.read_text("utf-8"))
+        bundle = _read_json(report_json)
         for fmt, src in bundle["metadata"].get("sources", {}).items():
             if not (run_dir / src).exists() and not Path(src).exists():
                 problems.append(f"report {fmt} cites missing fit artifact: {src}")

@@ -451,23 +451,39 @@ def write_response_sets(sets: Sequence[ResponseSet], path: str | Path) -> None:
 
 
 def load_response_sets(path: str | Path) -> list[ResponseSet]:
-    groups: dict[tuple, list[dict]] = {}
+    """Read response sets; a row with a missing or non-integer field, as in a
+    file cut mid-row, raises ``SdrkitError`` naming the file and the line."""
+    groups: dict[tuple, list[tuple[int, str, int, bool]]] = {}
     with Path(path).open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                if None in row.values():
+                    raise ValueError("too few fields")
+                answer = (
+                    int(row["position"]),
+                    row["unit_id"],
+                    int(row["answer"]),
+                    bool(int(row["side_flipped"])),
+                )
+            except (KeyError, ValueError) as exc:
+                raise SdrkitError(
+                    f"{path}: malformed response row at line {reader.line_num}: {exc}"
+                ) from None
             key = (row["respondent_id"], row["persona_id"], row["format"], row["condition"])
-            groups.setdefault(key, []).append(row)
+            groups.setdefault(key, []).append(answer)
     out: list[ResponseSet] = []
-    for (resp, persona, fmt, cond), rows in groups.items():
-        rows.sort(key=lambda r: int(r["position"]))
+    for (resp, persona, fmt, cond), answers in groups.items():
+        answers.sort(key=lambda a: a[0])
         out.append(
             ResponseSet(
                 respondent_id=resp,
                 persona_id=persona,
                 format=ResponseFormat(fmt),
                 condition=InstructionCondition(cond),
-                answers={r["unit_id"]: int(r["answer"]) for r in rows},
-                presentation_order=tuple(r["unit_id"] for r in rows),
-                side_assignment={r["unit_id"]: bool(int(r["side_flipped"])) for r in rows},
+                answers={unit: answer for _, unit, answer, _ in answers},
+                presentation_order=tuple(unit for _, unit, _, _ in answers),
+                side_assignment={unit: flipped for _, unit, _, flipped in answers},
             )
         )
     return out

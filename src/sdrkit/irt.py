@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -471,12 +473,31 @@ class HmcOptions:
 
 
 @dataclass(frozen=True)
+class ChainStats:
+    """Sampler statistics of one HMC chain.
+
+    ``grad_evals`` counts every posterior gradient evaluation, warmup
+    included. The others describe the sampling iterations: the step size
+    they used, their mean number of leapfrog steps, their mean acceptance
+    probability and how many of them diverged.
+    """
+
+    grad_evals: int
+    step_size: float
+    mean_leapfrog: float
+    accept_rate: float
+    divergences: int
+
+
+@dataclass(frozen=True)
 class Posterior:
     draws: np.ndarray  # (chains, samples, dim)
     units: tuple[UnitKey, ...]
     n_units: int
     divergences: int
     accept_rate: float
+    #: one entry per chain, in chain order; not written to fit artifacts
+    chain_stats: tuple[ChainStats, ...] = ()
 
     @property
     def n_draws(self) -> int:
@@ -497,25 +518,26 @@ class Posterior:
 
 def fit_hmc(data: ModelData, opts: HmcOptions = HmcOptions()) -> Posterior:
     """Gradient-based MCMC with step size adapted to the target acceptance and
-    a diagonal metric estimated during warmup. Deterministic under the seed."""
+    a diagonal metric estimated during warmup. Deterministic under the seed.
+
+    Each chain draws from its own ``SeedSequence([seed, chain])``, so the
+    chains run side by side in forked worker processes (see ``_fan_out``)
+    and give the same draws as one after another."""
     if data.n_units == 0:
         raise SdrkitError("empty model data")
     dim = param_dim(data)
+    chains = _fan_out(partial(_chain, data, dim, opts), range(opts.chains))
     all_draws = np.empty((opts.chains, opts.samples, dim))
-    total_div = 0
-    accept_sum = 0.0
-    for chain in range(opts.chains):
-        rng = np.random.default_rng(np.random.SeedSequence([opts.seed, chain]))
-        draws, div, acc = _run_chain(data, dim, opts, rng)
+    for chain, (draws, _) in enumerate(chains):
         all_draws[chain] = draws
-        total_div += div
-        accept_sum += acc
+    chain_stats = tuple(s for _, s in chains)
     post = Posterior(
         draws=all_draws,
         units=data.units,
         n_units=data.n_units,
-        divergences=total_div,
-        accept_rate=accept_sum / opts.chains,
+        divergences=sum(s.divergences for s in chain_stats),
+        accept_rate=sum(s.accept_rate for s in chain_stats) / opts.chains,
+        chain_stats=chain_stats,
     )
     if post.divergence_rate > 0.10:
         raise DiagnosticsError(
@@ -524,9 +546,61 @@ def fit_hmc(data: ModelData, opts: HmcOptions = HmcOptions()) -> Posterior:
     return post
 
 
+#: the task function of a ``_fan_out`` worker process, set by its initializer
+_worker_fn = None
+
+
+def _set_worker_fn(fn) -> None:
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _call_worker_fn(task):
+    return _worker_fn(task)
+
+
+def _fan_out(fn, tasks) -> list:
+    """``[fn(t) for t in tasks]``, in forked worker processes when it can.
+
+    With more than one task, more than one CPU in this process's affinity
+    mask and the ``fork`` start method, up to min(tasks, CPUs) workers run
+    the tasks; otherwise they run here, one after another. ``fn`` reaches
+    the workers through fork, so only the tasks and results are pickled. A
+    task's exception is raised here with its type and message.
+
+    Fork, not spawn: a spawned worker imports sdrkit, numpy and scipy afresh
+    (about 0.5 s, more than a whole hmc-likert fit) and would need ``fn``'s
+    data pickled. sdrkit starts no threads of its own, and OpenBLAS restarts its
+    thread pool in a forked child.
+    """
+    tasks = list(tasks)
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(len(tasks), len(affinity(0))) if affinity else 1
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_set_worker_fn,
+                initargs=(fn,),
+            ) as pool:
+                return list(pool.map(_call_worker_fn, tasks))
+    return [fn(t) for t in tasks]
+
+
+def _chain(data: ModelData, dim: int, opts: HmcOptions, chain: int):
+    rng = np.random.default_rng(np.random.SeedSequence([opts.seed, chain]))
+    return _run_chain(data, dim, opts, rng)
+
+
 def _run_chain(data: ModelData, dim: int, opts: HmcOptions, rng: np.random.Generator):
     x = _initial_point(data, rng)
     lp, grad = log_posterior_and_grad(data, x)
+    grad_evals = 1
     inv_mass = np.ones(dim)
     step = opts.init_step
 
@@ -543,6 +617,7 @@ def _run_chain(data: ModelData, dim: int, opts: HmcOptions, rng: np.random.Gener
     draws = np.empty((opts.samples, dim))
     divergences = 0
     accept_acc = 0.0
+    leapfrog_steps = 0
 
     total = warmup + opts.samples
     for it in range(total):
@@ -559,7 +634,7 @@ def _run_chain(data: ModelData, dim: int, opts: HmcOptions, rng: np.random.Gener
         x_new, p_new = x.copy(), p0.copy()
         lp_new, grad_new = lp, grad
         diverged = False
-        for _ in range(n_steps):
+        for taken in range(1, n_steps + 1):
             p_new = p_new + 0.5 * step * grad_new
             x_new = x_new + step * inv_mass * p_new
             try:
@@ -571,6 +646,7 @@ def _run_chain(data: ModelData, dim: int, opts: HmcOptions, rng: np.random.Gener
                 diverged = True
                 break
             p_new = p_new + 0.5 * step * grad_new
+        grad_evals += taken
 
         if diverged:
             accept_prob = 0.0
@@ -608,9 +684,16 @@ def _run_chain(data: ModelData, dim: int, opts: HmcOptions, rng: np.random.Gener
             if diverged:
                 divergences += 1
             accept_acc += accept_prob
+            leapfrog_steps += taken
             draws[it - warmup] = x
 
-    return draws, divergences, accept_acc / opts.samples
+    return draws, ChainStats(
+        grad_evals=grad_evals,
+        step_size=step,
+        mean_leapfrog=leapfrog_steps / opts.samples,
+        accept_rate=accept_acc / opts.samples,
+        divergences=divergences,
+    )
 
 
 # ---------------------------------------------------------------------------

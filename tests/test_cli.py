@@ -445,3 +445,33 @@ def test_fit_on_a_set_missing_answers_is_a_stage_failure(instrument_files, tmp_p
     assert rc == EXIT_STAGE
     err = capsys.readouterr().err
     assert "stage failure" in err and "no answer for unit" in err
+
+
+def test_fit_on_a_file_cut_mid_row_is_a_stage_failure(instrument_files, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    assert _run_pipeline(tmp_path, out_dir, **_small_study(instrument_files)) == EXIT_OK
+    responses = out_dir / "runs" / "responses_likert_honest.csv"
+    text = responses.read_text()
+    responses.write_text(text[: len(text) - 8])  # the last row loses its last fields
+    rc = main([
+        "fit", "--format", "likert", "--responses", str(responses),
+        "--inventory", str(instrument_files / "inventory.csv"),
+        "--pool", str(instrument_files / "pool.csv"),
+        "--backend", "map", "--starts", "1", "--out", str(tmp_path / "fit.json"),
+    ])
+    assert rc == EXIT_STAGE
+    err = capsys.readouterr().err
+    line = text.count("\n")
+    assert f"stage failure: {responses}: malformed response row at line {line}" in err
+
+
+@pytest.mark.parametrize("rel", ["manifest.json", "reports/report.json"])
+def test_lint_reports_a_truncated_json_file(instrument_files, tmp_path, capsys, rel):
+    out_dir = tmp_path / "run"
+    assert _run_pipeline(tmp_path, out_dir, **_small_study(instrument_files)) == EXIT_OK
+    damaged = out_dir / rel
+    damaged.write_bytes(damaged.read_bytes()[:40])
+    capsys.readouterr()
+    assert main(["lint", "--run-dir", str(out_dir)]) == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"stage failure: {damaged} is not valid JSON")

@@ -143,6 +143,27 @@ def test_response_set_round_trip(tmp_path):
     assert back == rs
 
 
+def test_response_file_cut_mid_row_names_the_file_and_line(tmp_path):
+    rs = ResponseSet(
+        respondent_id="m", persona_id="p001", format=ResponseFormat.LIKERT,
+        condition=InstructionCondition.HONEST,
+        answers={"a": 3, "b": 7, "c": 1},
+        presentation_order=("a", "b", "c"),
+    )
+    f = tmp_path / "resp.csv"
+    write_response_sets([rs], f)
+    whole = load_response_sets(f)
+    lines = f.read_text().splitlines(keepends=True)
+    head, last = "".join(lines[:-1]), lines[-1].rstrip("\r\n")
+    assert len(lines) == 4  # header and three rows; line 4 is cut
+    for cut in range(1, len(last)):  # every cut short of the row's last character
+        f.write_text(head + last[:cut])
+        with pytest.raises(SdrkitError, match=f"^{f}: malformed response row at line 4"):
+            load_response_sets(f)
+    f.write_text(head + last)  # only the line end is lost: the row is whole
+    assert load_response_sets(f) == whole
+
+
 def test_packaged_marker_files_are_consistent(marker_pool, marker_inventory):
     assert len(marker_pool) == 60
     assert marker_inventory.block_count == 30

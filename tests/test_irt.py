@@ -2,12 +2,15 @@
 
 import hashlib
 import math
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
+from sdrkit import irt
 from sdrkit.core import (
     InstructionCondition,
     ResponseFormat,
@@ -485,6 +488,89 @@ def test_hmc_draws_match_the_recorded_digest(small_pool_inventory):
     post = fit_hmc(data, HmcOptions(chains=3, warmup=40, samples=20, seed=2))
     assert post.draws.shape == (3, 20, param_dim(data))
     assert hashlib.sha256(post.draws.tobytes()).hexdigest() == HMC_DRAWS_SHA256
+
+
+# ---------------------------------------------------------------------------
+# HMC chains in worker processes
+# ---------------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+)
+SMALL_HMC = HmcOptions(chains=3, warmup=40, samples=20, seed=2)  # the digest's fit
+
+
+def _count_gradients(monkeypatch) -> list[int]:
+    """Count the log_posterior_and_grad calls made in this process."""
+    calls = [0]
+    inner = irt.log_posterior_and_grad
+
+    def counted(data, x):
+        calls[0] += 1
+        return inner(data, x)
+
+    monkeypatch.setattr(irt, "log_posterior_and_grad", counted)
+    return calls
+
+
+def _set_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@needs_fork
+def test_hmc_in_process_draws_equal_pooled_draws(small_pool_inventory, monkeypatch):
+    data = make_data(small_pool_inventory, ResponseFormat.LIKERT, n_personas=3, seed=40)
+    calls = _count_gradients(monkeypatch)
+    _set_cpus(monkeypatch, 2)
+    pooled = fit_hmc(data, SMALL_HMC)
+    assert calls[0] == 0  # every chain ran in a worker
+    assert multiprocessing.active_children() == []
+    _set_cpus(monkeypatch, 1)
+    serial = fit_hmc(data, SMALL_HMC)
+    assert np.array_equal(serial.draws, pooled.draws)
+    assert serial.chain_stats == pooled.chain_stats
+    assert (serial.accept_rate, serial.divergences) == (pooled.accept_rate, pooled.divergences)
+
+
+@pytest.mark.parametrize("without", ["second cpu", "fork"])
+def test_hmc_chain_stats_count_every_gradient(small_pool_inventory, monkeypatch, without):
+    data = make_data(small_pool_inventory, ResponseFormat.LIKERT, n_personas=3, seed=40)
+    if without == "fork":
+        _set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    else:
+        _set_cpus(monkeypatch, 1)
+    calls = _count_gradients(monkeypatch)
+    post = fit_hmc(data, SMALL_HMC)
+    stats = post.chain_stats
+    assert len(stats) == SMALL_HMC.chains
+    assert sum(s.grad_evals for s in stats) == calls[0] > 0
+    assert sum(s.divergences for s in stats) == post.divergences
+    assert sum(s.accept_rate for s in stats) / len(stats) == post.accept_rate
+    for s in stats:
+        assert s.step_size > 0.0
+        assert 1.0 <= s.mean_leapfrog <= SMALL_HMC.max_leapfrog
+        # one gradient at the start, then at most max_leapfrog per iteration
+        iterations = SMALL_HMC.warmup + SMALL_HMC.samples
+        assert s.grad_evals <= 1 + iterations * SMALL_HMC.max_leapfrog
+
+
+@needs_fork
+def test_worker_error_reaches_the_caller(small_pool_inventory, monkeypatch):
+    data = make_data(small_pool_inventory, ResponseFormat.LIKERT, n_personas=3, seed=40)
+    parent = os.getpid()
+    initial_point = irt._initial_point
+
+    def fail_in_worker(data, rng):
+        if os.getpid() != parent:
+            raise DiagnosticsError("no starting point in this worker")
+        return initial_point(data, rng)
+
+    monkeypatch.setattr(irt, "_initial_point", fail_in_worker)
+    _set_cpus(monkeypatch, 2)
+    with pytest.raises(DiagnosticsError, match="^no starting point in this worker$"):
+        fit_hmc(data, SMALL_HMC)
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
