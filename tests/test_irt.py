@@ -321,6 +321,30 @@ def test_map_rejects_empty_data(small_pool_inventory):
         fit_map(data)
 
 
+def _map_digest(fit) -> str:
+    h = hashlib.sha256()
+    for arr in (fit.params.theta, fit.params.a_plus, fit.params.kappa,
+                np.array([fit.log_posterior, fit.grad_inf_norm])):
+        h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+#: SHA-256 of theta, a+, kappa, log posterior and projected gradient norm of
+#: the fits below, recorded when the starts still ran one after another in
+#: one process; however the starts are scheduled, the fit must not change.
+MAP_FIT_SHA256 = {
+    ResponseFormat.LIKERT: "1a7dfaa960331cce4a50ba85d8254a6c8501b56152a0ef89015c76aba1f562f3",
+    ResponseFormat.GFC: "15303afdfa5eb091073ae291fd5468152d143a89063a5211be0b1cd9c6fed375",
+}
+SMALL_MAP = MapOptions(n_starts=4, seed=3)  # the digests' fits
+
+
+@pytest.mark.parametrize("fmt", [ResponseFormat.LIKERT, ResponseFormat.GFC])
+def test_map_fit_matches_the_recorded_digest(small_pool_inventory, fmt):
+    data = make_data(small_pool_inventory, fmt, n_personas=8, seed=50)
+    assert _map_digest(fit_map(data, SMALL_MAP)) == MAP_FIT_SHA256[fmt]
+
+
 # ---------------------------------------------------------------------------
 # Diagnostics oracles
 # ---------------------------------------------------------------------------
