@@ -616,6 +616,21 @@ def cmd_lint(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sdrkit",
@@ -680,10 +695,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", required=True)
     p.add_argument("--backend", default="map", choices=["map", "hmc"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--starts", type=int, default=4)
-    p.add_argument("--chains", type=int, default=4)
-    p.add_argument("--warmup", type=int, default=200)
-    p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--starts", type=_at_least(1), default=4)
+    p.add_argument("--chains", type=_at_least(1), default=4)
+    p.add_argument("--warmup", type=_at_least(0), default=200)
+    p.add_argument("--samples", type=_at_least(1), default=500)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 

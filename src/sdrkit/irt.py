@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -371,6 +372,13 @@ def log_posterior_and_grad(data: ModelData, x: np.ndarray) -> tuple[float, np.nd
 # ---------------------------------------------------------------------------
 
 
+def _require_at_least(opts, **lows: int) -> None:
+    for name, low in lows.items():
+        value = getattr(opts, name)
+        if value < low:
+            raise SdrkitError(f"{name} must be at least {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class MapOptions:
     n_starts: int = 4
@@ -385,6 +393,23 @@ class MapOptions:
     #: ascent is restricted to the credible region.
     strength_cap: float = 2.5
 
+    def __post_init__(self) -> None:
+        _require_at_least(self, n_starts=1)
+
+
+@dataclass(frozen=True)
+class StartStats:
+    """Optimizer statistics of one L-BFGS-B start.
+
+    ``grad_evals`` counts the start's posterior gradient evaluations, its
+    initial point's included; ``iterations`` counts its L-BFGS-B iterations.
+    """
+
+    log_posterior: float
+    iterations: int
+    grad_evals: int
+    converged: bool
+
 
 @dataclass(frozen=True)
 class MapFit:
@@ -393,6 +418,10 @@ class MapFit:
     grad_inf_norm: float
     converged: bool
     units: tuple[UnitKey, ...]
+    #: one entry per start, in start order; not written to fit artifacts
+    start_stats: tuple[StartStats, ...] = ()
+    #: index of the start the fit comes from
+    best_start: int = 0
 
     @property
     def theta_hat(self) -> np.ndarray:
@@ -412,6 +441,11 @@ def _initial_point(data: ModelData, rng: np.random.Generator) -> np.ndarray:
 def fit_map(data: ModelData, opts: MapOptions = MapOptions()) -> MapFit:
     """Quasi-Newton posterior-mode fit with multiple random starts.
 
+    Every start point is drawn first, in start order, from the one seeded
+    generator; the starts then run side by side in forked worker processes
+    (see ``_fan_out``) and the best log posterior wins, the earlier start
+    on a tie, so the fit is the same as with the starts one after another.
+
     The reported ``grad_inf_norm`` is the projected gradient norm: components
     pointing outward at an active strength bound are zeroed, so a clean
     stationary point reports near-zero norm whether or not the cap is active.
@@ -425,34 +459,43 @@ def fit_map(data: ModelData, opts: MapOptions = MapOptions()) -> MapFit:
     alpha_hi = math.log(opts.strength_cap)
     for k in range(off, off + j):
         bounds[k] = (None, alpha_hi)
-    best_x = best_grad = None
+    x0s = [_initial_point(data, rng) for _ in range(opts.n_starts)]
+    starts = _fan_out(partial(_map_start, data, bounds, opts), x0s)
     best_lp = -np.inf
-    converged = False
-    for _ in range(max(1, opts.n_starts)):
-        x0 = _initial_point(data, rng)
-        res = optimize.minimize(
-            lambda x: tuple(map(np.negative, log_posterior_and_grad(data, x))),
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": opts.max_iter, "gtol": opts.gtol, "ftol": 1e-14},
-        )
-        if -res.fun > best_lp:
-            best_lp = -res.fun
-            best_x = res.x
-            best_grad = -res.jac  # the gradient L-BFGS-B last evaluated, at res.x
-            converged = bool(res.success)
-    projected = best_grad
+    for k, (fun, *_) in enumerate(starts):
+        if -fun > best_lp:
+            best, best_lp = k, -fun
+    _, best_x, best_jac, best_stats = starts[best]
+    projected = -best_jac  # the gradient L-BFGS-B last evaluated, at best_x
     at_cap = best_x[off : off + j] >= alpha_hi - 1e-12
     projected[off : off + j][at_cap & (projected[off : off + j] > 0)] = 0.0
     return MapFit(
         params=unpack(data, best_x),
         log_posterior=best_lp,
         grad_inf_norm=float(np.abs(projected).max()),
-        converged=converged,
+        converged=best_stats.converged,
         units=data.units,
+        start_stats=tuple(s for *_, s in starts),
+        best_start=best,
     )
+
+
+def _map_start(data: ModelData, bounds, opts: MapOptions, x0: np.ndarray):
+    res = optimize.minimize(
+        lambda x: tuple(map(np.negative, log_posterior_and_grad(data, x))),
+        x0,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=bounds,
+        options={"maxiter": opts.max_iter, "gtol": opts.gtol, "ftol": 1e-14},
+    )
+    stats = StartStats(
+        log_posterior=-float(res.fun),
+        iterations=int(res.nit),
+        grad_evals=int(res.nfev),
+        converged=bool(res.success),
+    )
+    return res.fun, res.x, res.jac, stats
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +513,9 @@ class HmcOptions:
     path_length: float = 3.0
     max_leapfrog: int = 72
     init_step: float = 0.1
+
+    def __post_init__(self) -> None:
+        _require_at_least(self, chains=1, warmup=0, samples=1, max_leapfrog=1)
 
 
 @dataclass(frozen=True)
@@ -570,8 +616,16 @@ def _fan_out(fn, tasks) -> list:
 
     Fork, not spawn: a spawned worker imports sdrkit, numpy and scipy afresh
     (about 0.5 s, more than a whole hmc-likert fit) and would need ``fn``'s
-    data pickled. sdrkit starts no threads of its own, and OpenBLAS restarts its
-    thread pool in a forked child.
+    data pickled. sdrkit starts no threads of its own.
+
+    While the pool lives, every OpenBLAS loaded here runs on one thread, and
+    the saved counts come back afterwards. The workers already fill the CPUs,
+    and a forked child starts OpenBLAS's thread pool afresh with the count
+    it inherits: four L-BFGS-B starts of study-map's Likert fit took up to
+    1.8 s under the default count against 0.29 s one after another. The
+    count is set here, before the fork, because setting it in each child
+    restarts the child's thread pool, which slowed an hmc-likert fit from
+    0.235 s to 0.325 s.
     """
     tasks = list(tasks)
     affinity = getattr(os, "sched_getaffinity", None)
@@ -582,7 +636,7 @@ def _fan_out(fn, tasks) -> list:
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(
+            with _one_blas_thread(), ProcessPoolExecutor(
                 workers,
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_set_worker_fn,
@@ -590,6 +644,59 @@ def _fan_out(fn, tasks) -> list:
             ) as pool:
                 return list(pool.map(_call_worker_fn, tasks))
     return [fn(t) for t in tasks]
+
+
+#: (get, set) thread-count functions of each OpenBLAS in this process
+_openblas = None
+
+
+def _openblas_threads() -> list:
+    """The thread-count functions of every OpenBLAS mapped into this
+    process, found once: numpy's exports ``scipy_openblas_*64_``, scipy's
+    ``scipy_openblas_*``. Empty without ``/proc/self/maps`` or OpenBLAS."""
+    global _openblas
+    if _openblas is None:
+        import ctypes
+
+        try:
+            with open("/proc/self/maps", encoding="utf-8") as fh:
+                paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()})
+        except OSError:
+            paths = []
+        found = []
+        for path in paths:
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                                   ("openblas", "64_"), ("openblas", "")):
+                try:
+                    get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                    set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+                except AttributeError:
+                    continue
+                set_.argtypes = [ctypes.c_int]
+                found.append((get, set_))
+                break
+        _openblas = found
+    return _openblas
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold every OpenBLAS of this process to one thread, then restore the
+    saved counts."""
+    saved = [(set_, get()) for get, set_ in _openblas_threads()]
+    try:
+        for set_, count in saved:
+            if count != 1:
+                set_(1)
+        yield
+    finally:
+        for set_, count in saved:
+            if count != 1:
+                set_(count)
 
 
 def _chain(data: ModelData, dim: int, opts: HmcOptions, chain: int):

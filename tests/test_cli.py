@@ -475,3 +475,22 @@ def test_lint_reports_a_truncated_json_file(instrument_files, tmp_path, capsys, 
     assert main(["lint", "--run-dir", str(out_dir)]) == EXIT_STAGE
     err = capsys.readouterr().err
     assert err.startswith(f"stage failure: {damaged} is not valid JSON")
+
+
+@pytest.mark.parametrize(
+    "flag, value, low",
+    [("--chains", "0", 1), ("--samples", "0", 1), ("--starts", "0", 1),
+     ("--starts", "-2", 1), ("--chains", "-1", 1), ("--warmup", "-1", 0)],
+)
+def test_fit_rejects_a_count_below_its_floor(instrument_files, tmp_path, capsys, flag, value, low):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "fit", "--format", "likert", "--responses", str(tmp_path / "responses.csv"),
+            "--inventory", str(instrument_files / "inventory.csv"),
+            "--pool", str(instrument_files / "pool.csv"),
+            "--backend", "hmc", flag, value, "--out", str(tmp_path / "fit.json"),
+        ])
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at least {low}, got {value}" in err
+    assert not (tmp_path / "fit.json").exists()

@@ -598,6 +598,108 @@ def test_worker_error_reaches_the_caller(small_pool_inventory, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# MAP starts in worker processes
+# ---------------------------------------------------------------------------
+
+
+@needs_fork
+@pytest.mark.parametrize("fmt", [ResponseFormat.LIKERT, ResponseFormat.GFC])
+def test_map_in_process_fit_equals_pooled_fit(small_pool_inventory, monkeypatch, fmt):
+    data = make_data(small_pool_inventory, fmt, n_personas=8, seed=50)
+    calls = _count_gradients(monkeypatch)
+    _set_cpus(monkeypatch, 2)
+    pooled = fit_map(data, SMALL_MAP)
+    assert calls[0] == 0  # every start ran in a worker
+    assert multiprocessing.active_children() == []
+    _set_cpus(monkeypatch, 1)
+    serial = fit_map(data, SMALL_MAP)
+    assert _map_digest(serial) == _map_digest(pooled) == MAP_FIT_SHA256[fmt]
+    assert np.array_equal(serial.params.x, pooled.params.x)
+    assert serial.start_stats == pooled.start_stats
+    assert (serial.best_start, serial.converged) == (pooled.best_start, pooled.converged)
+
+
+@pytest.mark.parametrize("without", ["second cpu", "fork"])
+def test_map_start_stats_count_every_gradient(small_pool_inventory, monkeypatch, without):
+    data = make_data(small_pool_inventory, ResponseFormat.LIKERT, n_personas=8, seed=50)
+    if without == "fork":
+        _set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    else:
+        _set_cpus(monkeypatch, 1)
+    calls = _count_gradients(monkeypatch)
+    fit = fit_map(data, SMALL_MAP)
+    stats = fit.start_stats
+    assert len(stats) == SMALL_MAP.n_starts
+    assert sum(s.grad_evals for s in stats) == calls[0] > 0
+    best = stats[fit.best_start]
+    assert best.log_posterior == fit.log_posterior == max(s.log_posterior for s in stats)
+    assert best.converged == fit.converged
+    assert all(1 <= s.iterations < s.grad_evals for s in stats)
+
+
+def test_map_single_start_forks_nothing(small_pool_inventory, monkeypatch):
+    data = make_data(small_pool_inventory, ResponseFormat.LIKERT, n_personas=8, seed=50)
+    _set_cpus(monkeypatch, 2)
+    calls = _count_gradients(monkeypatch)
+    fit = fit_map(data, replace(SMALL_MAP, n_starts=1))
+    (stats,) = fit.start_stats
+    assert stats.grad_evals == calls[0] > 0  # every gradient was evaluated here
+    assert fit.best_start == 0
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("fails", [False, True])
+@needs_fork
+def test_fan_out_restores_blas_threads(monkeypatch, fails):
+    controls = irt._openblas_threads()
+    if not controls:
+        pytest.skip("no OpenBLAS found in this process")
+    saved = [get() for get, _ in controls]
+
+    def worker_counts(task):
+        if fails:
+            raise ValueError("task failed")
+        return [get() for get, _ in irt._openblas_threads()]
+
+    _set_cpus(monkeypatch, 2)
+    try:
+        for _, set_ in controls:
+            set_(2)
+        if fails:
+            with pytest.raises(ValueError, match="^task failed$"):
+                irt._fan_out(worker_counts, range(2))
+        else:
+            assert irt._fan_out(worker_counts, range(2)) == [[1] * len(controls)] * 2
+        assert [get() for get, _ in controls] == [2] * len(controls)
+    finally:
+        for (_, set_), count in zip(controls, saved):
+            set_(count)
+    assert multiprocessing.active_children() == []
+
+
+# ---------------------------------------------------------------------------
+# Options
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [0, -1])
+def test_map_options_reject_fewer_than_one_start(value):
+    with pytest.raises(SdrkitError, match=f"^n_starts must be at least 1, got {value}$"):
+        MapOptions(n_starts=value)
+
+
+@pytest.mark.parametrize(
+    "field, low", [("chains", 1), ("samples", 1), ("max_leapfrog", 1), ("warmup", 0)]
+)
+def test_hmc_options_reject_counts_below_their_floor(field, low):
+    HmcOptions(**{field: low})
+    for value in (low - 1, -3):
+        with pytest.raises(SdrkitError, match=f"^{field} must be at least {low}, got {value}$"):
+            HmcOptions(**{field: value})
+
+
+# ---------------------------------------------------------------------------
 # Fit artifacts
 # ---------------------------------------------------------------------------
 
