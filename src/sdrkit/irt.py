@@ -18,7 +18,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Sequence
 
@@ -461,11 +461,12 @@ def fit_map(data: ModelData, opts: MapOptions = MapOptions()) -> MapFit:
         bounds[k] = (None, alpha_hi)
     x0s = [_initial_point(data, rng) for _ in range(opts.n_starts)]
     starts = _fan_out(partial(_map_start, data, bounds, opts), x0s)
-    best_lp = -np.inf
-    for k, (fun, *_) in enumerate(starts):
-        if -fun > best_lp:
-            best, best_lp = k, -fun
-    _, best_x, best_jac, best_stats = starts[best]
+    start_stats = tuple(s for _, _, s in starts)
+    best, best_lp = None, -np.inf
+    for k, s in enumerate(start_stats):
+        if s.log_posterior > best_lp:  # strictly: a tie goes to the earlier start
+            best, best_lp = k, s.log_posterior
+    best_x, best_jac, _ = starts[best]
     projected = -best_jac  # the gradient L-BFGS-B last evaluated, at best_x
     at_cap = best_x[off : off + j] >= alpha_hi - 1e-12
     projected[off : off + j][at_cap & (projected[off : off + j] > 0)] = 0.0
@@ -473,9 +474,9 @@ def fit_map(data: ModelData, opts: MapOptions = MapOptions()) -> MapFit:
         params=unpack(data, best_x),
         log_posterior=best_lp,
         grad_inf_norm=float(np.abs(projected).max()),
-        converged=best_stats.converged,
+        converged=start_stats[best].converged,
         units=data.units,
-        start_stats=tuple(s for *_, s in starts),
+        start_stats=start_stats,
         best_start=best,
     )
 
@@ -495,7 +496,7 @@ def _map_start(data: ModelData, bounds, opts: MapOptions, x0: np.ndarray):
         grad_evals=int(res.nfev),
         converged=bool(res.success),
     )
-    return res.fun, res.x, res.jac, stats
+    return res.x, res.jac, stats
 
 
 # ---------------------------------------------------------------------------
@@ -619,13 +620,14 @@ def _fan_out(fn, tasks) -> list:
     data pickled. sdrkit starts no threads of its own.
 
     While the pool lives, every OpenBLAS loaded here runs on one thread, and
-    the saved counts come back afterwards. The workers already fill the CPUs,
-    and a forked child starts OpenBLAS's thread pool afresh with the count
-    it inherits: four L-BFGS-B starts of study-map's Likert fit took up to
-    1.8 s under the default count against 0.29 s one after another. The
-    count is set here, before the fork, because setting it in each child
-    restarts the child's thread pool, which slowed an hmc-likert fit from
-    0.235 s to 0.325 s.
+    the saved counts come back afterwards, also when a task raises. The
+    workers already fill the CPUs, and each forked child would otherwise
+    start an OpenBLAS thread pool of the inherited size: on a 2-vCPU host,
+    four L-BFGS-B starts of a 200-unit Likert fit took 1.2-2.1 s fanned out
+    under the default count, 0.7 s one after another and 0.38 s fanned out
+    on one thread. The count is set here, before the fork, not in each
+    worker: the workers inherit one thread and start no pool, and the
+    counts are restored in the process that saved them.
     """
     tasks = list(tasks)
     affinity = getattr(os, "sched_getaffinity", None)
@@ -646,41 +648,36 @@ def _fan_out(fn, tasks) -> list:
     return [fn(t) for t in tasks]
 
 
-#: (get, set) thread-count functions of each OpenBLAS in this process
-_openblas = None
-
-
-def _openblas_threads() -> list:
-    """The thread-count functions of every OpenBLAS mapped into this
+@cache
+def _openblas_threads() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS mapped into this
     process, found once: numpy's exports ``scipy_openblas_*64_``, scipy's
     ``scipy_openblas_*``. Empty without ``/proc/self/maps`` or OpenBLAS."""
-    global _openblas
-    if _openblas is None:
-        import ctypes
+    import ctypes
 
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
         try:
-            with open("/proc/self/maps", encoding="utf-8") as fh:
-                paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()})
+            lib = ctypes.CDLL(path)
         except OSError:
-            paths = []
-        found = []
-        for path in paths:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
             try:
-                lib = ctypes.CDLL(path)
-            except OSError:
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+            except AttributeError:
                 continue
-            for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
-                                   ("openblas", "64_"), ("openblas", "")):
-                try:
-                    get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
-                    set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
-                except AttributeError:
-                    continue
-                set_.argtypes = [ctypes.c_int]
-                found.append((get, set_))
-                break
-        _openblas = found
-    return _openblas
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            found.append((get, set_))
+            break
+    return tuple(found)
 
 
 @contextmanager
@@ -818,6 +815,8 @@ def _split_ranked(draws: np.ndarray) -> np.ndarray:
     """
     chains, n, dim = draws.shape
     half = n // 2
+    if half < 2:
+        raise DiagnosticsError(f"R-hat and ESS need at least 4 draws per chain, got {n}")
     split = np.concatenate([draws[:, :half], draws[:, half : 2 * half]], axis=0)
     flat = np.ascontiguousarray(split.transpose(2, 0, 1)).reshape(dim, -1)
     ranks = stats.rankdata(flat, method="average", axis=-1)

@@ -381,6 +381,18 @@ def test_split_rhat_needs_two_chains():
         split_rhat(np.zeros((1, 100)))
 
 
+@pytest.mark.parametrize("samples", [1, 2, 3])
+def test_diagnostics_need_four_draws_per_chain(samples):
+    draws = np.random.default_rng(36).standard_normal((2, samples, 3))
+    post = Posterior(draws=draws, units=(), n_units=0, divergences=0, accept_rate=1.0)
+    message = f"^R-hat and ESS need at least 4 draws per chain, got {samples}$"
+    for check in (diagnostics, lambda p: split_rhat(p.draws[:, :, 0]),
+                  lambda p: ess_bulk(p.draws[:, :, 0])):
+        with pytest.raises(DiagnosticsError, match=message):
+            check(post)
+    assert diagnostics(replace(post, draws=np.tile(draws, (1, 4, 1))))["rhat"].shape == (3,)
+
+
 def test_ess_iid_draws_near_nominal():
     rng = np.random.default_rng(33)
     x = rng.standard_normal((4, 500))
@@ -664,14 +676,19 @@ def test_fan_out_restores_blas_threads(monkeypatch, fails):
 
     _set_cpus(monkeypatch, 2)
     try:
+        # 3, not the 2 CPUs the fan-out sees, so that restoring any count
+        # other than the saved one shows
         for _, set_ in controls:
-            set_(2)
+            set_(3)
+        before = [get() for get, _ in controls]
+        if before == [1] * len(controls):
+            pytest.skip("OpenBLAS runs on one thread only")
         if fails:
             with pytest.raises(ValueError, match="^task failed$"):
                 irt._fan_out(worker_counts, range(2))
         else:
             assert irt._fan_out(worker_counts, range(2)) == [[1] * len(controls)] * 2
-        assert [get() for get, _ in controls] == [2] * len(controls)
+        assert [get() for get, _ in controls] == before
     finally:
         for (_, set_), count in zip(controls, saved):
             set_(count)
