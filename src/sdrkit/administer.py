@@ -2,8 +2,9 @@
 
 Prompt renderers are pure and byte-stable; the templates are pinned by golden
 tests. Sessions retry non-conforming replies with the identical prompt up to
-``max_retries`` additional times (transport failures are retried separately
-with backoff and do not count as refits).
+``MAX_RETRIES`` additional times (transport failures are retried separately,
+up to ``MAX_TRANSPORT_RETRIES`` times after waits of 1, 2 and 4 s, and do not
+count as refits).
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from .core import (
     SdrkitError,
 )
 from .personas import Persona
+
+MAX_RETRIES = 3
+MAX_TRANSPORT_RETRIES = 3
 
 HONEST_INSTRUCTION = (
     "You will complete a personality questionnaire. When completing this questionnaire,\n"
@@ -158,7 +162,6 @@ class ProviderRequest:
 @dataclass(frozen=True)
 class ProviderReply:
     text: str
-    status: str = "ok"
     latency: float = 0.0
 
 
@@ -242,7 +245,6 @@ class SessionPlan:
     format: ResponseFormat
     condition: InstructionCondition
     units: tuple[SessionUnit, ...]  # in presentation order
-    max_retries: int = 3
 
 
 @dataclass(frozen=True)
@@ -270,7 +272,6 @@ def make_session_plans(
     conditions: Sequence[InstructionCondition],
     seed: int,
     respondent_id: str,
-    max_retries: int = 3,
 ) -> list[SessionPlan]:
     """Build the fully crossed persona x format x condition session plans.
 
@@ -319,7 +320,6 @@ def make_session_plans(
                         format=fmt,
                         condition=cond,
                         units=per_format_units[fmt],
-                        max_retries=max_retries,
                     )
                 )
     return plans
@@ -342,13 +342,11 @@ def render_unit_prompt(plan: SessionPlan, unit: SessionUnit) -> str:
 def run_session(
     plan: SessionPlan,
     provider: Provider,
-    max_transport_retries: int = 3,
-    backoff: float = 1.0,
     sleep: Callable[[float], None] = time.sleep,
 ) -> SessionResult:
     """Administer one questionnaire session.
 
-    A unit that still fails the format check after 1 + ``max_retries``
+    A unit that still fails the format check after 1 + ``MAX_RETRIES``
     attempts aborts the session; the result is marked incomplete and carries
     no :class:`ResponseSet` (incomplete sessions are excluded from fitting).
     """
@@ -362,22 +360,22 @@ def run_session(
             message=prompt, model_id=provider.model_id, plan=plan, unit=unit
         )
         value: int | None = None
-        for attempt in range(1 + plan.max_retries):
+        for attempt in range(1 + MAX_RETRIES):
             reply = None
-            for t_try in range(1 + max_transport_retries):
+            for t_try in range(1 + MAX_TRANSPORT_RETRIES):
                 try:
                     reply = provider.complete(request)
                     break
                 except TransportError:
                     transport_retries += 1
-                    if t_try == max_transport_retries:
+                    if t_try == MAX_TRANSPORT_RETRIES:
                         raise
-                    sleep(backoff * 2**t_try)
+                    sleep(2.0**t_try)
             try:
                 value = parse_single_int(reply.text)
                 break
             except ResponseParseError:
-                if attempt < plan.max_retries:
+                if attempt < MAX_RETRIES:
                     refits += 1
         if value is None:
             return SessionResult(

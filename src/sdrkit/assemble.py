@@ -42,6 +42,9 @@ TRAIT_PAIRS: tuple[tuple[int, int], ...] = tuple(
 )
 _PAIR_INDEX = {p: i for i, p in enumerate(TRAIT_PAIRS)}
 
+#: slack on the stage-1 optimum that bounds stage 2's candidate gaps
+STAGE2_EPSILON = 1e-9
+
 
 @dataclass(frozen=True)
 class CandidatePair:
@@ -63,10 +66,6 @@ class AssemblySolution:
     m_star: float
     sse: float
     proof: str  # "optimal" or "budget-exhausted-best-known"
-
-    @property
-    def max_gap(self) -> float:
-        return max(b.desirability_gap for b in self.inventory.blocks)
 
 
 def enumerate_candidates(pool: ItemPool) -> list[CandidatePair]:
@@ -392,7 +391,7 @@ def solve_stage2(
     cands: list[CandidatePair], cfg: AssemblyConfig, m_star: float
 ) -> AssemblySolution:
     """Minimize total squared mismatch subject to max gap <= m* + epsilon."""
-    eligible = [c for c in cands if c.gap <= m_star + cfg.stage2_epsilon]
+    eligible = [c for c in cands if c.gap <= m_star + STAGE2_EPSILON]
     search = _Search(eligible, cfg)
     best, best_sse = search.search(best_sse=math.inf)
     if best is None:

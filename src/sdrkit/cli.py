@@ -36,6 +36,7 @@ from .core import (
     load_inventory,
     load_item_pool,
     load_response_sets,
+    read_json,
     write_inventory,
     write_item_pool,
     write_response_sets,
@@ -173,7 +174,7 @@ def cmd_aggregate(args) -> int:
 
 def _assembly_config(args) -> AssemblyConfig:
     if args.config:
-        raw = json.loads(_require(args.config, "assembly config").read_text("utf-8"))
+        raw = read_json(_require(args.config, "assembly config"))
         return AssemblyConfig(
             block_count=raw["block_count"],
             per_trait=raw.get("per_trait"),
@@ -225,7 +226,7 @@ def cmd_assemble(args) -> int:
 def cmd_personas(args) -> int:
     cov = None
     if args.covariance:
-        raw = json.loads(_require(args.covariance, "covariance file").read_text("utf-8"))
+        raw = read_json(_require(args.covariance, "covariance file"))
         cov = TraitCovariance(np.array(raw))
     lex = Lexicon.from_file(_require(args.lexicon, "lexicon")) if args.lexicon else None
     ps = sample_personas(args.n, cov=cov, seed=args.seed, lexicon=lex)
@@ -306,6 +307,10 @@ def _load_response_files(path: Path):
 
 
 def cmd_fit(args) -> int:
+    if args.backend == "hmc":  # R-hat splits each of 2+ chains into halves of 2+ draws
+        for flag, value, low in (("--chains", args.chains, 2), ("--samples", args.samples, 4)):
+            if value < low:
+                raise ConfigError(f"{flag} must be at least {low} with --backend hmc, got {value}")
     inventory = load_inventory(_require(args.inventory, "inventory"))
     pool = load_item_pool(_require(args.pool, "item pool"))
     sets = _load_response_files(_require(args.responses, "response data"))
@@ -577,19 +582,12 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
-def _read_json(path: Path):
-    try:
-        return json.loads(path.read_text("utf-8"))
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise SdrkitError(f"{path} is not valid JSON: {exc}") from None
-
-
 def cmd_lint(args) -> int:
     run_dir = _require(args.run_dir, "run directory")
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise ConfigError(f"no manifest.json under {run_dir}")
-    manifest = _read_json(manifest_path)
+    manifest = read_json(manifest_path)
     problems = []
     for rel, digest in manifest.get("artifacts", {}).items():
         p = run_dir / rel
@@ -599,7 +597,7 @@ def cmd_lint(args) -> int:
             problems.append(f"hash mismatch: {rel}")
     report_json = run_dir / "reports" / "report.json"
     if report_json.exists():
-        bundle = _read_json(report_json)
+        bundle = read_json(report_json)
         for fmt, src in bundle["metadata"].get("sources", {}).items():
             if not (run_dir / src).exists() and not Path(src).exists():
                 problems.append(f"report {fmt} cites missing fit artifact: {src}")

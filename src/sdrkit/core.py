@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import csv
 import enum
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 
 class SdrkitError(Exception):
@@ -209,7 +210,6 @@ class AssemblyConfig:
     per_trait_pair: int | None = None
     mixed_key_range: tuple[int, int] | None = None
     sign_floor: float | None = 0.30
-    stage2_epsilon: float = 1e-9
     node_budget: int | None = None
 
     @classmethod
@@ -363,38 +363,65 @@ RESPONSE_HEADER = [
 ]
 
 
+def read_json(path: str | Path):
+    """Parse a JSON file; one that is not JSON, as when it is cut short, or
+    not UTF-8 raises ``SdrkitError`` naming the file."""
+    try:
+        return json.loads(Path(path).read_text("utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise SdrkitError(f"{path} is not valid JSON: {exc}") from None
+
+
+def read_csv_rows(
+    path: str | Path,
+    parse: Callable[[dict], object],
+    what: str,
+    error: type[SdrkitError] = SdrkitError,
+    header: Sequence[str] = (),
+) -> Iterator:
+    """Yield ``parse(row)`` for each row of a CSV file.
+
+    A file without the ``header`` columns raises ``error``, and so does a row
+    with a missing or malformed field, as in a file cut mid-row, naming the
+    file and the line.
+    """
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if not set(header) <= set(reader.fieldnames or ()):
+            raise error(f"{path}: expected header columns {list(header)}")
+        for row in reader:
+            try:
+                if None in row.values():
+                    raise ValueError("too few fields")
+                yield parse(row)
+            except (KeyError, ValueError) as exc:
+                raise error(
+                    f"{path}: malformed {what} at line {reader.line_num}: {exc}"
+                ) from None
+
+
+def _pool_item(row: dict) -> Item:
+    des = row.get("desirability")
+    return Item(
+        id=row["id"],
+        text=row["text"],
+        domain=TraitDomain.from_label(row["domain"]),
+        keying=int(row["keying"]),
+        desirability=float(des) if des else None,
+    )
+
+
 def load_item_pool(path: str | Path) -> ItemPool:
     """Load an item pool from CSV.
 
     Item order is the file order. Raises :class:`PoolError` on duplicate ids,
     unknown domain labels, keying outside {+1, -1}, desirability outside
-    [1, 9], or an empty pool.
+    [1, 9], a malformed row or an empty pool.
     """
-    path = Path(path)
-    items: list[Item] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not set(POOL_HEADER[:4]) <= set(reader.fieldnames):
-            raise PoolError(f"{path}: expected header columns {POOL_HEADER[:4]}")
-        for row in reader:
-            try:
-                keying = int(row["keying"])
-            except ValueError:
-                raise PoolError(f"{path}: row {row['id']!r}: bad keying {row['keying']!r}") from None
-            des = row.get("desirability")
-            desirability = float(des) if des not in (None, "") else None
-            items.append(
-                Item(
-                    id=row["id"],
-                    text=row["text"],
-                    domain=TraitDomain.from_label(row["domain"]),
-                    keying=keying,
-                    desirability=desirability,
-                )
-            )
+    items = tuple(read_csv_rows(path, _pool_item, "pool row", PoolError, POOL_HEADER[:4]))
     if not items:
         raise PoolError(f"{path}: empty pool")
-    return ItemPool(tuple(items))
+    return ItemPool(items)
 
 
 def write_item_pool(pool: ItemPool, path: str | Path) -> None:
@@ -409,16 +436,25 @@ def write_item_pool(pool: ItemPool, path: str | Path) -> None:
 
 
 def load_inventory(path: str | Path) -> Inventory:
-    blocks: list[GfcBlock] = []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            blocks.append(
-                GfcBlock(row["left_id"], row["right_id"], float(row["desirability_gap"]))
-            )
+    """Load an inventory from CSV; a malformed row, an empty file or an item
+    used in two blocks raises :class:`InventoryError`."""
+    blocks = tuple(read_csv_rows(
+        path,
+        lambda row: GfcBlock(row["left_id"], row["right_id"], float(row["desirability_gap"])),
+        "block row",
+        InventoryError,
+    ))
     if not blocks:
         raise InventoryError(f"{path}: empty inventory")
-    return Inventory(tuple(blocks))
+    first: dict[str, int] = {}
+    for number, b in enumerate(blocks, start=1):
+        for item in (b.left, b.right):
+            if item in first:
+                raise InventoryError(
+                    f"{path}: item {item!r} is used in block {first[item]} and block {number}"
+                )
+            first[item] = number
+    return Inventory(blocks)
 
 
 def write_inventory(inv: Inventory, path: str | Path) -> None:
@@ -450,28 +486,23 @@ def write_response_sets(sets: Sequence[ResponseSet], path: str | Path) -> None:
                 )
 
 
+def _response_row(row: dict) -> tuple[tuple, tuple[int, str, int, bool]]:
+    key = (row["respondent_id"], row["persona_id"], row["format"], row["condition"])
+    answer = (
+        int(row["position"]),
+        row["unit_id"],
+        int(row["answer"]),
+        bool(int(row["side_flipped"])),
+    )
+    return key, answer
+
+
 def load_response_sets(path: str | Path) -> list[ResponseSet]:
     """Read response sets; a row with a missing or non-integer field, as in a
     file cut mid-row, raises ``SdrkitError`` naming the file and the line."""
     groups: dict[tuple, list[tuple[int, str, int, bool]]] = {}
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            try:
-                if None in row.values():
-                    raise ValueError("too few fields")
-                answer = (
-                    int(row["position"]),
-                    row["unit_id"],
-                    int(row["answer"]),
-                    bool(int(row["side_flipped"])),
-                )
-            except (KeyError, ValueError) as exc:
-                raise SdrkitError(
-                    f"{path}: malformed response row at line {reader.line_num}: {exc}"
-                ) from None
-            key = (row["respondent_id"], row["persona_id"], row["format"], row["condition"])
-            groups.setdefault(key, []).append(answer)
+    for key, answer in read_csv_rows(path, _response_row, "response row"):
+        groups.setdefault(key, []).append(answer)
     out: list[ResponseSet] = []
     for (resp, persona, fmt, cond), answers in groups.items():
         answers.sort(key=lambda a: a[0])

@@ -27,7 +27,6 @@ from scipy import optimize, special, stats
 
 from .administer import block_id
 from .core import (
-    InstructionCondition,
     Inventory,
     ItemPool,
     N_CATEGORIES,
@@ -35,6 +34,7 @@ from .core import (
     ResponseSet,
     SdrkitError,
     TRAIT_LABELS,
+    read_json,
 )
 from .ordinal import CategorySplit, log_prob_and_grads
 
@@ -379,19 +379,19 @@ def _require_at_least(opts, **lows: int) -> None:
             raise SdrkitError(f"{name} must be at least {low}, got {value}")
 
 
+#: Upper bound on discrimination strengths during optimization, at five prior
+#: standard deviations (prior mass above it is ~1e-5). The joint posterior has
+#: degenerate spikes where a single item's strength runs away while the latent
+#: traits overfit that item's responses; the spikes carry negligible posterior
+#: mass but can dominate the mode, so the ascent is restricted to the credible
+#: region.
+STRENGTH_CAP = 2.5
+
+
 @dataclass(frozen=True)
 class MapOptions:
     n_starts: int = 4
     seed: int = 0
-    max_iter: int = 3000
-    gtol: float = 1e-9
-    #: Upper bound on discrimination strengths during optimization, at five
-    #: prior standard deviations (prior mass above it is ~1e-5). The joint
-    #: posterior has degenerate spikes where a single item's strength runs
-    #: away while the latent traits overfit that item's responses; the spikes
-    #: carry negligible posterior mass but can dominate the mode, so the
-    #: ascent is restricted to the credible region.
-    strength_cap: float = 2.5
 
     def __post_init__(self) -> None:
         _require_at_least(self, n_starts=1)
@@ -414,14 +414,19 @@ class StartStats:
 @dataclass(frozen=True)
 class MapFit:
     params: ParamVector
-    log_posterior: float
     grad_inf_norm: float
-    converged: bool
-    units: tuple[UnitKey, ...]
     #: one entry per start, in start order; not written to fit artifacts
-    start_stats: tuple[StartStats, ...] = ()
+    start_stats: tuple[StartStats, ...]
     #: index of the start the fit comes from
-    best_start: int = 0
+    best_start: int
+
+    @property
+    def log_posterior(self) -> float:
+        return self.start_stats[self.best_start].log_posterior
+
+    @property
+    def converged(self) -> bool:
+        return self.start_stats[self.best_start].converged
 
     @property
     def theta_hat(self) -> np.ndarray:
@@ -456,11 +461,11 @@ def fit_map(data: ModelData, opts: MapOptions = MapOptions()) -> MapFit:
     n, j = data.n_units, data.design.n_items
     off = N_TRAITS * n
     bounds = [(None, None)] * param_dim(data)
-    alpha_hi = math.log(opts.strength_cap)
+    alpha_hi = math.log(STRENGTH_CAP)
     for k in range(off, off + j):
         bounds[k] = (None, alpha_hi)
     x0s = [_initial_point(data, rng) for _ in range(opts.n_starts)]
-    starts = _fan_out(partial(_map_start, data, bounds, opts), x0s)
+    starts = _fan_out(partial(_map_start, data, bounds), x0s)
     start_stats = tuple(s for _, _, s in starts)
     best, best_lp = None, -np.inf
     for k, s in enumerate(start_stats):
@@ -472,23 +477,20 @@ def fit_map(data: ModelData, opts: MapOptions = MapOptions()) -> MapFit:
     projected[off : off + j][at_cap & (projected[off : off + j] > 0)] = 0.0
     return MapFit(
         params=unpack(data, best_x),
-        log_posterior=best_lp,
         grad_inf_norm=float(np.abs(projected).max()),
-        converged=start_stats[best].converged,
-        units=data.units,
         start_stats=start_stats,
         best_start=best,
     )
 
 
-def _map_start(data: ModelData, bounds, opts: MapOptions, x0: np.ndarray):
+def _map_start(data: ModelData, bounds, x0: np.ndarray):
     res = optimize.minimize(
         lambda x: tuple(map(np.negative, log_posterior_and_grad(data, x))),
         x0,
         jac=True,
         method="L-BFGS-B",
         bounds=bounds,
-        options={"maxiter": opts.max_iter, "gtol": opts.gtol, "ftol": 1e-14},
+        options={"maxiter": 3000, "gtol": 1e-9, "ftol": 1e-14},
     )
     stats = StartStats(
         log_posterior=-float(res.fun),
@@ -510,10 +512,7 @@ class HmcOptions:
     warmup: int = 200
     samples: int = 500
     seed: int = 0
-    target_accept: float = 0.95
-    path_length: float = 3.0
     max_leapfrog: int = 72
-    init_step: float = 0.1
 
     def __post_init__(self) -> None:
         _require_at_least(self, chains=1, warmup=0, samples=1, max_leapfrog=1)
@@ -540,11 +539,20 @@ class ChainStats:
 class Posterior:
     draws: np.ndarray  # (chains, samples, dim)
     units: tuple[UnitKey, ...]
-    n_units: int
-    divergences: int
-    accept_rate: float
     #: one entry per chain, in chain order; not written to fit artifacts
     chain_stats: tuple[ChainStats, ...] = ()
+
+    @property
+    def n_units(self) -> int:
+        return len(self.units)
+
+    @property
+    def divergences(self) -> int:
+        return sum(s.divergences for s in self.chain_stats)
+
+    @property
+    def accept_rate(self) -> float:
+        return sum(s.accept_rate for s in self.chain_stats) / len(self.chain_stats)
 
     @property
     def n_draws(self) -> int:
@@ -577,14 +585,8 @@ def fit_hmc(data: ModelData, opts: HmcOptions = HmcOptions()) -> Posterior:
     all_draws = np.empty((opts.chains, opts.samples, dim))
     for chain, (draws, _) in enumerate(chains):
         all_draws[chain] = draws
-    chain_stats = tuple(s for _, s in chains)
     post = Posterior(
-        draws=all_draws,
-        units=data.units,
-        n_units=data.n_units,
-        divergences=sum(s.divergences for s in chain_stats),
-        accept_rate=sum(s.accept_rate for s in chain_stats) / opts.chains,
-        chain_stats=chain_stats,
+        draws=all_draws, units=data.units, chain_stats=tuple(s for _, s in chains)
     )
     if post.divergence_rate > 0.10:
         raise DiagnosticsError(
@@ -698,15 +700,11 @@ def _one_blas_thread():
 
 def _chain(data: ModelData, dim: int, opts: HmcOptions, chain: int):
     rng = np.random.default_rng(np.random.SeedSequence([opts.seed, chain]))
-    return _run_chain(data, dim, opts, rng)
-
-
-def _run_chain(data: ModelData, dim: int, opts: HmcOptions, rng: np.random.Generator):
     x = _initial_point(data, rng)
     lp, grad = log_posterior_and_grad(data, x)
     grad_evals = 1
     inv_mass = np.ones(dim)
-    step = opts.init_step
+    step = 0.1  # initial step size, adapted during warmup
 
     # dual averaging state (reset when the metric changes)
     def fresh_da(eps: float):
@@ -714,6 +712,7 @@ def _run_chain(data: ModelData, dim: int, opts: HmcOptions, rng: np.random.Gener
 
     da = fresh_da(step)
     gamma_da, t0, kappa_da = 0.05, 10.0, 0.75
+    target_accept, path_length = 0.95, 3.0
 
     warmup = opts.warmup
     metric_at = warmup // 2
@@ -730,7 +729,7 @@ def _run_chain(data: ModelData, dim: int, opts: HmcOptions, rng: np.random.Gener
         p0 = rng.standard_normal(dim) * sqrt_mass
         h0 = -lp + 0.5 * float((p0**2 * inv_mass).sum())
 
-        n_steps = max(1, min(opts.max_leapfrog, int(round(opts.path_length / step))))
+        n_steps = max(1, min(opts.max_leapfrog, int(round(path_length / step))))
         # jitter the trajectory length to break periodic orbits
         lo = max(1, int(0.75 * n_steps))
         n_steps = int(rng.integers(lo, n_steps + 1))
@@ -768,7 +767,7 @@ def _run_chain(data: ModelData, dim: int, opts: HmcOptions, rng: np.random.Gener
         if adapting:
             da["count"] += 1
             m = da["count"]
-            da["h_bar"] += (opts.target_accept - accept_prob - da["h_bar"]) / (m + t0)
+            da["h_bar"] += (target_accept - accept_prob - da["h_bar"]) / (m + t0)
             log_eps = da["mu"] - math.sqrt(m) / gamma_da * da["h_bar"]
             eta = m ** (-kappa_da)
             da["log_eps_bar"] = eta * log_eps + (1 - eta) * da["log_eps_bar"]
@@ -929,7 +928,7 @@ def write_fit_artifact(
 
 
 def load_fit_artifact(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    return read_json(path)
 
 
 def fit_theta_frame(fit_artifact: dict) -> dict[tuple[str, str, str], np.ndarray]:

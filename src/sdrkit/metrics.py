@@ -103,9 +103,6 @@ def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
 # Zone classification
 # ---------------------------------------------------------------------------
 
-FAKING_ZONES = ("recommended", "caution", "avoid")
-RECOVERY_ZONES = ("strong", "acceptable", "insufficient")
-
 
 def faking_zone(d_tilde: float) -> str:
     """Zone by magnitude of the direction-corrected effect: at most 0.2 is

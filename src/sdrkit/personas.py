@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import SdrkitError, TRAIT_LABELS
+from .core import SdrkitError, TRAIT_LABELS, read_json
 
 #: Meta-analytic Big Five intercorrelations in (A, C, E, N, O) order.
 _DEFAULT_SIGMA = (
@@ -78,8 +78,7 @@ class Lexicon:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Lexicon":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls._from_raw(raw)
+        return cls._from_raw(read_json(path))
 
     @classmethod
     def default(cls) -> "Lexicon":
@@ -198,7 +197,7 @@ def write_persona_set(ps: PersonaSet, path: str | Path) -> None:
 
 
 def load_persona_set(path: str | Path) -> PersonaSet:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = read_json(path)
     personas = tuple(
         Persona(
             id=p["id"],

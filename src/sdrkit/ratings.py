@@ -11,7 +11,7 @@ from typing import Iterable, Mapping
 import numpy as np
 from scipy import stats
 
-from .core import SdrkitError, UndefinedStatisticError
+from .core import SdrkitError, UndefinedStatisticError, read_csv_rows
 
 
 class RatingError(SdrkitError):
@@ -231,14 +231,16 @@ def parse_block_rating_response(text: str, expected: int) -> list[int]:
 RATINGS_HEADER = ["item_id", "rater", "replication", "value"]
 
 
+def _rating_row(row: dict) -> tuple[tuple[str, str, int], int]:
+    return (row["item_id"], row["rater"], int(row["replication"])), int(row["value"])
+
+
 def load_rating_dataset(path: str | Path) -> RatingDataset:
     values: dict[tuple[str, str, int], int] = {}
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["item_id"], row["rater"], int(row["replication"]))
-            if key in values:
-                raise RatingError(f"duplicate rating row: {key}")
-            values[key] = int(row["value"])
+    for key, value in read_csv_rows(path, _rating_row, "rating row", RatingError):
+        if key in values:
+            raise RatingError(f"duplicate rating row: {key}")
+        values[key] = value
     return RatingDataset(values)
 
 

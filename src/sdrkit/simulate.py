@@ -26,6 +26,7 @@ from .core import (
     ResponseSet,
     SdrkitError,
     TRAIT_ORDER,
+    read_json,
 )
 from .ordinal import _category_probs, check_thresholds
 from .personas import Persona
@@ -296,7 +297,7 @@ def write_sim_params(params: SimParams, path: str | Path) -> None:
 
 
 def load_sim_params(path: str | Path) -> SimParams:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = read_json(path)
     items = {
         iid: ItemParams(
             a_plus=d["a_plus"], keying=d["keying"], trait=d["trait"], kappa=tuple(d["kappa"])

@@ -209,7 +209,7 @@ def test_transport_retries_with_backoff_do_not_count_as_refits(small_pool_invent
     replies = [TransportError("boom"), TransportError("boom"), "5"] + ["5"] * (n - 1)
     provider = ScriptedProvider(replies)
     sleeps = []
-    result = run_session(plan, provider, backoff=1.0, sleep=sleeps.append)
+    result = run_session(plan, provider, sleep=sleeps.append)
     assert result.complete
     assert result.refit_count == 0
     assert result.transport_retries == 2
@@ -220,7 +220,7 @@ def test_transport_failure_exhausts_and_raises(small_pool_inventory):
     plan = single_unit_plan(small_pool_inventory)
     provider = ScriptedProvider([TransportError("down")] * 4)
     with pytest.raises(TransportError):
-        run_session(plan, provider, max_transport_retries=3, sleep=lambda s: None)
+        run_session(plan, provider, sleep=lambda s: None)
 
 
 def test_session_prompts_are_rendered_units(small_pool_inventory):

@@ -494,3 +494,52 @@ def test_fit_rejects_a_count_below_its_floor(instrument_files, tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"argument {flag}: must be at least {low}, got {value}" in err
     assert not (tmp_path / "fit.json").exists()
+
+
+@pytest.mark.parametrize("flag, value, low", [("--chains", "1", 2), ("--samples", "3", 4)])
+def test_fit_rejects_hmc_settings_rhat_cannot_use_before_reading(
+    instrument_files, tmp_path, capsys, monkeypatch, flag, value, low
+):
+    def never(*args, **kwargs):
+        raise AssertionError("read or fitted before the HMC settings were checked")
+
+    for name in ("load_inventory", "load_item_pool", "load_response_sets", "fit_hmc"):
+        monkeypatch.setattr(cli, name, never)
+    argv = [
+        "fit", "--format", "likert", "--responses", str(tmp_path / "responses.csv"),
+        "--inventory", str(instrument_files / "inventory.csv"),
+        "--pool", str(instrument_files / "pool.csv"),
+        flag, value, "--out", str(tmp_path / "fit.json"),
+    ]
+    assert main([*argv, "--backend", "hmc"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: {flag} must be at least {low} with --backend hmc, got {value}" in err
+    with pytest.raises(AssertionError, match="^read or fitted"):  # MAP ignores the flag
+        main([*argv, "--backend", "map"])
+
+
+@pytest.mark.parametrize("damage", ["persona JSON cut", "inventory reuses an item"])
+def test_administer_on_a_malformed_input_is_a_stage_failure(
+    instrument_files, tmp_path, capsys, damage
+):
+    personas, inventory = tmp_path / "personas.json", tmp_path / "inventory.csv"
+    assert main(["personas", "--n", "2", "--seed", "1", "--out", str(personas)]) == EXIT_OK
+    rows = (instrument_files / "inventory.csv").read_text().splitlines(keepends=True)
+    if damage == "persona JSON cut":
+        text = personas.read_text()
+        personas.write_text(text[: len(text) // 2])
+        message = f"stage failure: {personas} is not valid JSON"
+    else:  # block 2's left item becomes block 1's left item
+        rows[2] = ",".join([rows[2].split(",")[0], rows[1].split(",")[1], *rows[2].split(",")[2:]])
+        item = rows[1].split(",")[1]
+        message = f"stage failure: {inventory}: item {item!r} is used in block 1 and block 2"
+    inventory.write_text("".join(rows))
+    capsys.readouterr()
+    rc = main([
+        "administer", "--inventory", str(inventory),
+        "--pool", str(instrument_files / "pool.csv"),
+        "--personas", str(personas), "--format", "gfc", "--condition", "honest",
+        "--out", str(tmp_path / "runs"),
+    ])
+    assert rc == EXIT_STAGE
+    assert capsys.readouterr().err.startswith(message)

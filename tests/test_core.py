@@ -1,5 +1,8 @@
 """Domain types, constraint validation, and CSV round-trips."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,10 @@ from sdrkit.core import (
     write_item_pool,
     write_response_sets,
 )
+from sdrkit.irt import load_fit_artifact
+from sdrkit.personas import load_persona_set, sample_personas, write_persona_set
+from sdrkit.ratings import RatingError, load_rating_dataset, rating_rows, write_rating_dataset
+from sdrkit.simulate import default_sim_params, load_sim_params, write_sim_params
 
 
 def test_trait_domain_order_and_labels():
@@ -162,6 +169,77 @@ def test_response_file_cut_mid_row_names_the_file_and_line(tmp_path):
             load_response_sets(f)
     f.write_text(head + last)  # only the line end is lost: the row is whole
     assert load_response_sets(f) == whole
+
+
+def test_inventory_file_using_an_item_twice_is_rejected(tmp_path, small_pool_inventory):
+    _, inv = small_pool_inventory
+    f = tmp_path / "inv.csv"
+    # block 2's right item is block 1's left
+    write_inventory(Inventory((inv.blocks[0], GfcBlock("c2", "a1", 2.0)) + inv.blocks[2:]), f)
+    message = f"{f}: item 'a1' is used in block 1 and block 2"
+    with pytest.raises(InventoryError, match=f"^{re.escape(message)}$"):
+        load_inventory(f)
+
+
+def _cut_row(text):  # the last row loses its last field
+    return text[: text.rindex(",")]
+
+
+def _bad_last_field(text, value="abc"):
+    return text[: text.rstrip().rindex(",") + 1] + value + "\n"
+
+
+def _cut_json(text):
+    return text[: len(text) // 2]
+
+
+def _write_inventory(path, pool, inv):
+    write_inventory(inv, path)
+
+
+def _write_ratings(path, pool, inv):
+    write_rating_dataset(rating_rows([("a1", "r1", 1, 5), ("a2", "r1", 1, 6)]), path)
+
+
+# case: (write a valid file, damage its text, loader, error, message after the path)
+_MALFORMED = {
+    "inventory cut mid-row": (
+        _write_inventory, _cut_row, load_inventory, InventoryError,
+        ": malformed block row at line 6"),
+    "inventory gap abc": (
+        _write_inventory, _bad_last_field, load_inventory, InventoryError,
+        ": malformed block row at line 6"),
+    "pool desirability abc": (
+        lambda f, pool, inv: write_item_pool(pool, f), _bad_last_field, load_item_pool,
+        PoolError, ": malformed pool row at line 11"),
+    "persona JSON cut": (
+        lambda f, pool, inv: write_persona_set(sample_personas(2, seed=0), f), _cut_json,
+        load_persona_set, SdrkitError, " is not valid JSON"),
+    "sim-params JSON cut": (
+        lambda f, pool, inv: write_sim_params(default_sim_params(inv, pool, seed=0), f),
+        _cut_json, load_sim_params, SdrkitError, " is not valid JSON"),
+    "fit artifact cut": (
+        lambda f, pool, inv: f.write_text(json.dumps({"model": "grm", "theta": []})),
+        _cut_json, load_fit_artifact, SdrkitError, " is not valid JSON"),
+    "rating value x": (
+        _write_ratings, lambda t: _bad_last_field(t, "x"), load_rating_dataset,
+        RatingError, ": malformed rating row at line 3"),
+    "rating row cut": (
+        _write_ratings, _cut_row, load_rating_dataset, RatingError,
+        ": malformed rating row at line 3"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_input_file_is_a_package_error(tmp_path, small_pool_inventory, case):
+    write, damage, load, error, message = _MALFORMED[case]
+    pool, inv = small_pool_inventory
+    f = tmp_path / "input"
+    write(f, pool, inv)
+    load(f)  # the undamaged file loads
+    f.write_text(damage(f.read_text()))
+    with pytest.raises(error, match="^" + re.escape(f"{f}{message}")):
+        load(f)
 
 
 def test_packaged_marker_files_are_consistent(marker_pool, marker_inventory):

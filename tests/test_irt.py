@@ -286,10 +286,10 @@ def test_map_reaches_stationary_point(small_pool_inventory):
     assert fit.converged
     assert fit.grad_inf_norm < 1e-3
     assert fit.theta_hat.shape == (6, 5)
-    assert np.all(fit.params.a_plus <= MapOptions().strength_cap + 1e-9)
+    assert np.all(fit.params.a_plus <= irt.STRENGTH_CAP + 1e-9)
     # no strength at the cap, so the reported norm is the plain gradient's at
     # the returned point
-    assert np.all(fit.params.a_plus < MapOptions().strength_cap - 1e-6)
+    assert np.all(fit.params.a_plus < irt.STRENGTH_CAP - 1e-6)
     assert fit.grad_inf_norm == np.abs(grad_log_posterior(data, fit.params.x)).max()
     # rerun is deterministic
     fit2 = fit_map(data, MapOptions(n_starts=2, seed=0))
@@ -384,7 +384,7 @@ def test_split_rhat_needs_two_chains():
 @pytest.mark.parametrize("samples", [1, 2, 3])
 def test_diagnostics_need_four_draws_per_chain(samples):
     draws = np.random.default_rng(36).standard_normal((2, samples, 3))
-    post = Posterior(draws=draws, units=(), n_units=0, divergences=0, accept_rate=1.0)
+    post = Posterior(draws=draws, units=())
     message = f"^R-hat and ESS need at least 4 draws per chain, got {samples}$"
     for check in (diagnostics, lambda p: split_rhat(p.draws[:, :, 0]),
                   lambda p: ess_bulk(p.draws[:, :, 0])):
@@ -460,7 +460,7 @@ def test_diagnostics_match_per_parameter_formulas(shape):
     draws[:, :, 3] = np.round(draws[:, :, 3])  # ties
     for t in range(1, shape[1]):
         draws[:, t, 4] += 0.95 * draws[:, t - 1, 4]  # autocorrelated
-    post = Posterior(draws=draws, units=(), n_units=0, divergences=0, accept_rate=1.0)
+    post = Posterior(draws=draws, units=())
     diag = diagnostics(post)
     for d in range(shape[2]):
         rhat, ess = _reference_rhat_ess(draws[:, :, d])
