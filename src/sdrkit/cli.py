@@ -173,17 +173,16 @@ def cmd_aggregate(args) -> int:
 
 
 def _assembly_config(args) -> AssemblyConfig:
-    if args.config:
-        raw = read_json(_require(args.config, "assembly config"))
-        return AssemblyConfig(
-            block_count=raw["block_count"],
-            per_trait=raw.get("per_trait"),
-            per_trait_pair=raw.get("per_trait_pair"),
-            mixed_key_range=tuple(raw["mixed_key_range"]) if raw.get("mixed_key_range") else None,
-            sign_floor=raw.get("sign_floor", 0.30),
-            node_budget=raw.get("node_budget"),
-        )
-    return AssemblyConfig.standard(args.blocks)
+    if not args.config:
+        return AssemblyConfig.standard(args.blocks)
+    return read_json(_require(args.config, "assembly config"), lambda raw: AssemblyConfig(
+        block_count=raw["block_count"],
+        per_trait=raw.get("per_trait"),
+        per_trait_pair=raw.get("per_trait_pair"),
+        mixed_key_range=tuple(raw["mixed_key_range"]) if raw.get("mixed_key_range") else None,
+        sign_floor=raw.get("sign_floor", 0.30),
+        node_budget=raw.get("node_budget"),
+    ), "assembly config", ConfigError)
 
 
 def cmd_assemble(args) -> int:
@@ -226,8 +225,8 @@ def cmd_assemble(args) -> int:
 def cmd_personas(args) -> int:
     cov = None
     if args.covariance:
-        raw = read_json(_require(args.covariance, "covariance file"))
-        cov = TraitCovariance(np.array(raw))
+        cov = read_json(_require(args.covariance, "covariance file"),
+                        lambda raw: TraitCovariance(np.array(raw)), "covariance")
     lex = Lexicon.from_file(_require(args.lexicon, "lexicon")) if args.lexicon else None
     ps = sample_personas(args.n, cov=cov, seed=args.seed, lexicon=lex)
     write_persona_set(ps, args.out)
@@ -433,11 +432,8 @@ def _write_report(fit_paths: dict[str, Path], sources: dict[str, str], personas,
 _DEFAULT_SEEDS = {"personas": 1, "plan": 2, "sim": 3, "params": 4, "fit": 5}
 
 
-def _load_pipeline_config(path: Path) -> dict:
-    try:
-        cfg = json.loads(path.read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read pipeline config: {exc}") from exc
+def _pipeline_config(cfg: dict) -> dict:
+    """Fill a pipeline config's defaults and check its values."""
     cfg.setdefault("pool", str(_packaged("marker_inventory_pool.csv")))
     cfg.setdefault("inventory", str(_packaged("marker_inventory_blocks.csv")))
     cfg.setdefault("n_personas", 50)
@@ -461,6 +457,15 @@ def _load_pipeline_config(path: Path) -> dict:
     return cfg
 
 
+def _reusable(raw: dict) -> tuple[dict, dict, dict]:
+    """A previous manifest's input keys, artifact digests and sessions by
+    (format, condition): what ``_Stages`` reads to reuse an artifact."""
+    sessions: dict[tuple, list] = {}
+    for s in raw["sessions"]:
+        sessions.setdefault((s["format"], s["condition"]), []).append(s)
+    return dict(raw.get("inputs", {})), dict(raw["artifacts"]), sessions
+
+
 class _Stages:
     """One reuse rule for every pipeline artifact.
 
@@ -474,24 +479,21 @@ class _Stages:
     def __init__(self, out_dir: Path, manifest: RunManifest, digests: dict[str, str]):
         self.out_dir, self.manifest, self.digests = out_dir, manifest, dict(digests)
         try:
-            self.previous = json.loads((out_dir / "manifest.json").read_text("utf-8"))
-        except (OSError, ValueError):  # no earlier run, or its manifest is unreadable
-            self.previous = {}
+            self.previous = read_json(out_dir / "manifest.json", _reusable, "manifest")
+        except SdrkitError:  # no earlier run, or its manifest is cut or malformed
+            self.previous = {}, {}, {}
 
     def run(self, names, config: dict, upstream, build, sessions=None) -> None:
         """Reuse or build ``names`` (``build`` gets one path per name); reused
         runs keep the previous entries for their ``sessions`` (format, condition)."""
         key = _digest([__version__, config, {n: self.digests[n] for n in upstream}])
         paths = [self.out_dir / n for n in names]
-        old = self.previous
+        inputs, artifacts, old_sessions = self.previous
         if all(
-            old.get("inputs", {}).get(n) == key and p.is_file()
-            and old["artifacts"].get(n) == _sha256(p)
+            inputs.get(n) == key and p.is_file() and artifacts.get(n) == _sha256(p)
             for n, p in zip(names, paths)
         ):
-            self.manifest.sessions += [
-                s for s in old["sessions"] if (s["format"], s["condition"]) == sessions
-            ]
+            self.manifest.sessions += old_sessions.get(sessions, [])
         else:
             staging = self.out_dir / ".tmp"
             staged = [staging / n for n in names]
@@ -516,7 +518,8 @@ _DATA_FILES = ("pool", "inventory", "ratings")
 
 
 def cmd_pipeline(args) -> int:
-    cfg = _load_pipeline_config(_require(args.config, "pipeline config"))
+    cfg = read_json(_require(args.config, "pipeline config"), _pipeline_config,
+                    "pipeline config", ConfigError)
     out_dir = Path(cfg.get("out_dir", "run"))
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds, sim, backend = cfg["seeds"], cfg["provider"], cfg["backend"]
@@ -587,9 +590,9 @@ def cmd_lint(args) -> int:
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise ConfigError(f"no manifest.json under {run_dir}")
-    manifest = read_json(manifest_path)
+    artifacts = read_json(manifest_path, lambda raw: dict(raw["artifacts"]), "manifest")
     problems = []
-    for rel, digest in manifest.get("artifacts", {}).items():
+    for rel, digest in artifacts.items():
         p = run_dir / rel
         if not p.exists():
             problems.append(f"missing artifact: {rel}")
@@ -597,8 +600,9 @@ def cmd_lint(args) -> int:
             problems.append(f"hash mismatch: {rel}")
     report_json = run_dir / "reports" / "report.json"
     if report_json.exists():
-        bundle = read_json(report_json)
-        for fmt, src in bundle["metadata"].get("sources", {}).items():
+        sources = read_json(report_json, lambda raw: dict(raw["metadata"].get("sources", {})),
+                            "report bundle")
+        for fmt, src in sources.items():
             if not (run_dir / src).exists() and not Path(src).exists():
                 problems.append(f"report {fmt} cites missing fit artifact: {src}")
     if problems:

@@ -12,7 +12,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class SdrkitError(Exception):
@@ -363,13 +363,36 @@ RESPONSE_HEADER = [
 ]
 
 
-def read_json(path: str | Path):
-    """Parse a JSON file; one that is not JSON, as when it is cut short, or
-    not UTF-8 raises ``SdrkitError`` naming the file."""
+def read_json(
+    path: str | Path,
+    parse: Callable[[object], object],
+    what: str,
+    error: type[SdrkitError] = SdrkitError,
+):
+    """Return ``parse(content)`` of a JSON file.
+
+    A file that cannot be read or is not JSON, as when it is cut short, raises
+    ``error`` naming the file. So does a field that ``parse`` finds missing or
+    of the wrong JSON type, naming the file and the ``what`` it holds.
+    """
     try:
-        return json.loads(Path(path).read_text("utf-8"))
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise SdrkitError(f"{path} is not valid JSON: {exc}") from None
+        raw = json.loads(Path(path).read_text("utf-8"))
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        raise error(f"{path} is not valid JSON: {exc}") from None
+    try:
+        return parse(raw)
+    except KeyError as exc:
+        raise error(f"{path}: malformed {what}: missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:  # a field of the wrong type
+        raise error(f"{path}: malformed {what}: {exc}") from None
+
+
+def write_csv_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and then ``rows`` to a CSV file."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def read_csv_rows(
@@ -425,14 +448,11 @@ def load_item_pool(path: str | Path) -> ItemPool:
 
 
 def write_item_pool(pool: ItemPool, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(POOL_HEADER)
-        for it in pool.items:
-            w.writerow(
-                [it.id, it.text, it.domain.name, it.keying,
-                 "" if it.desirability is None else repr(it.desirability)]
-            )
+    write_csv_rows(path, POOL_HEADER, (
+        [it.id, it.text, it.domain.name, it.keying,
+         "" if it.desirability is None else repr(it.desirability)]
+        for it in pool.items
+    ))
 
 
 def load_inventory(path: str | Path) -> Inventory:
@@ -458,32 +478,18 @@ def load_inventory(path: str | Path) -> Inventory:
 
 
 def write_inventory(inv: Inventory, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(INVENTORY_HEADER)
-        for i, b in enumerate(inv.blocks, start=1):
-            w.writerow([i, b.left, b.right, repr(b.desirability_gap)])
+    write_csv_rows(path, INVENTORY_HEADER, (
+        [i, b.left, b.right, repr(b.desirability_gap)] for i, b in enumerate(inv.blocks, start=1)
+    ))
 
 
 def write_response_sets(sets: Sequence[ResponseSet], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(RESPONSE_HEADER)
-        for rs in sets:
-            pos = {unit: i for i, unit in enumerate(rs.presentation_order)}
-            for unit in rs.presentation_order:
-                w.writerow(
-                    [
-                        rs.respondent_id,
-                        rs.persona_id,
-                        rs.format.value,
-                        rs.condition.value,
-                        unit,
-                        rs.answers[unit],
-                        pos[unit],
-                        int(bool(rs.side_assignment.get(unit, False))),
-                    ]
-                )
+    write_csv_rows(path, RESPONSE_HEADER, (
+        [rs.respondent_id, rs.persona_id, rs.format.value, rs.condition.value, unit,
+         rs.answers[unit], pos, int(bool(rs.side_assignment.get(unit, False)))]
+        for rs in sets
+        for pos, unit in enumerate(rs.presentation_order)
+    ))
 
 
 def _response_row(row: dict) -> tuple[tuple, tuple[int, str, int, bool]]:

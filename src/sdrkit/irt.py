@@ -301,11 +301,10 @@ def _posterior_core(data: ModelData, x: np.ndarray, need_grad: bool):
     kappa_ext[:, N_CATEGORIES] = np.inf
     kappa = kappa_ext[:, 1:N_CATEGORIES]
 
-    zeta = theta[:, design.trait_idx]  # (N, J)
+    mu = theta[:, design.trait_idx] * a_signed  # (N, J) statement utilities
     if design.model == "grm":
-        eta = zeta * a_signed
+        eta = mu
     else:
-        mu = zeta * a_signed
         eta = (mu[:, design.right_item] - mu[:, design.left_item]) * INV_SQRT2
 
     k_flat = kappa_ext.ravel()
@@ -328,13 +327,9 @@ def _posterior_core(data: ModelData, x: np.ndarray, need_grad: bool):
         return lp, None
 
     geta = (g_lo + g_hi)[layout.restore].reshape(eta.shape)
-    if design.model == "grm":
-        gtheta = (geta * a_signed) @ layout.traits
-        galpha = (geta * eta).sum(axis=0)
-    else:
-        gmu = geta @ layout.scatter
-        gtheta = (gmu * a_signed) @ layout.traits
-        galpha = (gmu * mu).sum(axis=0)
+    gmu = geta if design.model == "grm" else geta @ layout.scatter
+    gtheta = (gmu * a_signed) @ layout.traits
+    galpha = (gmu * mu).sum(axis=0)
 
     size = k_flat.size
     gkappa_ext = np.bincount(layout.lo, g_lo, size) + np.bincount(layout.hi, g_hi, size)
@@ -927,8 +922,13 @@ def write_fit_artifact(
     Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
 
 
+def _checked_fit_artifact(raw: dict) -> dict:
+    fit_theta_frame(raw)  # a theta row missing a field, or a non-number, raises here
+    return raw
+
+
 def load_fit_artifact(path: str | Path) -> dict:
-    return read_json(path)
+    return read_json(path, _checked_fit_artifact, "fit artifact")
 
 
 def fit_theta_frame(fit_artifact: dict) -> dict[tuple[str, str, str], np.ndarray]:
@@ -936,5 +936,5 @@ def fit_theta_frame(fit_artifact: dict) -> dict[tuple[str, str, str], np.ndarray
     out = {}
     for row in fit_artifact["theta"]:
         key = (row["respondent_id"], row["persona_id"], row["condition"])
-        out[key] = np.array([row[t] for t in TRAIT_LABELS])
+        out[key] = np.array([row[t] for t in TRAIT_LABELS], dtype=float)
     return out

@@ -78,14 +78,11 @@ class Lexicon:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Lexicon":
-        return cls._from_raw(read_json(path))
+        return read_json(path, cls._from_raw, "lexicon", PersonaError)
 
     @classmethod
     def default(cls) -> "Lexicon":
-        raw = json.loads(
-            resources.files("sdrkit.data").joinpath("lexicon.json").read_text("utf-8")
-        )
-        return cls._from_raw(raw)
+        return cls.from_file(Path(str(resources.files("sdrkit.data").joinpath("lexicon.json"))))
 
     @classmethod
     def _from_raw(cls, raw: dict) -> "Lexicon":
@@ -196,8 +193,7 @@ def write_persona_set(ps: PersonaSet, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
 
 
-def load_persona_set(path: str | Path) -> PersonaSet:
-    raw = read_json(path)
+def _persona_set(raw: dict) -> PersonaSet:
     personas = tuple(
         Persona(
             id=p["id"],
@@ -208,3 +204,7 @@ def load_persona_set(path: str | Path) -> PersonaSet:
         for p in raw["personas"]
     )
     return PersonaSet(personas, seed=raw.get("seed", 0))
+
+
+def load_persona_set(path: str | Path) -> PersonaSet:
+    return read_json(path, _persona_set, "persona set", PersonaError)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -11,7 +10,7 @@ from typing import Iterable, Mapping
 import numpy as np
 from scipy import stats
 
-from .core import SdrkitError, UndefinedStatisticError, read_csv_rows
+from .core import SdrkitError, UndefinedStatisticError, read_csv_rows, write_csv_rows
 
 
 class RatingError(SdrkitError):
@@ -245,11 +244,9 @@ def load_rating_dataset(path: str | Path) -> RatingDataset:
 
 
 def write_rating_dataset(ds: RatingDataset, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(RATINGS_HEADER)
-        for (item, rater, rep), v in sorted(ds.values.items()):
-            w.writerow([item, rater, rep, v])
+    write_csv_rows(path, RATINGS_HEADER, (
+        [item, rater, rep, v] for (item, rater, rep), v in sorted(ds.values.items())
+    ))
 
 
 def rating_rows(

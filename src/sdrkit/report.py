@@ -6,12 +6,11 @@ and no timestamps, so a rerun from the same fit artifacts is byte-identical.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 from typing import Sequence
 
-from .core import SdrkitError, TRAIT_LABELS
+from .core import SdrkitError, TRAIT_LABELS, write_csv_rows
 from .metrics import EffectSummary
 
 
@@ -23,45 +22,31 @@ def write_effect_table(summaries: Sequence[EffectSummary], path: str | Path) -> 
     """Per-(format, trait) effect and recovery table."""
     if not summaries:
         raise ReportError("no effect summaries to report")
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["format", "trait", "d_z", "d_tilde", "faking_zone", "recovery_r", "recovery_zone"]
-        )
-        for s in summaries:
-            for t in TRAIT_LABELS:
-                w.writerow(
-                    [
-                        s.format,
-                        t,
-                        repr(s.d_z[t]),
-                        repr(s.d_tilde[t]),
-                        s.faking_zones[t],
-                        repr(s.recovery_r[t]),
-                        s.recovery_zones[t],
-                    ]
-                )
+    write_csv_rows(
+        path,
+        ["format", "trait", "d_z", "d_tilde", "faking_zone", "recovery_r", "recovery_zone"],
+        (
+            [s.format, t, repr(s.d_z[t]), repr(s.d_tilde[t]), s.faking_zones[t],
+             repr(s.recovery_r[t]), s.recovery_zones[t]]
+            for s in summaries
+            for t in TRAIT_LABELS
+        ),
+    )
 
 
 def write_tradeoff_table(summaries: Sequence[EffectSummary], path: str | Path) -> None:
     """Per-format aggregate SDR vs recovery table for the trade-off plot."""
     if not summaries:
         raise ReportError("no effect summaries to report")
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["format", "aggregate_d_tilde", "aggregate_recovery", "faking_zone", "recovery_zone"]
-        )
-        for s in summaries:
-            w.writerow(
-                [
-                    s.format,
-                    repr(s.aggregate_d_tilde),
-                    repr(s.aggregate_recovery),
-                    s.overall_faking_zone,
-                    s.overall_recovery_zone,
-                ]
-            )
+    write_csv_rows(
+        path,
+        ["format", "aggregate_d_tilde", "aggregate_recovery", "faking_zone", "recovery_zone"],
+        (
+            [s.format, repr(s.aggregate_d_tilde), repr(s.aggregate_recovery),
+             s.overall_faking_zone, s.overall_recovery_zone]
+            for s in summaries
+        ),
+    )
 
 
 def write_report_bundle(

@@ -167,8 +167,9 @@ def simulate_answers(
     u = [keyed_rng(spec.seed, persona.id, fmt.value, uid).random() for uid in unit_ids]
     # ItemParams and SimParams checked the thresholds at construction
     cdf = np.cumsum(_category_probs(np.array(eta), np.reshape(kappa, (-1, 6))), axis=-1)
-    # the count of cdf entries <= u is searchsorted(cdf, u, side="right")
-    return (cdf <= np.array(u)[:, None]).sum(axis=-1) + 1
+    # searchsorted(cdf, u, side="right") over the first six entries: the last
+    # may round below 1.0, and a u above it must still answer 7, not 8
+    return (cdf[:, :-1] <= np.array(u)[:, None]).sum(axis=-1) + 1
 
 
 def simulate_response_set(
@@ -296,8 +297,7 @@ def write_sim_params(params: SimParams, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
 
 
-def load_sim_params(path: str | Path) -> SimParams:
-    raw = read_json(path)
+def _sim_params(raw: dict) -> SimParams:
     items = {
         iid: ItemParams(
             a_plus=d["a_plus"], keying=d["keying"], trait=d["trait"], kappa=tuple(d["kappa"])
@@ -306,3 +306,7 @@ def load_sim_params(path: str | Path) -> SimParams:
     }
     blocks = {bid: tuple(k) for bid, k in raw["blocks"].items()}
     return SimParams(items=items, block_kappa=blocks)
+
+
+def load_sim_params(path: str | Path) -> SimParams:
+    return read_json(path, _sim_params, "simulator params")

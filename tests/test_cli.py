@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, artifacts, pipeline resumability."""
 
 import hashlib
+import importlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from sdrkit.cli import (
     main,
 )
 from sdrkit.core import write_inventory, write_item_pool
+from sdrkit.simulate import default_sim_params, write_sim_params
 
 from conftest import small_instrument
 
@@ -465,16 +468,29 @@ def test_fit_on_a_file_cut_mid_row_is_a_stage_failure(instrument_files, tmp_path
     assert f"stage failure: {responses}: malformed response row at line {line}" in err
 
 
-@pytest.mark.parametrize("rel", ["manifest.json", "reports/report.json"])
-def test_lint_reports_a_truncated_json_file(instrument_files, tmp_path, capsys, rel):
+@pytest.mark.parametrize("rel, field", [
+    pytest.param("manifest.json", None, id="manifest.json"),
+    pytest.param("reports/report.json", None, id="reports/report.json"),
+    pytest.param("manifest.json", "artifacts", id="manifest.json without artifacts"),
+    pytest.param("reports/report.json", "metadata", id="reports/report.json without metadata"),
+])
+def test_lint_reports_a_truncated_json_file(instrument_files, tmp_path, capsys, rel, field):
     out_dir = tmp_path / "run"
     assert _run_pipeline(tmp_path, out_dir, **_small_study(instrument_files)) == EXIT_OK
     damaged = out_dir / rel
-    damaged.write_bytes(damaged.read_bytes()[:40])
+    if field is None:
+        damaged.write_bytes(damaged.read_bytes()[:40])
+        message = f"stage failure: {damaged} is not valid JSON"
+    else:  # valid JSON without the field lint reads
+        raw = json.loads(damaged.read_text())
+        del raw[field]
+        damaged.write_text(json.dumps(raw))
+        message = f"stage failure: {damaged}: malformed "
     capsys.readouterr()
     assert main(["lint", "--run-dir", str(out_dir)]) == EXIT_STAGE
     err = capsys.readouterr().err
-    assert err.startswith(f"stage failure: {damaged} is not valid JSON")
+    assert err.startswith(message)
+    assert field is None or f"missing field '{field}'" in err
 
 
 @pytest.mark.parametrize(
@@ -518,28 +534,100 @@ def test_fit_rejects_hmc_settings_rhat_cannot_use_before_reading(
         main([*argv, "--backend", "map"])
 
 
-@pytest.mark.parametrize("damage", ["persona JSON cut", "inventory reuses an item"])
+@pytest.mark.parametrize("damage", [
+    "persona JSON cut", "inventory reuses an item", "persona without z",
+    "sim-params item without keying",
+])
 def test_administer_on_a_malformed_input_is_a_stage_failure(
     instrument_files, tmp_path, capsys, damage
 ):
     personas, inventory = tmp_path / "personas.json", tmp_path / "inventory.csv"
+    params = tmp_path / "params.json"
     assert main(["personas", "--n", "2", "--seed", "1", "--out", str(personas)]) == EXIT_OK
     rows = (instrument_files / "inventory.csv").read_text().splitlines(keepends=True)
+    pool, inv = small_instrument()
+    write_sim_params(default_sim_params(inv, pool, seed=0), params)
     if damage == "persona JSON cut":
         text = personas.read_text()
         personas.write_text(text[: len(text) // 2])
         message = f"stage failure: {personas} is not valid JSON"
-    else:  # block 2's left item becomes block 1's left item
+    elif damage == "inventory reuses an item":  # block 2's left item becomes block 1's left item
         rows[2] = ",".join([rows[2].split(",")[0], rows[1].split(",")[1], *rows[2].split(",")[2:]])
         item = rows[1].split(",")[1]
         message = f"stage failure: {inventory}: item {item!r} is used in block 1 and block 2"
+    elif damage == "persona without z":
+        raw = json.loads(personas.read_text())
+        del raw["personas"][0]["z"]
+        personas.write_text(json.dumps(raw))
+        message = f"stage failure: {personas}: malformed persona set: missing field 'z'"
+    else:
+        raw = json.loads(params.read_text())
+        del raw["items"]["a1"]["keying"]
+        params.write_text(json.dumps(raw))
+        message = f"stage failure: {params}: malformed simulator params: missing field 'keying'"
     inventory.write_text("".join(rows))
     capsys.readouterr()
     rc = main([
         "administer", "--inventory", str(inventory),
         "--pool", str(instrument_files / "pool.csv"),
         "--personas", str(personas), "--format", "gfc", "--condition", "honest",
-        "--out", str(tmp_path / "runs"),
+        "--params", str(params), "--out", str(tmp_path / "runs"),
     ])
     assert rc == EXIT_STAGE
     assert capsys.readouterr().err.startswith(message)
+
+
+def test_report_on_a_fit_missing_a_field_is_a_stage_failure(tmp_path, capsys):
+    personas, fit = tmp_path / "personas.json", tmp_path / "fit_likert.json"
+    assert main(["personas", "--n", "3", "--seed", "1", "--out", str(personas)]) == EXIT_OK
+    row = {"respondent_id": "sim", "condition": "honest", "A": 0.0, "C": 0.0, "E": 0.0,
+           "N": 0.0, "O": 0.0}
+    fit.write_text(json.dumps({"model": "grm", "backend": "map", "theta": [row]}))
+    capsys.readouterr()
+    rc = main(["report", "--fit-likert", str(fit), "--personas", str(personas),
+               "--out", str(tmp_path / "report")])
+    assert rc == EXIT_STAGE
+    message = f"stage failure: {fit}: malformed fit artifact: missing field 'persona_id'"
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_assembly_config_missing_a_field_is_a_config_error(instrument_files, tmp_path, capsys):
+    cfg = tmp_path / "assembly.json"
+    cfg.write_text(json.dumps({"per_trait": 2, "sign_floor": None}))
+    rc = main([
+        "assemble", "--pool", str(instrument_files / "pool.csv"),
+        "--config", str(cfg), "--out", str(tmp_path / "inventory.csv"),
+    ])
+    assert rc == EXIT_CONFIG
+    message = f"config error: {cfg}: malformed assembly config: missing field 'block_count'"
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_pipeline_rerun_over_a_manifest_without_artifacts_rebuilds(
+    instrument_files, tmp_path, monkeypatch
+):
+    out_dir = tmp_path / "run"
+    assert _run_pipeline(tmp_path, out_dir, **_small_study(instrument_files)) == EXIT_OK
+    fresh = _contents(out_dir)
+    manifest = json.loads(fresh["manifest.json"])
+    del manifest["artifacts"]
+    (out_dir / "manifest.json").write_text(json.dumps(manifest))
+    calls = _count_calls(monkeypatch, "sample_personas", "_fit_format")
+    assert _run_pipeline(tmp_path, out_dir, **_small_study(instrument_files)) == EXIT_OK
+    assert calls == {"sample_personas": 1, "_fit_format": 2}  # counted as absent: all rebuilt
+    assert _contents(out_dir) == fresh
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves(monkeypatch):
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    for name in ("layers", "spans"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    layers = importlib.import_module("layers")
+
+    class Probe:  # a tracer that only looks each name up
+        def wrap(self, owner, attr, *rest):
+            getattr(owner, attr)
+
+    layers.install(Probe())

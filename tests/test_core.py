@@ -27,7 +27,7 @@ from sdrkit.core import (
     write_item_pool,
     write_response_sets,
 )
-from sdrkit.irt import load_fit_artifact
+from sdrkit.irt import load_fit_artifact, theta_table
 from sdrkit.personas import load_persona_set, sample_personas, write_persona_set
 from sdrkit.ratings import RatingError, load_rating_dataset, rating_rows, write_rating_dataset
 from sdrkit.simulate import default_sim_params, load_sim_params, write_sim_params
@@ -193,6 +193,20 @@ def _cut_json(text):
     return text[: len(text) // 2]
 
 
+def _drop(field, pick):  # valid JSON that lacks ``field`` of the object ``pick`` selects
+    def damage(text):
+        raw = json.loads(text)
+        del pick(raw)[field]
+        return json.dumps(raw)
+
+    return damage
+
+
+def _write_fit(path, pool, inv):
+    theta = theta_table([("r1", "p1", "honest")], np.zeros((1, 5)))
+    path.write_text(json.dumps({"model": "grm", "theta": theta}))
+
+
 def _write_inventory(path, pool, inv):
     write_inventory(inv, path)
 
@@ -221,6 +235,17 @@ _MALFORMED = {
     "fit artifact cut": (
         lambda f, pool, inv: f.write_text(json.dumps({"model": "grm", "theta": []})),
         _cut_json, load_fit_artifact, SdrkitError, " is not valid JSON"),
+    "persona without z": (
+        lambda f, pool, inv: write_persona_set(sample_personas(2, seed=0), f),
+        _drop("z", lambda raw: raw["personas"][1]), load_persona_set, SdrkitError,
+        ": malformed persona set: missing field 'z'"),
+    "sim-params item without keying": (
+        lambda f, pool, inv: write_sim_params(default_sim_params(inv, pool, seed=0), f),
+        _drop("keying", lambda raw: raw["items"]["c1"]), load_sim_params, SdrkitError,
+        ": malformed simulator params: missing field 'keying'"),
+    "fit theta row without persona_id": (
+        _write_fit, _drop("persona_id", lambda raw: raw["theta"][0]), load_fit_artifact,
+        SdrkitError, ": malformed fit artifact: missing field 'persona_id'"),
     "rating value x": (
         _write_ratings, lambda t: _bad_last_field(t, "x"), load_rating_dataset,
         RatingError, ": malformed rating row at line 3"),

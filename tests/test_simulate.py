@@ -3,6 +3,7 @@
 import sys
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from sdrkit.core import (
     ResponseFormat,
     SdrkitError,
 )
-from sdrkit.ordinal import category_probs
-from sdrkit.personas import sample_personas
+from sdrkit.ordinal import _category_probs, category_probs
+from sdrkit.personas import Persona, sample_personas
 from sdrkit.simulate import (
     DESIRABLE_SIGNS,
     ItemParams,
@@ -407,3 +408,25 @@ def test_sim_spec_validation():
         SimSpec(fake_good_delta=-0.5)
     with pytest.raises(SdrkitError):
         SimSpec(fake_good_delta=float("inf"))
+
+
+def test_answer_stays_on_the_scale_when_the_last_cumulative_probability_is_below_one(
+    monkeypatch,
+):
+    rng = np.random.default_rng(0)
+    while True:  # about one random unit in eight sums its seven probabilities below 1.0
+        eta, kappa = rng.normal(), np.sort(rng.uniform(-2.0, 2.0, size=6))
+        cdf = np.cumsum(_category_probs(np.array([eta]), kappa[None, :]), axis=-1)
+        if cdf[0, -1] < 1.0 and np.all(np.diff(kappa) > 1e-3):
+            break
+    params = simulate.SimParams(
+        items={"i1": ItemParams(a_plus=1.0, keying=1, trait=0, kappa=tuple(kappa))},
+        block_kappa={},
+    )
+    persona = Persona("p1", (eta, 0.0, 0.0, 0.0, 0.0), (5,) * 5, "")
+    u = np.nextafter(1.0, 0.0)  # the largest uniform a stream can return
+    monkeypatch.setattr(simulate, "keyed_rng", lambda *key: SimpleNamespace(random=lambda: u))
+    answers = simulate_answers(
+        persona, ResponseFormat.LIKERT, InstructionCondition.HONEST, ["i1"], params, SimSpec()
+    )
+    assert answers.tolist() == [7]
