@@ -1,11 +1,15 @@
 """Two-stage lexicographic assembly of desirability-matched GFC inventories.
 
-Stage 1 minimizes the worst within-pair desirability gap (bisection over the
-sorted candidate gap values, each step a depth-first feasibility search).
-Stage 2 minimizes total squared desirability mismatch among selections whose
-maximum gap stays within ``m* + epsilon``, via branch and bound. Both stages
-are exact; ties are broken by lexicographic candidate id order so results are
-reproducible without an external MIP solver.
+Stage 1 minimizes the worst within-pair desirability gap: a bisection over
+the sorted candidate gap values, where each step asks whether a selection
+exists under that cap. The question is answered by a depth-first search that
+branches on items, taking the free item with the fewest partners left, so a
+cap below the optimum is proven infeasible as soon as some item can neither
+be paired nor left out. Stage 2 minimizes total squared desirability mismatch
+among selections whose maximum gap stays within ``m* + epsilon``, via branch
+and bound over candidates in id order. Both stages are exact; stage 2 breaks
+ties by lexicographic candidate id order so results are reproducible without
+an external MIP solver.
 """
 
 from __future__ import annotations
@@ -136,8 +140,205 @@ def _check_selection(sel: tuple[CandidatePair, ...], cfg: AssemblyConfig) -> boo
     return True
 
 
+def _sign_range(cfg: AssemblyConfig) -> tuple[int, int] | None:
+    """The positively keyed items a trait may hold under the sign floor when
+    it holds exactly ``per_trait`` items, as (fewest, most); None when the
+    floor or ``per_trait`` is unset and the floor is tested only at a leaf."""
+    if cfg.sign_floor is None or cfg.per_trait is None:
+        return None
+    lo = math.ceil(cfg.sign_floor * cfg.per_trait - 1e-12)
+    return lo, cfg.per_trait - lo
+
+
+def _complete(
+    cfg: AssemblyConfig, trait_counts: list[int], pair_counts: list[int], plus: list[int],
+    mixed: int,
+) -> bool:
+    """Whether a selection of ``block_count`` blocks meets every constraint.
+
+    The exact test at a leaf of both searches; ``plus`` counts the positively
+    keyed items of each trait.
+    """
+    if cfg.per_trait is not None and trait_counts.count(cfg.per_trait) != 5:
+        return False
+    if cfg.per_trait_pair is not None and pair_counts.count(cfg.per_trait_pair) != 10:
+        return False
+    if cfg.mixed_key_range is not None:
+        lo, hi = cfg.mixed_key_range
+        if not lo <= mixed <= hi:
+            return False
+    floor = cfg.sign_floor
+    if floor is not None:
+        for total, n_plus in zip(trait_counts, plus):
+            n_minus = total - n_plus
+            if total and (
+                n_plus < floor * total - 1e-12 or n_minus < floor * total - 1e-12
+            ):
+                return False
+    return True
+
+
+class _ItemSearch:
+    """Stage 1's feasibility search: depth first, branching on items.
+
+    A node takes the free item with the fewest options. Its options are its
+    free eligible partners that the trait-pair and trait caps still allow,
+    tried in increasing squared gap and then candidate index, and, last,
+    leaving it out while its trait has items to spare. A free item with no
+    option ends the node, which is what proves a cap below m* infeasible
+    within a few nodes. So do per-trait counts that can no longer be reached,
+    a sign floor the free items of a trait can no longer meet and a mixed-key
+    count outside what the remaining blocks can reach.
+    """
+
+    def __init__(self, cands: list[CandidatePair], cfg: AssemblyConfig):
+        self.cands = cands
+        self.cfg = cfg
+        items = sorted({i for c in cands for i in (c.left, c.right)})
+        index = {item: i for i, item in enumerate(items)}
+        self.trait = [0] * len(items)
+        self.positive = [0] * len(items)
+        # per item: (squared gap, candidate index, partner, pair group,
+        # mixed-key flag), in the order the item's partners are tried
+        self.options: list[list[tuple]] = [[] for _ in items]
+        for k, c in enumerate(cands):
+            a, b = index[c.left], index[c.right]
+            self.trait[a], self.positive[a] = c.left_trait, int(c.left_key > 0)
+            self.trait[b], self.positive[b] = c.right_trait, int(c.right_key > 0)
+            self.options[a].append((c.sq, k, b, c.pair_group, int(c.mixed_key)))
+            self.options[b].append((c.sq, k, a, c.pair_group, int(c.mixed_key)))
+        for opts in self.options:
+            opts.sort()
+        self.nodes = 0
+        self.budget_hit = False
+
+    def search(self) -> list[CandidatePair] | None:
+        """The first selection found that meets every constraint, or None."""
+        cfg = self.cfg
+        trait, positive, options = self.trait, self.positive, self.options
+        n_items = len(trait)
+        p = cfg.block_count
+        per_trait = cfg.per_trait
+        # a trait appears at most once per block, so p never binds
+        trait_cap = p if per_trait is None else per_trait
+        pair_cap = p if cfg.per_trait_pair is None else cfg.per_trait_pair
+        mixed_lo, mixed_hi = cfg.mixed_key_range or (0, p)
+        sign = _sign_range(cfg)
+        limit = math.inf if cfg.node_budget is None else cfg.node_budget
+        free = [True] * n_items
+        free_n = [0] * 5  # free items per trait
+        free_plus = [0] * 5  # free positively keyed items per trait
+        for t, pos in zip(trait, positive):
+            free_n[t] += 1
+            free_plus[t] += pos
+        trait_counts = [0] * 5
+        pair_counts = [0] * 10
+        plus = [0] * 5
+        chosen: list[int] = []
+        found: list[int] | None = None
+        nodes = self.nodes
+
+        def dfs(depth: int, mixed: int) -> bool:
+            nonlocal nodes, found
+            nodes += 1
+            if nodes > limit:
+                self.budget_hit = True
+                return True  # unwind
+            need = p - depth
+            if need == 0:
+                if _complete(cfg, trait_counts, pair_counts, plus, mixed):
+                    found = sorted(chosen)
+                    return True
+                return False
+            if mixed > mixed_hi or mixed + need < mixed_lo:
+                return False
+            n_free = sum(free_n)
+            if n_free < 2 * need:
+                return False
+            if per_trait is not None:
+                for t in range(5):
+                    if trait_counts[t] + free_n[t] < per_trait:
+                        return False
+                    if sign is not None:
+                        n_plus, n_minus = plus[t], trait_counts[t] - plus[t]
+                        if (
+                            n_plus > sign[1]
+                            or n_minus > sign[1]
+                            or n_plus + free_plus[t] < sign[0]
+                            or n_minus + free_n[t] - free_plus[t] < sign[0]
+                        ):
+                            return False
+            # whether a trait's free items outnumber what it still needs
+            if per_trait is None:
+                spare = [n_free > 2 * need] * 5
+            else:
+                spare = [free_n[t] > per_trait - trait_counts[t] for t in range(5)]
+
+            # the free item with the fewest options, the first in id order on ties
+            pick, fewest, partners = -1, n_items + 1, []
+            for i in range(n_items):
+                if not free[i]:
+                    continue
+                t = trait[i]
+                allowed = []
+                if trait_counts[t] < trait_cap:
+                    allowed = [
+                        o for o in options[i]
+                        if free[o[2]]
+                        and pair_counts[o[3]] < pair_cap
+                        and trait_counts[trait[o[2]]] < trait_cap
+                    ]
+                count = len(allowed) + spare[t]
+                if count == 0:
+                    return False
+                if count < fewest:
+                    pick, fewest, partners = i, count, allowed
+
+            i = pick
+            t, pos_i = trait[i], positive[i]
+            free[i] = False
+            free_n[t] -= 1
+            free_plus[t] -= pos_i
+            stop = False
+            for _, k, j, g, mk in partners:
+                u, pos_j = trait[j], positive[j]
+                free[j] = False
+                free_n[u] -= 1
+                free_plus[u] -= pos_j
+                trait_counts[t] += 1
+                trait_counts[u] += 1
+                pair_counts[g] += 1
+                plus[t] += pos_i
+                plus[u] += pos_j
+                chosen.append(k)
+                stop = dfs(depth + 1, mixed + mk)
+                chosen.pop()
+                free[j] = True
+                free_n[u] += 1
+                free_plus[u] += pos_j
+                trait_counts[t] -= 1
+                trait_counts[u] -= 1
+                pair_counts[g] -= 1
+                plus[t] -= pos_i
+                plus[u] -= pos_j
+                if stop:
+                    break
+            if not stop and spare[t]:
+                stop = dfs(depth, mixed)
+            free[i] = True
+            free_n[t] += 1
+            free_plus[t] += pos_i
+            return stop
+
+        dfs(0, 0)
+        del dfs  # break the closure's reference cycle, as in _Search.search
+        self.nodes = nodes
+        return None if found is None else [self.cands[k] for k in found]
+
+
 class _Search:
-    """Depth-first search over candidates in id order with constraint pruning.
+    """Stage 2's branch and bound on total squared mismatch, over candidates
+    in id order with constraint pruning.
 
     ``__init__`` turns each candidate into one row of plain ints and a float,
     and the set of used items into an int bitmask, so that a node of the DFS
@@ -194,15 +395,10 @@ class _Search:
         self.budget = cfg.node_budget
         self.budget_hit = False
 
-    def search(self, best_sse: float | None = None):
-        """Run the DFS.
-
-        With ``best_sse is None`` this is a pure feasibility search returning
-        the first feasible selection (or None). Otherwise it is a branch and
-        bound on total squared mismatch, returning the optimal selection.
-        """
+    def search(self) -> tuple[list[CandidatePair] | None, float]:
+        """The selection of least total squared mismatch and that total; the
+        first such selection in candidate order wins a tie."""
         cfg = self.cfg
-        optimize = best_sse is not None
         rows, n, p = self.rows, self.n, self.p
         suf_pair, suf_mixed, suf_plus = self.suf_pair, self.suf_mixed, self.suf_plus
         suf_min_sq_pair, suf_min_sq = self.suf_min_sq_pair, self.suf_min_sq
@@ -210,16 +406,12 @@ class _Search:
         per_trait = cfg.per_trait
         check_mixed = cfg.mixed_key_range is not None
         mixed_lo, mixed_hi = cfg.mixed_key_range if check_mixed else (0, 0)
-        floor = cfg.sign_floor
-        # positive-key count per trait allowed at a final selection that
-        # meets the sign floor with per_trait appearances of each trait
-        sign_prune = floor is not None and per_trait is not None
-        if sign_prune:
-            plo = math.ceil(floor * per_trait - 1e-12)
-            phi = per_trait - plo
+        sign = _sign_range(cfg)
+        if sign is not None:
+            plo, phi = sign
         limit = math.inf if self.budget is None else self.budget
         best: list[int] | None = None
-        best_val = math.inf if optimize else None
+        best_val = math.inf
         sel: list[int] = []
         trait_counts = [0] * 5
         pair_counts = [0] * 10
@@ -237,24 +429,9 @@ class _Search:
             need = p - depth
             if need == 0:
                 # leaf: the selection must meet every constraint exactly
-                if per_trait is not None and trait_counts.count(per_trait) != 5:
-                    return False
-                if per_pair is not None and pair_counts.count(per_pair) != 10:
-                    return False
-                if check_mixed and not (mixed_lo <= mixed <= mixed_hi):
-                    return False
-                if floor is not None:
-                    for total, n_plus in zip(trait_counts, plus):
-                        n_minus = total - n_plus
-                        if total and (
-                            n_plus < floor * total - 1e-12
-                            or n_minus < floor * total - 1e-12
-                        ):
-                            return False
-                if not optimize:
-                    best = list(sel)
-                    return True
-                if sse < best_val - 1e-15:
+                if sse < best_val - 1e-15 and _complete(
+                    cfg, trait_counts, pair_counts, plus, mixed
+                ):
                     best = list(sel)
                     best_val = sse
                 return False
@@ -274,21 +451,20 @@ class _Search:
                     return False
                 if mixed + min(need, suf_mixed[i]) < mixed_lo:
                     return False
-            if sign_prune:
+            if sign is not None:
                 for have, left in zip(plus, suf_plus[i]):
                     if have > phi or have + left < plo:
                         return False
-            if optimize:
-                bound = sse
-                if per_pair is not None:
-                    for have, min_sq in zip(pair_counts, suf_min_sq_pair[i]):
-                        need_g = per_pair - have
-                        if need_g > 0:
-                            bound += need_g * min_sq
-                else:
-                    bound += need * suf_min_sq[i]
-                if bound >= best_val - 1e-15:
-                    return False
+            bound = sse
+            if per_pair is not None:
+                for have, min_sq in zip(pair_counts, suf_min_sq_pair[i]):
+                    need_g = per_pair - have
+                    if need_g > 0:
+                        bound += need_g * min_sq
+            else:
+                bound += need * suf_min_sq[i]
+            if bound >= best_val - 1e-15:
+                return False
             # past n - need too few candidates are left to fill the selection
             for j in range(i, n - need + 1):
                 mask, g, lt, rt, pos, mk, sq = rows[j]
@@ -326,9 +502,7 @@ class _Search:
         del dfs
         self.nodes = nodes
         chosen = None if best is None else [self.cands[j] for j in best]
-        if optimize:
-            return chosen, best_val
-        return chosen
+        return chosen, best_val
 
 
 def _diagnose_root(cands: list[CandidatePair], cfg: AssemblyConfig) -> str:
@@ -360,7 +534,7 @@ def solve_stage1(
 
     def feasible(m: float):
         eligible = [c for c in cands if c.gap <= m]
-        search = _Search(eligible, cfg)
+        search = _ItemSearch(eligible, cfg)
         witness = search.search()
         if search.budget_hit:
             raise BudgetExhaustedError("node budget exhausted during stage-1 feasibility")
@@ -376,8 +550,7 @@ def solve_stage1(
     while lo <= hi:
         mid = (lo + hi) // 2
         # the held witness is feasible under every cap from its own largest gap
-        # up, so only smaller caps are searched; the bisection path is kept
-        # because the cost of a feasibility search swings widely between caps
+        # up, so only smaller caps are searched
         witness = best if gaps[mid] >= best_m else feasible(gaps[mid])
         if witness is not None:
             best, best_m = witness, max(c.gap for c in witness)
@@ -393,7 +566,7 @@ def solve_stage2(
     """Minimize total squared mismatch subject to max gap <= m* + epsilon."""
     eligible = [c for c in cands if c.gap <= m_star + STAGE2_EPSILON]
     search = _Search(eligible, cfg)
-    best, best_sse = search.search(best_sse=math.inf)
+    best, best_sse = search.search()
     if best is None:
         if search.budget_hit:
             raise BudgetExhaustedError(

@@ -454,7 +454,26 @@ def _pipeline_config(cfg: dict) -> dict:
         _require(cfg["ratings"], "pipeline ratings")
     if cfg["backend"] not in ("map", "hmc"):
         raise ConfigError(f"unknown backend: {cfg['backend']!r}")
+    n = cfg["n_personas"]
+    if not _count(n) or n < 1:
+        raise ConfigError(f"n_personas must be a positive integer, got {n!r}")
+    for name, seed in seeds.items():
+        if not _count(seed):
+            raise ConfigError(f"seeds.{name} must be a non-negative integer, got {seed!r}")
+    for key, parse in (("formats", _format), ("conditions", _condition)):
+        if not isinstance(cfg[key], list) or not cfg[key]:
+            raise ConfigError(f"{key} must be a non-empty list of names, got {cfg[key]!r}")
+        for label in cfg[key]:
+            try:
+                parse(label)
+            except (ConfigError, TypeError):  # unknown, or not a name at all
+                raise ConfigError(f"{key}: unknown name {label!r}") from None
     return cfg
+
+
+def _count(value) -> bool:
+    """Whether a JSON value is a non-negative integer (JSON booleans are not)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _reusable(raw: dict) -> tuple[dict, dict, dict]:

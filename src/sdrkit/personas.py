@@ -193,12 +193,23 @@ def write_persona_set(ps: PersonaSet, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
 
 
+def _five_numbers(p: dict, field: str) -> tuple:
+    value = p[field]
+    if not (
+        isinstance(value, list)
+        and len(value) == 5
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+    ):
+        raise ValueError(f"persona {p['id']!r}: {field} must be five numbers, got {value!r}")
+    return tuple(value)
+
+
 def _persona_set(raw: dict) -> PersonaSet:
     personas = tuple(
         Persona(
             id=p["id"],
-            z=tuple(p["z"]),
-            stanines=tuple(p["stanines"]),
+            z=_five_numbers(p, "z"),
+            stanines=_five_numbers(p, "stanines"),
             description=p["description"],
         )
         for p in raw["personas"]

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sdrkit import assemble as asm
 from sdrkit.assemble import (
@@ -16,7 +18,15 @@ from sdrkit.assemble import (
     solve_stage1,
     solve_stage2,
 )
-from sdrkit.core import AssemblyConfig, Item, ItemPool, TraitDomain, validate_inventory
+from sdrkit.core import (
+    AssemblyConfig,
+    GfcBlock,
+    Inventory,
+    Item,
+    ItemPool,
+    TraitDomain,
+    validate_inventory,
+)
 
 TRAITS = list(TraitDomain)
 
@@ -152,6 +162,26 @@ def test_exact_ties_resolved_by_id_order():
     assert [(b.left, b.right) for b in sol.inventory.blocks] == [("a1", "c1")]
 
 
+def test_item_beyond_its_traits_count_is_left_out():
+    # five exactly matched pairs use every trait twice; a3 is a third A item
+    pool = make_pool(
+        [
+            ("a1", TraitDomain.A, 1, 1.0), ("c1", TraitDomain.C, 1, 1.25),
+            ("a2", TraitDomain.A, 1, 2.5), ("e1", TraitDomain.E, 1, 2.75),
+            ("c2", TraitDomain.C, 1, 4.0), ("n1", TraitDomain.N, 1, 4.25),
+            ("e2", TraitDomain.E, 1, 5.5), ("o1", TraitDomain.O, 1, 5.75),
+            ("n2", TraitDomain.N, 1, 7.0), ("o2", TraitDomain.O, 1, 7.25),
+            ("a3", TraitDomain.A, 1, 9.0),
+        ]
+    )
+    cfg = AssemblyConfig(block_count=5, per_trait=2, mixed_key_range=None, sign_floor=None)
+    sol = assemble(pool, cfg)
+    assert sol.m_star == 0.25
+    assert [(b.left, b.right) for b in sol.inventory.blocks] == [
+        ("a1", "c1"), ("a2", "e1"), ("c2", "n1"), ("e2", "o1"), ("n2", "o2"),
+    ]
+
+
 def test_infeasible_families():
     # too few candidates at all
     pool = make_pool([("a1", TraitDomain.A, 1, 5.0), ("c1", TraitDomain.C, 1, 5.0)])
@@ -218,15 +248,15 @@ def test_standard_config_solves_recorded_instance_exactly(marker_pool):
 
 def test_stage1_never_searches_a_cap_its_witness_already_answers(marker_pool, monkeypatch):
     searches = []  # (cap, largest gap of the witness found or None), in order
-    real = asm._Search.search
+    real = asm._ItemSearch.search
 
-    def recording(self, best_sse=None):
-        witness = real(self, best_sse)
+    def recording(self):
+        witness = real(self)
         found = None if witness is None else max(c.gap for c in witness)
         searches.append((max(c.gap for c in self.cands), found))
         return witness
 
-    monkeypatch.setattr(asm._Search, "search", recording)
+    monkeypatch.setattr(asm._ItemSearch, "search", recording)
     cands = enumerate_candidates(standard_10_subset(marker_pool))
     m_star, witness = solve_stage1(cands, AssemblyConfig.standard(10))
     assert m_star == STANDARD_10_M_STAR == max(c.gap for c in witness)
@@ -236,6 +266,58 @@ def test_stage1_never_searches_a_cap_its_witness_already_answers(marker_pool, mo
         if found is not None:
             held = min(held, found)
     assert held == m_star
+
+
+def test_stage1_proves_recorded_instance_within_a_small_budget(marker_pool):
+    # searching by candidate id order needed tens of thousands of nodes at
+    # each of the infeasible caps just below m* on this instance
+    cands = enumerate_candidates(standard_10_subset(marker_pool))
+    cfg = dataclasses.replace(AssemblyConfig.standard(10), node_budget=1_000)
+    m_star, _ = solve_stage1(cands, cfg)
+    assert m_star == STANDARD_10_M_STAR
+
+
+def test_stage1_solves_the_paper_instance(marker_pool, marker_inventory):
+    # standard(30) over the whole 60-item pool: every item is used
+    cfg = AssemblyConfig.standard(30)
+    cands = enumerate_candidates(marker_pool)
+    m_star, witness = solve_stage1(cands, dataclasses.replace(cfg, node_budget=2_000))
+    shipped = max(
+        abs(marker_pool.get(b.left).desirability - marker_pool.get(b.right).desirability)
+        for b in marker_inventory.blocks
+    )
+    assert m_star == shipped == max(c.gap for c in witness)
+    inventory = Inventory(tuple(GfcBlock(c.left, c.right, c.gap) for c in witness))
+    report = validate_inventory(inventory, marker_pool, cfg)
+    assert report.ok, report.failed()
+
+
+# brute force takes about 1.5 s on a per-trait instance and milliseconds on the
+# others, so the example counts keep this under 2 s
+@pytest.mark.parametrize(
+    "make, examples", [(random_instance, 30), (random_per_trait_instance, 1)]
+)
+def test_stage1_gap_is_the_least_feasible_one(make, examples):
+    @settings(max_examples=examples, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def check(seed):
+        pool, cfg = make(np.random.default_rng(seed))
+        cands = enumerate_candidates(pool)
+        assume(len(cands) <= 40)
+        try:
+            oracle = brute_force_assemble(cands, cfg)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                solve_stage1(cands, cfg)
+            return
+        m_star, _ = solve_stage1(cands, cfg)
+        assert m_star == oracle.m_star
+        below = [c.gap for c in cands if c.gap < m_star]
+        if below:
+            eligible = [c for c in cands if c.gap <= max(below)]
+            assert asm._ItemSearch(eligible, cfg).search() is None
+
+    check()
 
 
 def test_stage2_node_budget_signals_exhaustion(marker_pool):

@@ -186,6 +186,20 @@ def test_pipeline_rejects_external_provider(tmp_path, instrument_files):
     assert main(["pipeline", "--config", str(cfg)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("study, message", [
+    ({"n_personas": "abc"}, "n_personas must be a positive integer, got 'abc'"),
+    ({"seeds": {"plan": "x"}}, "seeds.plan must be a non-negative integer, got 'x'"),
+    ({"formats": ["likert", "essay"]}, "formats: unknown name 'essay'"),
+    ({"conditions": "honest"}, "conditions must be a non-empty list of names, got 'honest'"),
+])
+def test_pipeline_config_value_of_the_wrong_kind_is_a_config_error(tmp_path, capsys, study,
+                                                                   message):
+    out_dir = tmp_path / "run"
+    assert _run_pipeline(tmp_path, out_dir, **study) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (out_dir / "manifest.json").exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -588,6 +602,21 @@ def test_report_on_a_fit_missing_a_field_is_a_stage_failure(tmp_path, capsys):
                "--out", str(tmp_path / "report")])
     assert rc == EXIT_STAGE
     message = f"stage failure: {fit}: malformed fit artifact: missing field 'persona_id'"
+    assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("z", ["high", [0.5]])
+def test_report_on_a_persona_z_that_is_not_five_numbers_is_a_stage_failure(tmp_path, capsys, z):
+    personas = tmp_path / "personas.json"
+    assert main(["personas", "--n", "3", "--seed", "1", "--out", str(personas)]) == EXIT_OK
+    raw = json.loads(personas.read_text())
+    raw["personas"][0]["z"] = z
+    personas.write_text(json.dumps(raw))
+    capsys.readouterr()
+    rc = main(["report", "--personas", str(personas), "--out", str(tmp_path / "report")])
+    assert rc == EXIT_STAGE
+    message = (f"stage failure: {personas}: malformed persona set: persona 'p001': "
+               f"z must be five numbers, got {z!r}")
     assert capsys.readouterr().err.startswith(message)
 
 

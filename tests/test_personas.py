@@ -1,5 +1,7 @@
 """Persona sampling, stanine mapping, and description rendering."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,21 @@ def test_persona_set_round_trip(tmp_path):
     write_persona_set(ps, f)
     back = load_persona_set(f)
     assert back == ps
+
+
+@pytest.mark.parametrize("field, value", [("z", "high"), ("z", [0.5]), ("stanines", [5, 5])])
+def test_persona_set_rejects_a_field_that_is_not_five_numbers(tmp_path, field, value):
+    f = tmp_path / "personas.json"
+    write_persona_set(sample_personas(2, seed=7), f)
+    raw = json.loads(f.read_text())
+    raw["personas"][1][field] = value
+    f.write_text(json.dumps(raw))
+    with pytest.raises(PersonaError) as exc:
+        load_persona_set(f)
+    assert str(exc.value) == (
+        f"{f}: malformed persona set: persona 'p002': {field} must be five numbers, "
+        f"got {value!r}"
+    )
 
 
 def test_descriptions_match_stanines():
