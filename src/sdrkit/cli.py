@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import shutil
 import sys
@@ -373,8 +374,7 @@ def _item_param_dict(data, params) -> dict:
         "a_plus": {iid: float(a) for iid, a in zip(design.item_ids, params.a_plus)},
         "thresholds": {},
     }
-    keys = design.block_ids if design.model == "gfc" else design.item_ids
-    for key, row in zip(keys, params.kappa):
+    for key, row in zip(design.columns, params.kappa):
         out["thresholds"][key] = [float(v) for v in row]
     return out
 
@@ -440,6 +440,7 @@ def _pipeline_config(cfg: dict) -> dict:
     cfg.setdefault("backend", "map")
     cfg.setdefault("formats", ["likert", "gfc"])
     cfg.setdefault("conditions", ["honest", "fake_good"])
+    cfg.setdefault("out_dir", "run")
     seeds = dict(_DEFAULT_SEEDS)
     seeds.update(cfg.get("seeds", {}))
     cfg["seeds"] = seeds
@@ -468,6 +469,19 @@ def _pipeline_config(cfg: dict) -> dict:
                 parse(label)
             except (ConfigError, TypeError):  # unknown, or not a name at all
                 raise ConfigError(f"{key}: unknown name {label!r}") from None
+    # the report pairs each persona's honest and fake-good fits
+    conditions = cfg["conditions"]
+    if {_condition(c) for c in conditions} != set(InstructionCondition):
+        raise ConfigError(f"conditions must name both honest and fake_good, got {conditions!r}")
+    if not isinstance(cfg["out_dir"], str):
+        raise ConfigError(f"out_dir must be a path string, got {cfg['out_dir']!r}")
+    delta = provider["fake_good_delta"]
+    # type(), not isinstance(): a JSON boolean is not a number here
+    if type(delta) not in (int, float) or not math.isfinite(delta) or delta < 0:
+        raise ConfigError(f"provider.fake_good_delta must be a finite number >= 0, got {delta!r}")
+    if not isinstance(provider["matched_discrimination"], bool):
+        raise ConfigError("provider.matched_discrimination must be true or false, got "
+                          f"{provider['matched_discrimination']!r}")
     return cfg
 
 
@@ -539,7 +553,7 @@ _DATA_FILES = ("pool", "inventory", "ratings")
 def cmd_pipeline(args) -> int:
     cfg = read_json(_require(args.config, "pipeline config"), _pipeline_config,
                     "pipeline config", ConfigError)
-    out_dir = Path(cfg.get("out_dir", "run"))
+    out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds, sim, backend = cfg["seeds"], cfg["provider"], cfg["backend"]
     data = [k for k in _DATA_FILES if cfg.get(k)]
@@ -563,7 +577,7 @@ def cmd_pipeline(args) -> int:
                lambda p: write_persona_set(sample_personas(n, seed=seed), p))
     personas = load_persona_set(out_dir / "personas.json")
 
-    seed, matched = seeds["params"], bool(sim["matched_discrimination"])
+    seed, matched = seeds["params"], sim["matched_discrimination"]
     stages.run(["sim_params.json"], {"seed": seed, "matched": matched}, data,
                lambda p: write_sim_params(default_sim_params(
                    inventory, pool, seed=seed, matched_discrimination=matched), p))

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 
 class SdrkitError(Exception):
     """Base class for all package errors."""
@@ -64,6 +66,10 @@ DESIRABLE_DIRECTION: dict[TraitDomain, int] = {
     TraitDomain.N: -1,
     TraitDomain.O: +1,
 }
+
+#: Per-trait sign of the socially desirable direction, (A, C, E, N, O) order.
+DESIRABLE_SIGNS = np.array([DESIRABLE_DIRECTION[t] for t in TRAIT_ORDER], dtype=float)
+DESIRABLE_SIGNS.setflags(write=False)
 
 N_CATEGORIES = 7  # both response formats use a 7-point scale
 

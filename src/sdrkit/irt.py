@@ -62,9 +62,9 @@ class Design:
     """Item design shared by both models.
 
     ``item_ids``/``trait_idx``/``keying`` describe the statements. For the GFC
-    model, ``left_item``/``right_item`` index statements per block and
-    thresholds are per block; for Likert they are empty and thresholds are per
-    item.
+    model the statements are in block order (left, right, left, ...) and
+    thresholds are per block; for Likert ``block_ids`` is empty and
+    thresholds are per item.
     """
 
     model: str  # "grm" or "gfc"
@@ -72,16 +72,23 @@ class Design:
     trait_idx: np.ndarray  # (J,) int
     keying: np.ndarray  # (J,) +-1
     block_ids: tuple[str, ...] = ()
-    left_item: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    right_item: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
     @property
     def n_items(self) -> int:
         return len(self.item_ids)
 
     @property
+    def paired(self) -> bool:
+        return self.model == "gfc"
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """The unit ids answered, one per response column and threshold row."""
+        return self.block_ids if self.paired else self.item_ids
+
+    @property
     def n_threshold_groups(self) -> int:
-        return len(self.block_ids) if self.model == "gfc" else self.n_items
+        return len(self.columns)
 
 
 @dataclass(frozen=True)
@@ -121,10 +128,10 @@ def _response_layout(design: Design, y: np.ndarray) -> ResponseLayout:
     j = design.n_items
     traits = np.zeros((j, N_TRAITS))
     traits[np.arange(j), design.trait_idx] = 1.0
-    scatter = np.zeros((len(design.block_ids), j))
     blocks = np.arange(len(design.block_ids))
-    scatter[blocks, design.right_item] += INV_SQRT2
-    scatter[blocks, design.left_item] -= INV_SQRT2
+    scatter = np.zeros((len(blocks), j))
+    scatter[blocks, 2 * blocks + 1] = INV_SQRT2
+    scatter[blocks, 2 * blocks] = -INV_SQRT2
     return ResponseLayout(
         order=order,
         restore=np.argsort(order),
@@ -175,27 +182,19 @@ class ModelData:
         return self.y.shape[0]
 
 
-def likert_design(inventory: Inventory, pool: ItemPool) -> Design:
+def design_for(inventory: Inventory, pool: ItemPool, fmt: ResponseFormat) -> Design:
+    """The scoring design of an inventory in one response format."""
     ids = inventory.statements
+    if len(set(ids)) != len(ids):
+        reused = sorted({i for i in ids if ids.count(i) > 1})
+        raise SdrkitError(f"inventory uses items in more than one block: {reused}")
+    gfc = fmt is ResponseFormat.GFC
     return Design(
-        model="grm",
+        model="gfc" if gfc else "grm",
         item_ids=ids,
         trait_idx=np.array([pool.get(i).domain.index for i in ids]),
         keying=np.array([pool.get(i).keying for i in ids]),
-    )
-
-
-def gfc_design(inventory: Inventory, pool: ItemPool) -> Design:
-    ids = inventory.statements
-    pos = {iid: k for k, iid in enumerate(ids)}
-    return Design(
-        model="gfc",
-        item_ids=ids,
-        trait_idx=np.array([pool.get(i).domain.index for i in ids]),
-        keying=np.array([pool.get(i).keying for i in ids]),
-        block_ids=tuple(block_id(b.left, b.right) for b in inventory.blocks),
-        left_item=np.array([pos[b.left] for b in inventory.blocks]),
-        right_item=np.array([pos[b.right] for b in inventory.blocks]),
+        block_ids=tuple(block_id(b.left, b.right) for b in inventory.blocks) if gfc else (),
     )
 
 
@@ -215,12 +214,8 @@ def build_model_data(
     if not sets:
         raise SdrkitError(f"no response sets with format {fmt.value}")
     sets.sort(key=lambda rs: (rs.respondent_id, rs.persona_id, rs.condition.value))
-    if fmt is ResponseFormat.LIKERT:
-        design = likert_design(inventory, pool)
-        cols = design.item_ids
-    else:
-        design = gfc_design(inventory, pool)
-        cols = design.block_ids
+    design = design_for(inventory, pool, fmt)
+    cols = design.columns
     rows = []
     for rs in sets:
         try:
@@ -230,7 +225,7 @@ def build_model_data(
                 f"response set {rs.respondent_id}/{rs.persona_id}/{rs.condition.value} "
                 f"({fmt.value}) has no answer for unit {exc.args[0]!r}"
             ) from None
-        if design.model == "gfc":
+        if design.paired:
             row = [8 - a if rs.side_assignment.get(c, False) else a for c, a in zip(cols, row)]
         rows.append(row)
     units = tuple(
@@ -283,6 +278,21 @@ def unpack(data: ModelData, x: np.ndarray) -> ParamVector:
 # ---------------------------------------------------------------------------
 
 
+def utilities(
+    theta: np.ndarray, trait_idx: np.ndarray, a_signed: np.ndarray, paired: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Statement utilities ``mu`` (N, J) and linear predictors ``eta`` of the
+    item model for the (N, 5) trait rows ``theta``.
+
+    Likert: eta is mu. GFC (``paired``, statements in block order): eta is
+    each block's scaled right-minus-left utility difference, (N, J / 2).
+    """
+    mu = theta[:, trait_idx] * a_signed
+    if not paired:
+        return mu, mu
+    return mu, (mu[:, 1::2] - mu[:, 0::2]) * INV_SQRT2
+
+
 def _posterior_core(data: ModelData, x: np.ndarray, need_grad: bool):
     if not np.all(np.isfinite(x)):
         raise SdrkitError("non-finite parameter value")
@@ -301,11 +311,7 @@ def _posterior_core(data: ModelData, x: np.ndarray, need_grad: bool):
     kappa_ext[:, N_CATEGORIES] = np.inf
     kappa = kappa_ext[:, 1:N_CATEGORIES]
 
-    mu = theta[:, design.trait_idx] * a_signed  # (N, J) statement utilities
-    if design.model == "grm":
-        eta = mu
-    else:
-        eta = (mu[:, design.right_item] - mu[:, design.left_item]) * INV_SQRT2
+    mu, eta = utilities(theta, design.trait_idx, a_signed, design.paired)
 
     k_flat = kappa_ext.ravel()
     logp, g_lo, g_hi = log_prob_and_grads(
@@ -327,7 +333,7 @@ def _posterior_core(data: ModelData, x: np.ndarray, need_grad: bool):
         return lp, None
 
     geta = (g_lo + g_hi)[layout.restore].reshape(eta.shape)
-    gmu = geta if design.model == "grm" else geta @ layout.scatter
+    gmu = geta @ layout.scatter if design.paired else geta
     gtheta = (gmu * a_signed) @ layout.traits
     galpha = (gmu * mu).sum(axis=0)
 

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SdrkitError, TRAIT_LABELS, UndefinedStatisticError
-from .simulate import DESIRABLE_SIGNS
+from .core import DESIRABLE_SIGNS, SdrkitError, TRAIT_LABELS, UndefinedStatisticError
 
 
 @dataclass(frozen=True)

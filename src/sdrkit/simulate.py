@@ -1,9 +1,10 @@
 """Generative IRT simulator: offline respondent provider and scoring oracle.
 
-The simulator draws responses from the same ordered-logistic kernel the
-estimator fits, so simulated data and the scoring model are exactly
-conjugate. The fake-good condition is modeled as a uniform latent shift of
-``delta`` per trait toward the socially desirable pole.
+The simulator is conjugate to the scorer by construction: it computes its
+linear predictors with the scorer's own item model (:func:`sdrkit.irt.utilities`)
+and draws answers from the same ordered-logistic kernel the estimator fits.
+The fake-good condition is modeled as a uniform latent shift of ``delta``
+per trait toward the socially desirable pole.
 """
 
 from __future__ import annotations
@@ -18,23 +19,18 @@ import numpy as np
 
 from .administer import ProviderReply, ProviderRequest, SessionPlan, block_id, keyed_rng
 from .core import (
-    DESIRABLE_DIRECTION,
+    DESIRABLE_SIGNS,
     InstructionCondition,
     Inventory,
     ItemPool,
     ResponseFormat,
     ResponseSet,
     SdrkitError,
-    TRAIT_ORDER,
     read_json,
 )
+from .irt import build_model_data, utilities
 from .ordinal import _category_probs, check_thresholds
 from .personas import Persona
-
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-#: Per-trait sign of the socially desirable direction, (A, C, E, N, O) order.
-DESIRABLE_SIGNS = np.array([DESIRABLE_DIRECTION[t] for t in TRAIT_ORDER], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -72,21 +68,6 @@ class SimSpec:
     def __post_init__(self) -> None:
         if not math.isfinite(self.fake_good_delta) or self.fake_good_delta < 0:
             raise SdrkitError("fake-good shift must be finite and nonnegative")
-
-
-def likert_eta(theta: np.ndarray, item: ItemParams) -> float:
-    """Linear predictor for a single-stimulus response: keyed discrimination
-    times the trait score the item loads on."""
-    return float(item.a_signed * theta[item.trait])
-
-
-def gfc_eta(theta: np.ndarray, left: ItemParams, right: ItemParams) -> float:
-    """Scaled right-minus-left latent utility difference for a block."""
-    if left.trait == right.trait:
-        raise SdrkitError("GFC pair must span two different traits")
-    mu_left = left.a_signed * theta[left.trait]
-    mu_right = right.a_signed * theta[right.trait]
-    return float((mu_right - mu_left) * INV_SQRT2)
 
 
 def effective_theta(
@@ -151,22 +132,21 @@ def simulate_answers(
     answers bit for bit and paired draws share their noise.
     """
     theta = effective_theta(persona.z, condition, spec.fake_good_delta)
-    if fmt is ResponseFormat.LIKERT:
-        items = [_item_params(params, uid) for uid in unit_ids]
-        eta = [likert_eta(theta, item) for item in items]
-        kappa = [item.kappa for item in items]
+    paired = fmt is ResponseFormat.GFC
+    # GFC: statements in block order; the partition is the inverse of block_id
+    ids = [i for uid in unit_ids for i in uid.partition("~")[::2]] if paired else unit_ids
+    items = [_param(params.items, i, "item parameters") for i in ids]
+    if paired:
+        kappa = [_param(params.block_kappa, uid, "block thresholds") for uid in unit_ids]
+        if any(left.trait == right.trait for left, right in zip(items[::2], items[1::2])):
+            raise SdrkitError("GFC pair must span two different traits")
     else:
-        eta, kappa = [], []
-        for uid in unit_ids:
-            block_kappa = params.block_kappa.get(uid)
-            if block_kappa is None:
-                raise SdrkitError(f"missing block thresholds for {uid}")
-            left, _, right = uid.partition("~")  # the inverse of block_id
-            eta.append(gfc_eta(theta, _item_params(params, left), _item_params(params, right)))
-            kappa.append(block_kappa)
+        kappa = [item.kappa for item in items]
+    _, eta = utilities(theta[None], np.array([it.trait for it in items], dtype=int),
+                       np.array([it.a_signed for it in items]), paired)
     u = [keyed_rng(spec.seed, persona.id, fmt.value, uid).random() for uid in unit_ids]
     # ItemParams and SimParams checked the thresholds at construction
-    cdf = np.cumsum(_category_probs(np.array(eta), np.reshape(kappa, (-1, 6))), axis=-1)
+    cdf = np.cumsum(_category_probs(eta[0], np.reshape(kappa, (-1, 6))), axis=-1)
     # searchsorted(cdf, u, side="right") over the first six entries: the last
     # may round below 1.0, and a u above it must still answer 7, not 8
     return (cdf[:, :-1] <= np.array(u)[:, None]).sum(axis=-1) + 1
@@ -202,11 +182,11 @@ def simulate_response_set(
     )
 
 
-def _item_params(params: SimParams, item_id: str) -> ItemParams:
-    ip = params.items.get(item_id)
-    if ip is None:
-        raise SdrkitError(f"missing item parameters for {item_id!r}")
-    return ip
+def _param(table: Mapping, key: str, what: str):
+    value = table.get(key)
+    if value is None:
+        raise SdrkitError(f"missing {what} for {key!r}")
+    return value
 
 
 class SimulatorProvider:
@@ -254,26 +234,13 @@ def naive_gfc_count_scores(
     to the block count: the ipsativity pathology this toolkit's model-based
     scoring exists to avoid.
     """
-    blocks = {block_id(b.left, b.right): b for b in inventory.blocks}
-    out: dict[str, np.ndarray] = {}
-    for rs in response_sets:
-        if rs.format is not ResponseFormat.GFC:
-            raise SdrkitError("count scoring applies to GFC response sets")
-        scores = np.zeros(5)
-        for bid, answer in rs.answers.items():
-            b = blocks[bid]
-            y = 8 - answer if rs.side_assignment.get(bid, False) else answer
-            lt = pool.get(b.left).domain.index
-            rt = pool.get(b.right).domain.index
-            if y > 4:
-                scores[rt] += 1.0
-            elif y < 4:
-                scores[lt] += 1.0
-            else:
-                scores[lt] += 0.5
-                scores[rt] += 0.5
-        out[rs.persona_id] = scores
-    return out
+    if any(rs.format is not ResponseFormat.GFC for rs in response_sets):
+        raise SdrkitError("count scoring applies to GFC response sets")
+    data = build_model_data(response_sets, inventory, pool, ResponseFormat.GFC)
+    y, traits = data.y, data.layout.traits  # statements in block order
+    tie = 0.5 * (y == 4)
+    scores = ((y < 4) + tie) @ traits[0::2] + ((y > 4) + tie) @ traits[1::2]
+    return {persona: row for (_, persona, _), row in zip(data.units, scores)}
 
 
 # ---------------------------------------------------------------------------

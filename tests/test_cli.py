@@ -191,13 +191,30 @@ def test_pipeline_rejects_external_provider(tmp_path, instrument_files):
     ({"seeds": {"plan": "x"}}, "seeds.plan must be a non-negative integer, got 'x'"),
     ({"formats": ["likert", "essay"]}, "formats: unknown name 'essay'"),
     ({"conditions": "honest"}, "conditions must be a non-empty list of names, got 'honest'"),
+    ({"conditions": ["honest"]},
+     "conditions must name both honest and fake_good, got ['honest']"),
+    ({"provider": {"fake_good_delta": "x"}},
+     "provider.fake_good_delta must be a finite number >= 0, got 'x'"),
+    ({"provider": {"fake_good_delta": -1}},
+     "provider.fake_good_delta must be a finite number >= 0, got -1"),
+    ({"provider": {"fake_good_delta": float("inf")}},
+     "provider.fake_good_delta must be a finite number >= 0, got inf"),
+    ({"provider": {"matched_discrimination": "false"}},
+     "provider.matched_discrimination must be true or false, got 'false'"),
 ])
 def test_pipeline_config_value_of_the_wrong_kind_is_a_config_error(tmp_path, capsys, study,
                                                                    message):
     out_dir = tmp_path / "run"
     assert _run_pipeline(tmp_path, out_dir, **study) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not (out_dir / "manifest.json").exists()
+    assert not out_dir.exists()  # no stage wrote anything
+
+
+def test_pipeline_out_dir_must_be_a_string(tmp_path, capsys):
+    cfg = tmp_path / "pipeline.json"
+    cfg.write_text(json.dumps({"backend": "map", "out_dir": 5}))
+    assert main(["pipeline", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: out_dir must be a path string, got 5\n"
 
 
 def test_version_flag(capsys):

@@ -12,7 +12,9 @@ from scipy import special, stats
 
 from sdrkit import irt
 from sdrkit.core import (
+    GfcBlock,
     InstructionCondition,
+    Inventory,
     ResponseFormat,
     ResponseSet,
     SdrkitError,
@@ -28,10 +30,9 @@ from sdrkit.irt import (
     ess_bulk,
     fit_hmc,
     fit_map,
+    design_for,
     fit_theta_frame,
-    gfc_design,
     grad_log_posterior,
-    likert_design,
     load_fit_artifact,
     log_posterior,
     log_posterior_and_grad,
@@ -41,7 +42,8 @@ from sdrkit.irt import (
     write_fit_artifact,
 )
 from sdrkit.personas import sample_personas
-from sdrkit.simulate import SimSpec, default_sim_params, simulate_response_set
+from sdrkit.ordinal import category_probs
+from sdrkit.simulate import SimSpec, default_sim_params, effective_theta, simulate_response_set
 
 
 def make_data(small_pool_inventory, fmt, n_personas=6, seed=0, conditions=None):
@@ -90,6 +92,23 @@ def test_build_model_data_canonicalizes_flipped_sides(small_pool_inventory):
     by_unit = {u[1]: row for u, row in zip(data.units, data.y)}
     assert list(by_unit["p"]) == [2] * 5
     assert list(by_unit["q"]) == [6] * 5  # 8 - 2 after canonicalization
+
+
+@pytest.mark.parametrize("fmt", list(ResponseFormat))
+def test_design_for_rejects_an_item_used_in_two_blocks(small_pool_inventory, fmt):
+    pool, inv = small_pool_inventory
+    reused = Inventory(inv.blocks + (GfcBlock("a1", "e2", 0.1),))
+    with pytest.raises(SdrkitError, match="'a1'"):
+        design_for(reused, pool, fmt)
+
+
+def test_design_columns_follow_the_format(small_pool_inventory):
+    pool, inv = small_pool_inventory
+    likert = design_for(inv, pool, ResponseFormat.LIKERT)
+    gfc = design_for(inv, pool, ResponseFormat.GFC)
+    assert likert.columns == likert.item_ids == gfc.item_ids == inv.statements
+    assert gfc.columns == tuple(f"{b.left}~{b.right}" for b in inv.blocks)
+    assert (likert.n_threshold_groups, gfc.n_threshold_groups) == (10, 5)
 
 
 def test_build_model_data_requires_format(small_pool_inventory):
@@ -218,7 +237,7 @@ def test_gradient_matches_finite_differences_on_open_and_interior_columns(
     """Column 0 holds only category 1, column 1 only category 7, column 2
     every category; the rest are random. Every coordinate is checked."""
     pool, inv = small_pool_inventory
-    design = likert_design(inv, pool) if fmt is ResponseFormat.LIKERT else gfc_design(inv, pool)
+    design = design_for(inv, pool, fmt)
     n = 7
     rng = np.random.default_rng(50)
     y = rng.integers(1, 8, size=(n, design.n_threshold_groups))
@@ -236,6 +255,57 @@ def test_gradient_matches_finite_differences_on_open_and_interior_columns(
             xm[i] -= h
             num = (log_posterior(data, xp) - log_posterior(data, xm)) / (2 * h)
             assert grad[i] == pytest.approx(num, rel=2e-5, abs=2e-5)
+
+
+@pytest.mark.parametrize("fmt", list(ResponseFormat))
+def test_scorer_likelihood_is_the_simulator_model(small_pool_inventory, fmt):
+    """At the generating item parameters and traits, the scorer's likelihood
+    (its log posterior less the prior and Jacobian terms) equals the sum of
+    log category probabilities of the simulated answers, each computed here
+    from its own unit's scalar utilities."""
+    pool, inv = small_pool_inventory
+    params = default_sim_params(inv, pool, seed=61)
+    spec = SimSpec(fake_good_delta=1.0, seed=62)
+    personas = sample_personas(5, seed=60)
+    sets = [
+        simulate_response_set(p, inv, params, fmt, cond, spec)
+        for p in personas
+        for cond in InstructionCondition
+    ]
+    data = build_model_data(sets, inv, pool, fmt)
+    by_id = personas.by_id()
+    theta = np.array([
+        effective_theta(by_id[persona].z, InstructionCondition(cond), spec.fake_good_delta)
+        for _, persona, cond in data.units
+    ])
+    items = [params.items[i] for i in data.design.item_ids]
+    a_plus = np.array([it.a_plus for it in items])
+    if fmt is ResponseFormat.GFC:
+        kappa = np.array([params.block_kappa[b] for b in data.design.block_ids])
+    else:
+        kappa = np.array([it.kappa for it in items])
+    x = np.concatenate([
+        theta.ravel(), np.log(a_plus), kappa[:, 0], np.log(np.diff(kappa, axis=1)).ravel()
+    ])
+    prior_and_jacobian = (
+        -0.5 * (theta**2).sum() / irt.THETA_PRIOR_SD**2
+        + (-(a_plus**2) / (2 * irt.A_PLUS_PRIOR_SD**2) + np.log(a_plus)).sum()
+        - (kappa**2).sum() / (2 * irt.KAPPA_PRIOR_SD**2)
+        + np.log(np.diff(kappa, axis=1)).sum()
+    )
+
+    def eta(row, col):
+        mu = [it.a_signed * row[it.trait] for it in items]
+        if fmt is ResponseFormat.LIKERT:
+            return mu[col]
+        return (mu[2 * col + 1] - mu[2 * col]) / math.sqrt(2.0)  # right minus left
+
+    expected = sum(
+        math.log(category_probs(eta(row, col), kappa[col])[answer - 1])
+        for row, answers in zip(theta, data.y)
+        for col, answer in enumerate(answers)
+    )
+    assert log_posterior(data, x) - prior_and_jacobian == pytest.approx(expected, rel=0, abs=1e-9)
 
 
 def test_keying_flip_with_theta_negation_is_invariant(small_pool_inventory):
@@ -315,7 +385,7 @@ def test_map_midpoint_responses_give_near_zero_theta(small_pool_inventory):
 
 def test_map_rejects_empty_data(small_pool_inventory):
     pool, inv = small_pool_inventory
-    design = likert_design(inv, pool)
+    design = design_for(inv, pool, ResponseFormat.LIKERT)
     data = ModelData(design=design, y=np.empty((0, 10), dtype=int), units=())
     with pytest.raises(SdrkitError):
         fit_map(data)

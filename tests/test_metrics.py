@@ -1,5 +1,10 @@
 """Effect sizes, recovery correlations, and usage-zone classification."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +21,16 @@ from sdrkit.metrics import (
     recovery_zone,
     summarize_effects,
 )
+
+
+def test_metrics_and_report_do_not_import_the_simulator():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, sdrkit.metrics, sdrkit.report; print('sdrkit.simulate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_cohens_dz_hand_example():

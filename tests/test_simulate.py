@@ -1,5 +1,6 @@
 """Generative simulator: determinism, shift semantics, and provider parity."""
 
+import math
 import sys
 import threading
 from dataclasses import replace
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sdrkit import simulate
+from sdrkit import irt, simulate
 from sdrkit.administer import (
     ProviderRequest,
     block_id,
@@ -18,21 +19,20 @@ from sdrkit.administer import (
     run_session,
 )
 from sdrkit.core import (
+    DESIRABLE_SIGNS,
     InstructionCondition,
     ResponseFormat,
+    ResponseSet,
     SdrkitError,
 )
 from sdrkit.ordinal import _category_probs, category_probs
 from sdrkit.personas import Persona, sample_personas
 from sdrkit.simulate import (
-    DESIRABLE_SIGNS,
     ItemParams,
     SimSpec,
     SimulatorProvider,
     default_sim_params,
     effective_theta,
-    gfc_eta,
-    likert_eta,
     load_sim_params,
     naive_gfc_count_scores,
     simulate_answers,
@@ -52,22 +52,20 @@ def test_item_params_validation():
     assert ip.a_signed == -1.5
 
 
-def test_likert_eta_uses_keyed_loading():
-    theta = np.array([0.0, 0.0, 2.0, 0.0, 0.0])
-    pos = ItemParams(a_plus=1.2, keying=1, trait=2, kappa=KAPPA)
-    neg = ItemParams(a_plus=1.2, keying=-1, trait=2, kappa=KAPPA)
-    assert likert_eta(theta, pos) == pytest.approx(2.4)
-    assert likert_eta(theta, neg) == pytest.approx(-2.4)
+def test_likert_utilities_use_keyed_loadings():
+    theta = np.array([[0.0, 0.0, 2.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.0, 0.0]])
+    mu, eta = irt.utilities(theta, np.array([2, 2]), np.array([1.2, -1.2]), paired=False)
+    assert np.allclose(eta, [[2.4, -2.4], [-1.2, 1.2]])
+    assert np.array_equal(mu, eta)
 
 
-def test_gfc_eta_is_scaled_utility_difference():
-    theta = np.array([1.0, -1.0, 0.0, 0.0, 0.0])
-    left = ItemParams(a_plus=1.0, keying=1, trait=0, kappa=KAPPA)
-    right = ItemParams(a_plus=2.0, keying=1, trait=1, kappa=KAPPA)
-    assert gfc_eta(theta, left, right) == pytest.approx((-2.0 - 1.0) / np.sqrt(2))
-    same_trait = ItemParams(a_plus=1.0, keying=1, trait=0, kappa=KAPPA)
-    with pytest.raises(SdrkitError):
-        gfc_eta(theta, left, same_trait)
+def test_gfc_utilities_are_scaled_right_minus_left_differences():
+    theta = np.array([[1.0, -1.0, 0.0, 0.0, 0.0]])
+    # blocks (left A, right C) and (left E keyed -, right A)
+    mu, eta = irt.utilities(theta, np.array([0, 1, 2, 0]), np.array([1.0, 2.0, -1.5, 0.5]),
+                            paired=True)
+    assert np.allclose(mu, [[1.0, -2.0, 0.0, 0.5]])
+    assert np.allclose(eta, [[(-2.0 - 1.0) / np.sqrt(2), (0.5 - 0.0) / np.sqrt(2)]])
 
 
 def test_effective_theta_shift_direction():
@@ -207,10 +205,11 @@ def reference_answer(persona, fmt, condition, unit_id, params, spec):
     theta = effective_theta(persona.z, condition, spec.fake_good_delta)
     if fmt is ResponseFormat.LIKERT:
         item = params.items[unit_id]
-        eta, kappa = likert_eta(theta, item), item.kappa
+        eta, kappa = item.a_signed * theta[item.trait], item.kappa
     else:
-        left, right = unit_id.split("~")
-        eta = gfc_eta(theta, params.items[left], params.items[right])
+        left, right = (params.items[i] for i in unit_id.split("~"))
+        mu_left, mu_right = (it.a_signed * theta[it.trait] for it in (left, right))
+        eta = (mu_right - mu_left) / math.sqrt(2.0)
         kappa = params.block_kappa[unit_id]
     cdf = np.cumsum(category_probs(eta, np.asarray(kappa)))
     u = keyed_rng(spec.seed, persona.id, fmt.value, unit_id).random()
@@ -392,6 +391,20 @@ def test_naive_count_scores_are_ipsative(small_pool_inventory):
                                   ResponseFormat.LIKERT, InstructionCondition.HONEST, spec)
         ]
         naive_gfc_count_scores(likert_sets, inv, pool)
+
+
+def test_naive_count_scores_credit_the_chosen_side_as_displayed(small_pool_inventory):
+    pool, inv = small_pool_inventory
+    # blocks (a1, c1), (c2, e2), (e1, n2), (n1, o2), (o1, a2)
+    bids = [block_id(b.left, b.right) for b in inv.blocks]
+    rs = ResponseSet(
+        respondent_id="m", persona_id="p", format=ResponseFormat.GFC,
+        condition=InstructionCondition.HONEST, answers=dict(zip(bids, [7, 1, 4, 5, 3])),
+        presentation_order=tuple(bids), side_assignment={bids[0]: True},
+    )
+    scores = naive_gfc_count_scores([rs], inv, pool)
+    # a1 chosen (shown on the right), c2, a tie of e1 and n2, o2, o1
+    assert scores["p"].tolist() == [1.0, 1.0, 0.5, 0.5, 2.0]
 
 
 def test_sim_params_round_trip(tmp_path, small_pool_inventory):
