@@ -1,5 +1,7 @@
 """Questionnaire prompt rendering, session execution, and provider plumbing.
 
+A session presents the units of ``Inventory.units(fmt)`` (statements or
+blocks) in a per-persona order, each with its statement texts as displayed.
 Prompt renderers are pure and byte-stable; the templates are pinned by golden
 tests. Sessions retry non-conforming replies with the identical prompt up to
 ``MAX_RETRIES`` additional times (transport failures are retried separately,
@@ -27,6 +29,7 @@ from .core import (
     ResponseFormat,
     ResponseSet,
     SdrkitError,
+    Unit,
 )
 from .personas import Persona
 
@@ -230,11 +233,8 @@ class HttpProvider:
 
 
 @dataclass(frozen=True)
-class SessionUnit:
-    id: str  # item id (Likert) or block id (GFC)
-    statement: str | None = None  # Likert
-    left_text: str | None = None  # GFC, as displayed
-    right_text: str | None = None
+class SessionUnit(Unit):
+    texts: tuple[str, ...]  # statement texts as displayed, left before right
     flipped: bool = False  # GFC: displayed left/right swapped vs. canonical
 
 
@@ -260,10 +260,6 @@ class SessionResult:
         return self.response_set is not None
 
 
-def block_id(left: str, right: str) -> str:
-    return f"{left}~{right}"
-
-
 def make_session_plans(
     personas: Sequence[Persona],
     inventory: Inventory,
@@ -275,42 +271,22 @@ def make_session_plans(
 ) -> list[SessionPlan]:
     """Build the fully crossed persona x format x condition session plans.
 
-    Presentation order is randomized once per (persona, format) and reused
-    across instruction conditions; GFC left/right assignment is likewise drawn
-    once per persona and held fixed.
+    Each format's units are ``inventory.units(fmt)``. Presentation order is
+    randomized once per (persona, format) and reused across instruction
+    conditions; GFC left/right assignment is likewise drawn once per persona
+    and held fixed.
     """
+    # each format's units as displayed, unflipped and flipped, in inventory order
+    tables = {fmt: [_displayed(u, pool) for u in inventory.units(fmt)] for fmt in formats}
     plans: list[SessionPlan] = []
     for persona in personas:
         per_format_units: dict[ResponseFormat, tuple[SessionUnit, ...]] = {}
-        for fmt in formats:
-            rng = keyed_rng(seed, persona.id, fmt.value)
-            if fmt is ResponseFormat.LIKERT:
-                ids = list(inventory.statements)
-                order = rng.permutation(len(ids))
-                units = tuple(
-                    SessionUnit(id=ids[i], statement=pool.get(ids[i]).text) for i in order
-                )
-            else:
-                blocks = list(inventory.blocks)
-                order = rng.permutation(len(blocks))
-                flips = keyed_rng(seed, persona.id, "sides").random(len(blocks)) < 0.5
-                units = []
-                for i in order:
-                    b = blocks[i]
-                    lt, rt = pool.get(b.left).text, pool.get(b.right).text
-                    flipped = bool(flips[i])
-                    if flipped:
-                        lt, rt = rt, lt
-                    units.append(
-                        SessionUnit(
-                            id=block_id(b.left, b.right),
-                            left_text=lt,
-                            right_text=rt,
-                            flipped=flipped,
-                        )
-                    )
-                units = tuple(units)
-            per_format_units[fmt] = units
+        for fmt, table in tables.items():
+            order = keyed_rng(seed, persona.id, fmt.value).permutation(len(table)).tolist()
+            flips = [False] * len(table)
+            if fmt is ResponseFormat.GFC:
+                flips = (keyed_rng(seed, persona.id, "sides").random(len(table)) < 0.5).tolist()
+            per_format_units[fmt] = tuple(table[i][flips[i]] for i in order)
         for fmt in formats:
             for cond in conditions:
                 plans.append(
@@ -325,6 +301,13 @@ def make_session_plans(
     return plans
 
 
+def _displayed(unit: Unit, pool: ItemPool) -> tuple[SessionUnit, SessionUnit]:
+    """``unit`` as shown: with its sides as in the inventory, and swapped."""
+    texts = tuple(pool.get(i).text for i in unit.statements)
+    return (SessionUnit(unit.id, unit.statements, texts),
+            SessionUnit(unit.id, unit.statements, texts[::-1], flipped=True))
+
+
 def keyed_rng(seed: int, *key: str) -> np.random.Generator:
     """Generator seeded by SHA-256 of the seed and key parts, joined by U+001F."""
     digest = hashlib.sha256(("\x1f".join([str(seed), *key])).encode()).digest()
@@ -332,11 +315,8 @@ def keyed_rng(seed: int, *key: str) -> np.random.Generator:
 
 
 def render_unit_prompt(plan: SessionPlan, unit: SessionUnit) -> str:
-    if plan.format is ResponseFormat.LIKERT:
-        return render_likert_prompt(plan.persona.description, plan.condition, unit.statement)
-    return render_gfc_prompt(
-        plan.persona.description, plan.condition, unit.left_text, unit.right_text
-    )
+    render = render_gfc_prompt if plan.format is ResponseFormat.GFC else render_likert_prompt
+    return render(plan.persona.description, plan.condition, *unit.texts)
 
 
 def run_session(
@@ -351,7 +331,6 @@ def run_session(
     no :class:`ResponseSet` (incomplete sessions are excluded from fitting).
     """
     answers: dict[str, int] = {}
-    sides: dict[str, bool] = {}
     refits = 0
     transport_retries = 0
     for unit in plan.units:
@@ -386,8 +365,6 @@ def run_session(
                 failed_unit=unit.id,
             )
         answers[unit.id] = value
-        if plan.format is ResponseFormat.GFC:
-            sides[unit.id] = unit.flipped
     rs = ResponseSet(
         respondent_id=plan.respondent_id,
         persona_id=plan.persona.id,
@@ -395,7 +372,7 @@ def run_session(
         condition=plan.condition,
         answers=answers,
         presentation_order=tuple(u.id for u in plan.units),
-        side_assignment=sides,
+        side_assignment={u.id: u.flipped for u in plan.units if plan.format is ResponseFormat.GFC},
     )
     return SessionResult(
         plan=plan, response_set=rs, refit_count=refits, transport_retries=transport_retries

@@ -73,6 +73,7 @@ from .report import (
 from .simulate import (
     SimSpec,
     SimulatorProvider,
+    check_sim_params,
     default_sim_params,
     load_sim_params,
     write_sim_params,
@@ -174,16 +175,19 @@ def cmd_aggregate(args) -> int:
 
 
 def _assembly_config(args) -> AssemblyConfig:
-    if not args.config:
-        return AssemblyConfig.standard(args.blocks)
-    return read_json(_require(args.config, "assembly config"), lambda raw: AssemblyConfig(
-        block_count=raw["block_count"],
-        per_trait=raw.get("per_trait"),
-        per_trait_pair=raw.get("per_trait_pair"),
-        mixed_key_range=tuple(raw["mixed_key_range"]) if raw.get("mixed_key_range") else None,
-        sign_floor=raw.get("sign_floor", 0.30),
-        node_budget=raw.get("node_budget"),
-    ), "assembly config", ConfigError)
+    try:  # a value that AssemblyConfig rejects is a configuration error
+        if not args.config:
+            return AssemblyConfig.standard(args.blocks)
+        return read_json(_require(args.config, "assembly config"), lambda raw: AssemblyConfig(
+            block_count=raw["block_count"],
+            per_trait=raw.get("per_trait"),
+            per_trait_pair=raw.get("per_trait_pair"),
+            mixed_key_range=tuple(raw["mixed_key_range"]) if raw.get("mixed_key_range") else None,
+            sign_floor=raw.get("sign_floor", 0.30),
+            node_budget=raw.get("node_budget"),
+        ), "assembly config", ConfigError)
+    except SdrkitError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def cmd_assemble(args) -> int:
@@ -235,10 +239,11 @@ def cmd_personas(args) -> int:
     return EXIT_OK
 
 
-def _build_provider(args, inventory, pool):
+def _build_provider(args, inventory, pool, fmt):
     if args.provider == "sim":
         if args.params:
             params = load_sim_params(_require(args.params, "simulator params"))
+            check_sim_params(params, inventory, pool, fmt)
         else:
             params = default_sim_params(inventory, pool, seed=args.seed)
         spec = SimSpec(fake_good_delta=args.delta, seed=args.seed)
@@ -256,7 +261,7 @@ def cmd_administer(args) -> int:
     personas = load_persona_set(_require(args.personas, "persona set"))
     fmt = _format(args.format)
     cond = _condition(args.condition)
-    provider = _build_provider(args, inventory, pool)
+    provider = _build_provider(args, inventory, pool, fmt)
     plans = make_session_plans(
         list(personas), inventory, pool, [fmt], [cond], seed=args.seed,
         respondent_id=provider.model_id,
@@ -677,8 +682,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rate-plan", help="emit desirability rating prompts")
     p.add_argument("--pool", required=True)
     p.add_argument("--raters", required=True, help="comma-separated rater ids")
-    p.add_argument("--replications", type=int, default=30)
-    p.add_argument("--block-size", type=int, default=25)
+    p.add_argument("--replications", type=_at_least(1), default=30)
+    p.add_argument("--block-size", type=_at_least(1), default=25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_rate_plan)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import enum
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -149,6 +150,24 @@ class GfcBlock:
             raise InventoryError("desirability gap must be nonnegative")
 
 
+class ResponseFormat(enum.Enum):
+    LIKERT = "likert"
+    GFC = "gfc"
+
+
+def block_id(left: str, right: str) -> str:
+    """The unit id of the GFC block that pairs ``left`` with ``right``."""
+    return f"{left}~{right}"
+
+
+@dataclass(frozen=True)
+class Unit:
+    """One answered question: a statement (Likert) or a block (GFC)."""
+
+    id: str  # item id (Likert) or block id (GFC)
+    statements: tuple[str, ...]  # its item ids: (item,) or (left, right)
+
+
 @dataclass(frozen=True)
 class Inventory:
     blocks: tuple[GfcBlock, ...]
@@ -159,17 +178,20 @@ class Inventory:
 
     @property
     def statements(self) -> tuple[str, ...]:
-        """Unique item ids in block order; this is the Likert form."""
-        out: list[str] = []
-        for b in self.blocks:
-            out.append(b.left)
-            out.append(b.right)
-        return tuple(out)
+        """Item ids in block order (left, right, left, ...)."""
+        return tuple(i for b in self.blocks for i in (b.left, b.right))
 
-
-class ResponseFormat(enum.Enum):
-    LIKERT = "likert"
-    GFC = "gfc"
+    def units(self, fmt: ResponseFormat) -> tuple[Unit, ...]:
+        """The units answered in ``fmt``, in block order: one per statement
+        (Likert) or one per block (GFC). An item used twice raises
+        :class:`InventoryError`."""
+        ids = self.statements
+        if len(set(ids)) != len(ids):
+            reused = sorted({i for i in ids if ids.count(i) > 1})
+            raise InventoryError(f"inventory uses items in more than one block: {reused}")
+        if fmt is ResponseFormat.GFC:
+            return tuple(Unit(block_id(b.left, b.right), (b.left, b.right)) for b in self.blocks)
+        return tuple(Unit(i, (i,)) for i in ids)
 
 
 class InstructionCondition(enum.Enum):
@@ -218,6 +240,23 @@ class AssemblyConfig:
     sign_floor: float | None = 0.30
     node_budget: int | None = None
 
+    def __post_init__(self) -> None:
+        for name, low in (("block_count", 1), ("per_trait", 0), ("per_trait_pair", 0),
+                          ("node_budget", 0)):
+            value = getattr(self, name)
+            if (value is not None or name == "block_count") and not _whole(value, low):
+                raise SdrkitError(f"{name} must be an integer of at least {low}, got {value!r}")
+        mixed = self.mixed_key_range
+        if mixed is not None and not (
+            isinstance(mixed, tuple) and len(mixed) == 2
+            and all(_whole(v, 0) for v in mixed) and mixed[0] <= mixed[1]
+        ):
+            raise SdrkitError(f"mixed_key_range must be two integers 0 <= lo <= hi, got {mixed!r}")
+        floor = self.sign_floor
+        real = isinstance(floor, numbers.Real) and not isinstance(floor, bool)
+        if floor is not None and not (real and 0.0 <= floor <= 1.0):
+            raise SdrkitError(f"sign_floor must be a number in [0, 1], got {floor!r}")
+
     @classmethod
     def standard(cls, block_count: int = 30) -> "AssemblyConfig":
         if block_count % 10 != 0:
@@ -229,6 +268,11 @@ class AssemblyConfig:
             per_trait_pair=p // 10,
             mixed_key_range=(int(0.4 * p + 0.5), int(0.6 * p + 0.5)),
         )
+
+
+def _whole(value, low: int) -> bool:
+    """Whether ``value`` is an integer of at least ``low`` (booleans are not)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from typing import Sequence
 import numpy as np
 from scipy import optimize, special, stats
 
-from .administer import block_id
 from .core import (
     Inventory,
     ItemPool,
@@ -61,17 +60,17 @@ UnitKey = tuple[str, str, str]  # (respondent_id, persona_id, condition)
 class Design:
     """Item design shared by both models.
 
-    ``item_ids``/``trait_idx``/``keying`` describe the statements. For the GFC
-    model the statements are in block order (left, right, left, ...) and
-    thresholds are per block; for Likert ``block_ids`` is empty and
-    thresholds are per item.
+    ``item_ids``/``trait_idx``/``keying`` describe the statements in unit
+    order; for the GFC model that is block order (left, right, left, ...).
+    ``columns`` are the ids of the units answered, one per response column
+    and threshold row: items (Likert) or blocks (GFC).
     """
 
     model: str  # "grm" or "gfc"
     item_ids: tuple[str, ...]
     trait_idx: np.ndarray  # (J,) int
     keying: np.ndarray  # (J,) +-1
-    block_ids: tuple[str, ...] = ()
+    columns: tuple[str, ...]
 
     @property
     def n_items(self) -> int:
@@ -80,11 +79,6 @@ class Design:
     @property
     def paired(self) -> bool:
         return self.model == "gfc"
-
-    @property
-    def columns(self) -> tuple[str, ...]:
-        """The unit ids answered, one per response column and threshold row."""
-        return self.block_ids if self.paired else self.item_ids
 
     @property
     def n_threshold_groups(self) -> int:
@@ -128,7 +122,7 @@ def _response_layout(design: Design, y: np.ndarray) -> ResponseLayout:
     j = design.n_items
     traits = np.zeros((j, N_TRAITS))
     traits[np.arange(j), design.trait_idx] = 1.0
-    blocks = np.arange(len(design.block_ids))
+    blocks = np.arange(design.n_threshold_groups if design.paired else 0)
     scatter = np.zeros((len(blocks), j))
     scatter[blocks, 2 * blocks + 1] = INV_SQRT2
     scatter[blocks, 2 * blocks] = -INV_SQRT2
@@ -184,17 +178,14 @@ class ModelData:
 
 def design_for(inventory: Inventory, pool: ItemPool, fmt: ResponseFormat) -> Design:
     """The scoring design of an inventory in one response format."""
-    ids = inventory.statements
-    if len(set(ids)) != len(ids):
-        reused = sorted({i for i in ids if ids.count(i) > 1})
-        raise SdrkitError(f"inventory uses items in more than one block: {reused}")
-    gfc = fmt is ResponseFormat.GFC
+    units = inventory.units(fmt)
+    ids = tuple(i for u in units for i in u.statements)
     return Design(
-        model="gfc" if gfc else "grm",
+        model="gfc" if fmt is ResponseFormat.GFC else "grm",
         item_ids=ids,
         trait_idx=np.array([pool.get(i).domain.index for i in ids]),
         keying=np.array([pool.get(i).keying for i in ids]),
-        block_ids=tuple(block_id(b.left, b.right) for b in inventory.blocks) if gfc else (),
+        columns=tuple(u.id for u in units),
     )
 
 

@@ -3,6 +3,7 @@
 The simulator is conjugate to the scorer by construction: it computes its
 linear predictors with the scorer's own item model (:func:`sdrkit.irt.utilities`)
 and draws answers from the same ordered-logistic kernel the estimator fits.
+It answers the units of ``Inventory.units(fmt)``, the ones the scorer fits.
 The fake-good condition is modeled as a uniform latent shift of ``delta``
 per trait toward the socially desirable pole.
 """
@@ -17,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .administer import ProviderReply, ProviderRequest, SessionPlan, block_id, keyed_rng
+from .administer import ProviderReply, ProviderRequest, SessionPlan, keyed_rng
 from .core import (
     DESIRABLE_SIGNS,
     InstructionCondition,
@@ -26,9 +27,10 @@ from .core import (
     ResponseFormat,
     ResponseSet,
     SdrkitError,
+    Unit,
     read_json,
 )
-from .irt import build_model_data, utilities
+from .irt import UnitKey, build_model_data, utilities
 from .ordinal import _category_probs, check_thresholds
 from .personas import Persona
 
@@ -103,15 +105,15 @@ def default_sim_params(
             if np.all(np.diff(k) > 1e-3):
                 return tuple(float(v) for v in k)
 
-    for b in inventory.blocks:
+    for block in inventory.units(ResponseFormat.GFC):
         a_left = float(rng.lognormal(mean=0.0, sigma=0.25))
         a_right = a_left if matched_discrimination else float(rng.lognormal(0.0, 0.25))
-        for iid, a in ((b.left, a_left), (b.right, a_right)):
+        for iid, a in zip(block.statements, (a_left, a_right)):
             it = pool.get(iid)
             items[iid] = ItemParams(
                 a_plus=a, keying=it.keying, trait=it.domain.index, kappa=draw_kappa()
             )
-        block_kappa[block_id(b.left, b.right)] = draw_kappa()
+        block_kappa[block.id] = draw_kappa()
     return SimParams(items=items, block_kappa=block_kappa)
 
 
@@ -119,12 +121,13 @@ def simulate_answers(
     persona: Persona,
     fmt: ResponseFormat,
     condition: InstructionCondition,
-    unit_ids: Sequence[str],
+    units: Sequence[Unit],
     params: SimParams,
     spec: SimSpec,
 ) -> np.ndarray:
-    """Draw the canonical answers to ``unit_ids`` in one vectorized pass (GFC:
-    as if each pair were shown unflipped).
+    """Draw the canonical answers to ``units`` (anything with a Unit's ``id``
+    and ``statements``) in one vectorized pass (GFC: as if each pair were
+    shown unflipped).
 
     Each unit's uniform comes from its own keyed stream, so an answer does not
     depend on which other units are drawn with it or in what order. The noise
@@ -133,18 +136,17 @@ def simulate_answers(
     """
     theta = effective_theta(persona.z, condition, spec.fake_good_delta)
     paired = fmt is ResponseFormat.GFC
-    # GFC: statements in block order; the partition is the inverse of block_id
-    ids = [i for uid in unit_ids for i in uid.partition("~")[::2]] if paired else unit_ids
-    items = [_param(params.items, i, "item parameters") for i in ids]
+    # GFC: statements in block order (left, right, left, ...)
+    items = [_param(params.items, i, "item parameters") for u in units for i in u.statements]
     if paired:
-        kappa = [_param(params.block_kappa, uid, "block thresholds") for uid in unit_ids]
+        kappa = [_param(params.block_kappa, u.id, "block thresholds") for u in units]
         if any(left.trait == right.trait for left, right in zip(items[::2], items[1::2])):
             raise SdrkitError("GFC pair must span two different traits")
     else:
         kappa = [item.kappa for item in items]
     _, eta = utilities(theta[None], np.array([it.trait for it in items], dtype=int),
                        np.array([it.a_signed for it in items]), paired)
-    u = [keyed_rng(spec.seed, persona.id, fmt.value, uid).random() for uid in unit_ids]
+    u = [keyed_rng(spec.seed, persona.id, fmt.value, unit.id).random() for unit in units]
     # ItemParams and SimParams checked the thresholds at construction
     cdf = np.cumsum(_category_probs(eta[0], np.reshape(kappa, (-1, 6))), axis=-1)
     # searchsorted(cdf, u, side="right") over the first six entries: the last
@@ -165,21 +167,38 @@ def simulate_response_set(
     Deterministic under ``spec.seed``; per-unit RNG streams make parallel
     simulation identical to serial simulation.
     """
-    if fmt is ResponseFormat.LIKERT:
-        order = inventory.statements
-    else:
-        order = tuple(block_id(b.left, b.right) for b in inventory.blocks)
+    units = inventory.units(fmt)
+    order = tuple(u.id for u in units)
     return ResponseSet(
         respondent_id="sim",
         persona_id=persona.id,
         format=fmt,
         condition=condition,
         answers=dict(
-            zip(order, simulate_answers(persona, fmt, condition, order, params, spec).tolist())
+            zip(order, simulate_answers(persona, fmt, condition, units, params, spec).tolist())
         ),
         presentation_order=order,
         side_assignment={},
     )
+
+
+def check_sim_params(
+    params: SimParams, inventory: Inventory, pool: ItemPool, fmt: ResponseFormat
+) -> None:
+    """Raise unless ``params`` answers every unit of ``inventory`` in ``fmt``
+    from the pool's item model: each unit needs its item parameters (and, for
+    GFC, its block thresholds), and each item the pool's keying and trait."""
+    for unit in inventory.units(fmt):
+        if fmt is ResponseFormat.GFC:
+            _param(params.block_kappa, unit.id, "block thresholds")
+        for iid in unit.statements:
+            got, item = _param(params.items, iid, "item parameters"), pool.get(iid)
+            if (got.keying, got.trait) != (item.keying, item.domain.index):
+                raise SdrkitError(
+                    f"simulator params disagree with the pool on item {iid!r}: keying "
+                    f"{got.keying} and trait {got.trait}, but the pool has keying "
+                    f"{item.keying} and trait {item.domain.index} ({item.domain.name})"
+                )
 
 
 def _param(table: Mapping, key: str, what: str):
@@ -215,7 +234,7 @@ class SimulatorProvider:
         if drawn is None or drawn[0] is not plan:
             ids = [u.id for u in plan.units]
             answers = simulate_answers(
-                plan.persona, plan.format, plan.condition, ids, self.params, self.spec
+                plan.persona, plan.format, plan.condition, plan.units, self.params, self.spec
             )
             drawn = self._drawn = (plan, dict(zip(ids, answers.tolist())))
         answer = drawn[1].get(unit.id)
@@ -226,13 +245,14 @@ class SimulatorProvider:
 
 def naive_gfc_count_scores(
     response_sets: list[ResponseSet], inventory: Inventory, pool: ItemPool
-) -> dict[str, np.ndarray]:
-    """Naive per-trait 'chosen side' counts for GFC responses.
+) -> dict[UnitKey, np.ndarray]:
+    """Naive per-trait 'chosen side' counts for GFC responses, keyed by
+    (respondent, persona, condition) as the scorer's response units are.
 
     Each block awards one point to the chosen statement's trait (half a point
-    to each side at the scale midpoint), so every respondent's five counts sum
-    to the block count: the ipsativity pathology this toolkit's model-based
-    scoring exists to avoid.
+    to each side at the scale midpoint), so every response set's five counts
+    sum to the block count: the ipsativity pathology this toolkit's
+    model-based scoring exists to avoid.
     """
     if any(rs.format is not ResponseFormat.GFC for rs in response_sets):
         raise SdrkitError("count scoring applies to GFC response sets")
@@ -240,7 +260,7 @@ def naive_gfc_count_scores(
     y, traits = data.y, data.layout.traits  # statements in block order
     tie = 0.5 * (y == 4)
     scores = ((y < 4) + tie) @ traits[0::2] + ((y > 4) + tie) @ traits[1::2]
-    return {persona: row for (_, persona, _), row in zip(data.units, scores)}
+    return dict(zip(data.units, scores))
 
 
 # ---------------------------------------------------------------------------

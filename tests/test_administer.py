@@ -10,7 +10,6 @@ from sdrkit.administer import (
     ProviderRequest,
     ResponseParseError,
     TransportError,
-    block_id,
     build_rating_plan,
     make_session_plans,
     parse_single_int,
@@ -144,11 +143,8 @@ def test_gfc_flips_display_statement_sides(small_pool_inventory):
     assert any(flips) and not all(flips)
     for p in plans:
         for u in p.units:
-            left_id, right_id = u.id.split("~")
-            if u.flipped:
-                assert u.left_text == pool.get(right_id).text
-            else:
-                assert u.left_text == pool.get(left_id).text
+            canonical = tuple(pool.get(i).text for i in u.statements)
+            assert u.texts == (canonical[::-1] if u.flipped else canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +308,3 @@ def test_http_provider_error_paths(monkeypatch):
     )
     with pytest.raises(TransportError):
         provider.complete(ProviderRequest(message="x", model_id="m"))
-
-
-def test_block_id_format():
-    assert block_id("A01p", "C07n") == "A01p~C07n"

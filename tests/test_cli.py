@@ -608,6 +608,47 @@ def test_administer_on_a_malformed_input_is_a_stage_failure(
     assert capsys.readouterr().err.startswith(message)
 
 
+@pytest.mark.parametrize("fmt, damage, message", [
+    ("likert", "keying-and-trait",
+     "simulator params disagree with the pool on item 'a1': keying -1 and trait 1, "
+     "but the pool has keying 1 and trait 0 (A)"),
+    ("gfc", "keying-and-trait", "simulator params disagree with the pool on item 'a1'"),
+    ("likert", "no-item", "missing item parameters for 'c2'"),
+    ("gfc", "no-block", "missing block thresholds for 'c2~e2'"),
+], ids=["likert-keying-and-trait", "gfc-keying-and-trait", "likert-no-item", "gfc-no-block"])
+def test_administer_rejects_sim_params_that_disagree_with_the_pool(
+    instrument_files, tmp_path, capsys, monkeypatch, fmt, damage, message
+):
+    personas, params = tmp_path / "personas.json", tmp_path / "params.json"
+    assert main(["personas", "--n", "2", "--seed", "1", "--out", str(personas)]) == EXIT_OK
+    pool, inv = small_instrument()
+    write_sim_params(default_sim_params(inv, pool, seed=0), params)
+    raw = json.loads(params.read_text())
+    if damage == "keying-and-trait":  # every item's keying flipped and trait shifted
+        for item in raw["items"].values():
+            item["keying"], item["trait"] = -item["keying"], (item["trait"] + 1) % 5
+    elif damage == "no-item":
+        del raw["items"]["c2"]
+    else:
+        del raw["blocks"]["c2~e2"]
+    params.write_text(json.dumps(raw))
+
+    def never(*args, **kwargs):
+        raise AssertionError("a session ran before the simulator params were checked")
+
+    monkeypatch.setattr(cli, "run_session", never)
+    capsys.readouterr()
+    rc = main([
+        "administer", "--inventory", str(instrument_files / "inventory.csv"),
+        "--pool", str(instrument_files / "pool.csv"),
+        "--personas", str(personas), "--format", fmt, "--condition", "honest",
+        "--params", str(params), "--out", str(tmp_path / "runs"),
+    ])
+    assert rc == EXIT_STAGE
+    assert capsys.readouterr().err.startswith(f"stage failure: {message}")
+    assert not (tmp_path / "runs").exists()
+
+
 def test_report_on_a_fit_missing_a_field_is_a_stage_failure(tmp_path, capsys):
     personas, fit = tmp_path / "personas.json", tmp_path / "fit_likert.json"
     assert main(["personas", "--n", "3", "--seed", "1", "--out", str(personas)]) == EXIT_OK
@@ -647,6 +688,49 @@ def test_assembly_config_missing_a_field_is_a_config_error(instrument_files, tmp
     assert rc == EXIT_CONFIG
     message = f"config error: {cfg}: malformed assembly config: missing field 'block_count'"
     assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("args, config, message", [
+    (["--blocks", "0"], None, "block_count must be an integer of at least 1, got 0"),
+    (["--blocks", "7"], None, "block count must be divisible by 10"),
+    ([], {"block_count": "10"}, "block_count must be an integer of at least 1, got '10'"),
+    ([], {"block_count": True}, "block_count must be an integer of at least 1, got True"),
+    ([], {"block_count": 10, "mixed_key_range": [4]}, "mixed_key_range must be two integers"),
+    ([], {"block_count": 10, "mixed_key_range": [5, 4]}, "mixed_key_range must be two integers"),
+    ([], {"block_count": 10, "sign_floor": "0.3"}, "sign_floor must be a number in [0, 1]"),
+    ([], {"block_count": 10, "sign_floor": 1.5}, "sign_floor must be a number in [0, 1]"),
+    ([], {"block_count": 10, "per_trait": 4, "node_budget": "x"},
+     "node_budget must be an integer of at least 0, got 'x'"),
+    ([], {"block_count": 10, "per_trait_pair": -1}, "per_trait_pair must be an integer"),
+])
+def test_assembly_config_value_out_of_range_is_a_config_error(
+    instrument_files, tmp_path, capsys, monkeypatch, args, config, message
+):
+    def never(*args, **kwargs):
+        raise AssertionError("searched before the assembly config was checked")
+
+    monkeypatch.setattr(cli, "solve_assembly", never)
+    if config is not None:
+        cfg = tmp_path / "assembly.json"
+        cfg.write_text(json.dumps(config))
+        args = ["--config", str(cfg)]
+    rc = main([
+        "assemble", "--pool", str(instrument_files / "pool.csv"), *args,
+        "--out", str(tmp_path / "inventory.csv"),
+    ])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+@pytest.mark.parametrize("flag", ["--block-size", "--replications"])
+def test_rate_plan_rejects_a_count_below_one(instrument_files, tmp_path, capsys, flag):
+    out = tmp_path / "prompts.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["rate-plan", "--pool", str(instrument_files / "pool.csv"), "--raters", "r1",
+              flag, "0", "--out", str(out)])
+    assert exc.value.code == EXIT_CONFIG
+    assert f"argument {flag}: must be at least 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pipeline_rerun_over_a_manifest_without_artifacts_rebuilds(

@@ -19,6 +19,8 @@ from sdrkit.core import (
     ResponseSet,
     SdrkitError,
     TraitDomain,
+    Unit,
+    block_id,
     load_inventory,
     load_item_pool,
     load_response_sets,
@@ -72,6 +74,22 @@ def test_block_validation():
         GfcBlock("a", "a", 0.1)
     with pytest.raises(InventoryError):
         GfcBlock("a", "b", -0.1)
+
+
+def test_block_id_format():
+    assert block_id("A01p", "C07n") == "A01p~C07n"
+
+
+def test_units_of_each_format_follow_block_order(small_pool_inventory):
+    _, inv = small_pool_inventory
+    assert inv.units(ResponseFormat.LIKERT) == tuple(Unit(i, (i,)) for i in inv.statements)
+    assert inv.units(ResponseFormat.GFC) == tuple(
+        Unit(f"{b.left}~{b.right}", (b.left, b.right)) for b in inv.blocks
+    )
+    reused = Inventory(inv.blocks + (GfcBlock("a1", "e2", 0.1),))
+    for fmt in ResponseFormat:
+        with pytest.raises(InventoryError, match=re.escape("['a1', 'e2']")):
+            reused.units(fmt)
 
 
 def test_response_set_validation():

@@ -281,7 +281,7 @@ def test_scorer_likelihood_is_the_simulator_model(small_pool_inventory, fmt):
     items = [params.items[i] for i in data.design.item_ids]
     a_plus = np.array([it.a_plus for it in items])
     if fmt is ResponseFormat.GFC:
-        kappa = np.array([params.block_kappa[b] for b in data.design.block_ids])
+        kappa = np.array([params.block_kappa[b] for b in data.design.columns])
     else:
         kappa = np.array([it.kappa for it in items])
     x = np.concatenate([
@@ -314,11 +314,7 @@ def test_keying_flip_with_theta_negation_is_invariant(small_pool_inventory):
     pool, inv = small_pool_inventory
     data = make_data(small_pool_inventory, ResponseFormat.LIKERT, n_personas=3, seed=24)
     design = data.design
-    flipped_design = type(design)(
-        model=design.model, item_ids=design.item_ids, trait_idx=design.trait_idx,
-        keying=-design.keying,
-    )
-    flipped = ModelData(design=flipped_design, y=data.y, units=data.units)
+    flipped = ModelData(design=replace(design, keying=-design.keying), y=data.y, units=data.units)
     rng = np.random.default_rng(25)
     x = 0.3 * rng.standard_normal(param_dim(data))
     n = data.n_units

@@ -23,14 +23,18 @@ from sdrkit.metrics import (
 )
 
 
-def test_metrics_and_report_do_not_import_the_simulator():
+@pytest.mark.parametrize("modules, absent", [
+    ("sdrkit.metrics, sdrkit.report", ("sdrkit.simulate",)),
+    ("sdrkit.irt", ("requests", "sdrkit.administer")),  # the scorer needs no HTTP client
+], ids=["metrics-report", "irt"])
+def test_importing_a_layer_leaves_out_what_it_does_not_use(modules, absent):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    code = "import sys, sdrkit.metrics, sdrkit.report; print('sdrkit.simulate' in sys.modules)"
+    code = f"import sys, {modules}; print([m for m in {absent!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_cohens_dz_hand_example():

@@ -12,7 +12,6 @@ import pytest
 from sdrkit import irt, simulate
 from sdrkit.administer import (
     ProviderRequest,
-    block_id,
     keyed_rng,
     make_session_plans,
     render_unit_prompt,
@@ -24,6 +23,8 @@ from sdrkit.core import (
     ResponseFormat,
     ResponseSet,
     SdrkitError,
+    Unit,
+    block_id,
 )
 from sdrkit.ordinal import _category_probs, category_probs
 from sdrkit.personas import Persona, sample_personas
@@ -189,15 +190,23 @@ def test_simulator_needs_the_planned_unit(small_pool_inventory):
 
 def mirrored(unit):
     """The same GFC unit with its displayed sides swapped."""
-    return replace(
-        unit, left_text=unit.right_text, right_text=unit.left_text, flipped=not unit.flipped
-    )
+    return replace(unit, texts=unit.texts[::-1], flipped=not unit.flipped)
 
 
 def planned_request(plan, unit):
     return ProviderRequest(
         message=render_unit_prompt(plan, unit), model_id="sim", plan=plan, unit=unit
     )
+
+
+def statement(item):
+    """The Likert unit of one item."""
+    return Unit(item, (item,))
+
+
+def block(left, right):
+    """The GFC unit of one block."""
+    return Unit(block_id(left, right), (left, right))
 
 
 def reference_answer(persona, fmt, condition, unit_id, params, spec):
@@ -238,16 +247,14 @@ def test_answers_do_not_depend_on_unit_order_or_company(small_pool_inventory):
     params = default_sim_params(inv, pool, seed=25)
     spec = SimSpec(fake_good_delta=1.0, seed=26)
     persona = sample_personas(1, seed=27).personas[0]
-    for fmt, ids in (
-        (ResponseFormat.LIKERT, list(inv.statements)),
-        (ResponseFormat.GFC, [block_id(b.left, b.right) for b in inv.blocks]),
-    ):
+    for fmt in ResponseFormat:
+        units = inv.units(fmt)
         cond = InstructionCondition.FAKE_GOOD
-        full = simulate_answers(persona, fmt, cond, ids, params, spec)
-        assert full.shape == (len(ids),)
-        reverse = simulate_answers(persona, fmt, cond, ids[::-1], params, spec)
+        full = simulate_answers(persona, fmt, cond, units, params, spec)
+        assert full.shape == (len(units),)
+        reverse = simulate_answers(persona, fmt, cond, units[::-1], params, spec)
         assert reverse.tolist() == full[::-1].tolist()
-        one = simulate_answers(persona, fmt, cond, ids[2:3], params, spec)
+        one = simulate_answers(persona, fmt, cond, units[2:3], params, spec)
         assert one.tolist() == [full[2]]
         assert simulate_answers(persona, fmt, cond, [], params, spec).shape == (0,)
 
@@ -258,16 +265,17 @@ def test_simulate_answers_rejects_unknown_or_same_trait_units(small_pool_invento
     spec = SimSpec()
     persona = sample_personas(1, seed=29).personas[0]
     honest = InstructionCondition.HONEST
+    likert, gfc = ResponseFormat.LIKERT, ResponseFormat.GFC
     no_a1 = replace(params, items={k: v for k, v in params.items.items() if k != "a1"})
     with pytest.raises(SdrkitError, match="item parameters"):
-        simulate_answers(persona, ResponseFormat.LIKERT, honest, ["c1", "a1"], no_a1, spec)
+        simulate_answers(persona, likert, honest, [statement("c1"), statement("a1")], no_a1, spec)
     with pytest.raises(SdrkitError, match="item parameters"):
-        simulate_answers(persona, ResponseFormat.GFC, honest, ["a1~c1"], no_a1, spec)
+        simulate_answers(persona, gfc, honest, [block("a1", "c1")], no_a1, spec)
     with pytest.raises(SdrkitError, match="block thresholds"):
-        simulate_answers(persona, ResponseFormat.GFC, honest, ["a1~e1"], params, spec)
+        simulate_answers(persona, gfc, honest, [block("a1", "e1")], params, spec)
     same_trait = replace(params, block_kappa={**params.block_kappa, "a1~a2": KAPPA})
     with pytest.raises(SdrkitError, match="two different traits"):
-        simulate_answers(persona, ResponseFormat.GFC, honest, ["a1~a2"], same_trait, spec)
+        simulate_answers(persona, gfc, honest, [block("a1", "a2")], same_trait, spec)
     provider = SimulatorProvider(no_a1, spec)
     (plan,) = make_session_plans(
         [persona], inv, pool, [ResponseFormat.LIKERT], [honest], seed=0, respondent_id="sim"
@@ -404,7 +412,22 @@ def test_naive_count_scores_credit_the_chosen_side_as_displayed(small_pool_inven
     )
     scores = naive_gfc_count_scores([rs], inv, pool)
     # a1 chosen (shown on the right), c2, a tie of e1 and n2, o2, o1
-    assert scores["p"].tolist() == [1.0, 1.0, 0.5, 0.5, 2.0]
+    assert scores[("m", "p", "honest")].tolist() == [1.0, 1.0, 0.5, 0.5, 2.0]
+
+
+def test_naive_count_scores_keep_every_response_set(small_pool_inventory):
+    pool, inv = small_pool_inventory
+    params = default_sim_params(inv, pool, seed=34)
+    spec = SimSpec(fake_good_delta=1.0, seed=35)
+    sets = [
+        simulate_response_set(p, inv, params, ResponseFormat.GFC, cond, spec)
+        for p in sample_personas(4, seed=36)
+        for cond in InstructionCondition
+    ]
+    scores = naive_gfc_count_scores(sets, inv, pool)
+    assert set(scores) == {(rs.respondent_id, rs.persona_id, rs.condition.value) for rs in sets}
+    assert len(scores) == 8
+    assert all(s.sum() == inv.block_count for s in scores.values())
 
 
 def test_sim_params_round_trip(tmp_path, small_pool_inventory):
@@ -440,6 +463,7 @@ def test_answer_stays_on_the_scale_when_the_last_cumulative_probability_is_below
     u = np.nextafter(1.0, 0.0)  # the largest uniform a stream can return
     monkeypatch.setattr(simulate, "keyed_rng", lambda *key: SimpleNamespace(random=lambda: u))
     answers = simulate_answers(
-        persona, ResponseFormat.LIKERT, InstructionCondition.HONEST, ["i1"], params, SimSpec()
+        persona, ResponseFormat.LIKERT, InstructionCondition.HONEST, [statement("i1")], params,
+        SimSpec(),
     )
     assert answers.tolist() == [7]
