@@ -16,7 +16,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -178,11 +178,17 @@ class TransportError(SdrkitError):
     pass
 
 
+#: seconds an ``HttpProvider`` request may take before it is a transport error
+HTTP_TIMEOUT_S = 120.0
+
+
 class HttpProvider:
     """Single-turn chat-completions client for an OpenAI-compatible endpoint.
 
-    The auth token is read from the environment variable named by
-    ``token_env``; decode options pass through unchanged.
+    Each request sends only the model id and the one user message, so the
+    endpoint's own decode defaults apply. The auth token is read from the
+    environment variable named by ``token_env``; ``session`` is the
+    ``requests`` session to post through (a fresh one by default).
     """
 
     def __init__(
@@ -190,15 +196,11 @@ class HttpProvider:
         base_url: str,
         model_id: str,
         token_env: str = "SDRKIT_API_TOKEN",
-        options: Mapping[str, object] | None = None,
-        timeout: float = 120.0,
         session: requests.Session | None = None,
     ):
         self.base_url = base_url
         self.model_id = model_id
         self.token_env = token_env
-        self.options = dict(options or {})
-        self.timeout = timeout
         self._session = session or requests.Session()
 
     def complete(self, request: ProviderRequest) -> ProviderReply:
@@ -206,7 +208,6 @@ class HttpProvider:
         payload = {
             "model": request.model_id,
             "messages": [{"role": "user", "content": request.message}],
-            **self.options,
         }
         headers = {"Content-Type": "application/json"}
         if token:
@@ -214,7 +215,7 @@ class HttpProvider:
         start = time.monotonic()
         try:
             resp = self._session.post(
-                self.base_url, json=payload, headers=headers, timeout=self.timeout
+                self.base_url, json=payload, headers=headers, timeout=HTTP_TIMEOUT_S
             )
         except requests.RequestException as exc:
             raise TransportError(str(exc)) from exc

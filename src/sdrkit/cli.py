@@ -44,6 +44,7 @@ from .core import (
     validate_inventory,
 )
 from .irt import (
+    DiagnosticsError,
     HmcOptions,
     MapOptions,
     build_model_data,
@@ -89,10 +90,6 @@ RHAT_SHARE = 0.99
 
 
 class ConfigError(SdrkitError):
-    pass
-
-
-class DiagnosticsGateError(SdrkitError):
     pass
 
 
@@ -262,31 +259,33 @@ def cmd_administer(args) -> int:
     fmt = _format(args.format)
     cond = _condition(args.condition)
     provider = _build_provider(args, inventory, pool, fmt)
-    plans = make_session_plans(
-        list(personas), inventory, pool, [fmt], [cond], seed=args.seed,
-        respondent_id=provider.model_id,
-    )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         run_id=f"{fmt.value}-{cond.value}", model_id=provider.model_id,
         seeds={"plan": args.seed}, created_at="",
     )
-    sets, failed = _run_sessions(plans, provider, manifest)
     out_file = out_dir / f"responses_{fmt.value}_{cond.value}.csv"
-    write_response_sets(sets, out_file)
+    n_written, failed = _administer(
+        personas, inventory, pool, fmt, cond, args.seed, provider, manifest, out_file
+    )
     (out_dir / f"manifest_{fmt.value}_{cond.value}.json").write_text(
         manifest.to_json(), encoding="utf-8"
     )
-    print(f"wrote {len(sets)} response sets ({len(failed)} failed sessions) -> {out_file}")
-    return EXIT_STAGE if failed and not sets else EXIT_OK
+    print(f"wrote {n_written} response sets ({len(failed)} failed sessions) -> {out_file}")
+    return EXIT_STAGE if failed and not n_written else EXIT_OK
 
 
-def _run_sessions(plans, provider, manifest: RunManifest):
-    """Run every planned session and record it in ``manifest``.
+def _administer(personas, inventory, pool, fmt, cond, seed, provider, manifest, path):
+    """Plan and run one format x condition's sessions, record each in
+    ``manifest`` and write the complete ones' response sets to ``path``.
 
-    Returns the complete sessions' response sets and the failed results.
+    Returns the number of response sets written and the failed results.
     """
+    plans = make_session_plans(
+        list(personas), inventory, pool, [fmt], [cond], seed=seed,
+        respondent_id=provider.model_id,
+    )
     sets, failed = [], []
     for plan in plans:
         result = run_session(plan, provider)
@@ -295,7 +294,8 @@ def _run_sessions(plans, provider, manifest: RunManifest):
             sets.append(result.response_set)
         else:
             failed.append(result)
-    return sets, failed
+    write_response_sets(sets, path)
+    return len(sets), failed
 
 
 def _load_response_files(path: Path):
@@ -312,76 +312,61 @@ def _load_response_files(path: Path):
 
 
 def cmd_fit(args) -> int:
-    if args.backend == "hmc":  # R-hat splits each of 2+ chains into halves of 2+ draws
+    if args.backend == "map":
+        opts = MapOptions(seed=args.seed, n_starts=args.starts)
+    else:  # R-hat splits each of 2+ chains into halves of 2+ draws
         for flag, value, low in (("--chains", args.chains, 2), ("--samples", args.samples, 4)):
             if value < low:
                 raise ConfigError(f"{flag} must be at least {low} with --backend hmc, got {value}")
+        opts = HmcOptions(seed=args.seed, chains=args.chains, warmup=args.warmup,
+                          samples=args.samples)
     inventory = load_inventory(_require(args.inventory, "inventory"))
     pool = load_item_pool(_require(args.pool, "item pool"))
     sets = _load_response_files(_require(args.responses, "response data"))
-    n_units = _fit_write_gate(
-        sets, inventory, pool, _format(args.format), args.backend,
-        MapOptions(seed=args.seed, n_starts=args.starts),
-        HmcOptions(seed=args.seed, chains=args.chains, warmup=args.warmup, samples=args.samples),
-        args.out,
-    )
-    print(f"fitted {n_units} response units ({args.backend}) -> {args.out}")
+    n_units = _fit_write_gate(sets, inventory, pool, _format(args.format), opts, args.out)
+    print(f"fitted {n_units} response units ({opts.backend}) -> {args.out}")
     return EXIT_OK
 
 
-def _fit_write_gate(sets, inventory, pool, fmt, backend, map_opts, hmc_opts, out) -> int:
+def _fit_write_gate(sets, inventory, pool, fmt, opts, out) -> int:
     """Fit one format, write its artifact to ``out``, then apply the R-hat gate;
     returns the number of units fitted.  ``sdrkit fit`` keeps a fit that fails
     the gate for inspection; the pipeline discards it unstamped, to be refitted."""
     data = build_model_data(sets, inventory, pool, fmt)
-    theta, item_params, diag = _fit_format(data, backend, map_opts, hmc_opts)
-    write_fit_artifact(out, data, theta, backend=backend, item_params=item_params, diag=diag)
+    params, diag = _fit_format(data, opts)
+    write_fit_artifact(out, data, params, opts.backend, diag)
     share = diag.get("rhat_share_below_gate", 1.0)  # MAP fits have no R-hat
     if share < RHAT_SHARE:
-        raise DiagnosticsGateError(
+        raise DiagnosticsError(
             f"{fmt.value} fit: only {share:.1%} of parameters have R-hat < {RHAT_GATE}"
         )
     return data.n_units
 
 
-def _fit_format(data, backend: str, map_opts: MapOptions, hmc_opts: HmcOptions):
-    """Fit one format with MAP or HMC.
+def _fit_format(data, opts: MapOptions | HmcOptions):
+    """Fit one format with the backend ``opts`` configures.
 
-    Returns the trait estimates and the fit artifact's item-parameter and
-    diagnostics dicts.
+    Returns the fitted parameters (for HMC, at the posterior mean) and the fit
+    artifact's diagnostics dict.
     """
-    if backend == "map":
-        fit = fit_map(data, map_opts)
+    if isinstance(opts, MapOptions):
+        fit = fit_map(data, opts)
         diag = {
             "log_posterior": fit.log_posterior,
             "grad_inf_norm": fit.grad_inf_norm,
             "converged": fit.converged,
         }
-        return fit.theta_hat, _item_param_dict(data, fit.params), diag
-    if backend == "hmc":
-        post = fit_hmc(data, hmc_opts)
-        rhat_ess = hmc_diagnostics(post)
-        diag = {
-            "rhat_max": float(rhat_ess["rhat"].max()),
-            "rhat_share_below_gate": float(np.mean(rhat_ess["rhat"] < RHAT_GATE)),
-            "ess_min": float(rhat_ess["ess"].min()),
-            "divergences": post.divergences,
-            "accept_rate": post.accept_rate,
-        }
-        params = unpack(data, post.draws.reshape(-1, post.draws.shape[-1]).mean(axis=0))
-        return post.theta_hat, _item_param_dict(data, params), diag
-    raise ConfigError(f"unknown backend: {backend!r}")
-
-
-def _item_param_dict(data, params) -> dict:
-    design = data.design
-    out = {
-        "a_plus": {iid: float(a) for iid, a in zip(design.item_ids, params.a_plus)},
-        "thresholds": {},
+        return fit.params, diag
+    post = fit_hmc(data, opts)
+    rhat_ess = hmc_diagnostics(post)
+    diag = {
+        "rhat_max": float(rhat_ess["rhat"].max()),
+        "rhat_share_below_gate": float(np.mean(rhat_ess["rhat"] < RHAT_GATE)),
+        "ess_min": float(rhat_ess["ess"].min()),
+        "divergences": post.divergences,
+        "accept_rate": post.accept_rate,
     }
-    for key, row in zip(design.columns, params.kappa):
-        out["thresholds"][key] = [float(v) for v in row]
-    return out
+    return unpack(data, post.draws.reshape(-1, post.draws.shape[-1]).mean(axis=0)), diag
 
 
 def _summaries_from_fits(fit_paths: dict[str, Path], personas):
@@ -570,6 +555,7 @@ def cmd_pipeline(args) -> int:
         model_id=SimulatorProvider.model_id, seeds=seeds, created_at="",
     )
     stages = _Stages(out_dir, manifest, digests)
+    fit_opts = (MapOptions if backend == "map" else HmcOptions)(seed=seeds["fit"])
 
     pool = load_item_pool(cfg["pool"])
     if cfg.get("ratings"):
@@ -589,16 +575,13 @@ def cmd_pipeline(args) -> int:
     spec = SimSpec(fake_good_delta=sim["fake_good_delta"], seed=seeds["sim"])
     provider = SimulatorProvider(load_sim_params(out_dir / "sim_params.json"), spec)
 
-    def administer(fmt, cond, path):
-        plans = make_session_plans(
-            list(personas), inventory, pool, [fmt], [cond],
-            seed=seeds["plan"], respondent_id=provider.model_id,
+    def administer(fmt, cond, path):  # a failed session fails the stage: nothing is kept
+        _, failed = _administer(
+            personas, inventory, pool, fmt, cond, seeds["plan"], provider, manifest, path
         )
-        sets, failed = _run_sessions(plans, provider, manifest)
         if failed:
             unit = failed[0].failed_unit
             raise SdrkitError(f"administration failed at unit {unit} ({fmt.value}/{cond.value})")
-        write_response_sets(sets, path)
 
     conditions = [_condition(c) for c in cfg["conditions"]]
     run_config = {"plan": seeds["plan"], "sim": seeds["sim"], "delta": spec.fake_good_delta}
@@ -612,8 +595,7 @@ def cmd_pipeline(args) -> int:
         stages.run([fits[fmt.value]], {"backend": backend, "seed": seeds["fit"]}, [*runs, *data],
                    lambda p: _fit_write_gate(
                        [rs for r in runs for rs in load_response_sets(out_dir / r)],
-                       inventory, pool, fmt, backend,
-                       MapOptions(seed=seeds["fit"]), HmcOptions(seed=seeds["fit"]), p))
+                       inventory, pool, fmt, fit_opts, p))
 
     stages.run([f"reports/{name}" for name in REPORT_FILES], {}, ["personas.json", *fits.values()],
                lambda *paths: _write_report(
@@ -656,16 +638,17 @@ def cmd_lint(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
+def _at_least(low: int, kind=int):
+    """An argparse type: a finite ``kind`` value no smaller than ``low``."""
 
-    def count(text: str) -> int:
+    def count(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not low <= value < math.inf:  # also refuses nan
+            finite = "a finite number " if kind is float else ""
+            raise argparse.ArgumentTypeError(f"must be {finite}at least {low}, got {value}")
         return value
 
     return count
@@ -693,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--stats", help="optional agreement statistics JSON output")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=cmd_aggregate)
 
     p = sub.add_parser("assemble", help="assemble a desirability-matched inventory")
@@ -705,8 +688,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_assemble)
 
     p = sub.add_parser("personas", help="sample ground-truth personas")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--covariance", help="5x5 covariance JSON override")
     p.add_argument("--lexicon", help="lexicon JSON override")
     p.add_argument("--out", required=True)
@@ -719,8 +702,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", required=True, choices=["likert", "gfc"])
     p.add_argument("--condition", required=True, choices=["honest", "fake", "fake_good"])
     p.add_argument("--provider", default="sim", choices=["sim", "http"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--delta", type=float, default=1.0, help="simulator fake-good shift")
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--delta", type=_at_least(0, float), default=1.0,
+                   help="simulator fake-good shift")
     p.add_argument("--params", help="simulator parameter JSON")
     p.add_argument("--base-url")
     p.add_argument("--model")
@@ -734,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inventory", required=True)
     p.add_argument("--pool", required=True)
     p.add_argument("--backend", default="map", choices=["map", "hmc"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--starts", type=_at_least(1), default=4)
     p.add_argument("--chains", type=_at_least(1), default=4)
     p.add_argument("--warmup", type=_at_least(0), default=200)
@@ -768,7 +752,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DiagnosticsGateError as exc:
+    except DiagnosticsError as exc:
         print(f"diagnostics failure: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
     except SdrkitError as exc:

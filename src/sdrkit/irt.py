@@ -382,6 +382,7 @@ STRENGTH_CAP = 2.5
 
 @dataclass(frozen=True)
 class MapOptions:
+    backend = "map"  # the fit artifact's label; a class constant, not a field
     n_starts: int = 4
     seed: int = 0
 
@@ -500,6 +501,7 @@ def _map_start(data: ModelData, bounds, x0: np.ndarray):
 
 @dataclass(frozen=True)
 class HmcOptions:
+    backend = "hmc"
     chains: int = 4
     warmup: int = 200
     samples: int = 500
@@ -902,19 +904,21 @@ def theta_table(units: Sequence[UnitKey], theta_hat: np.ndarray) -> list[dict]:
 
 
 def write_fit_artifact(
-    path: str | Path,
-    data: ModelData,
-    theta_hat: np.ndarray,
-    backend: str,
-    item_params: dict | None = None,
-    diag: dict | None = None,
+    path: str | Path, data: ModelData, params: ParamVector, backend: str, diag: dict
 ) -> None:
+    """Write one format's fit: its trait estimates, item parameters and ``diag``."""
+    design = data.design
     payload = {
-        "model": data.design.model,
+        "model": design.model,
         "backend": backend,
-        "theta": theta_table(data.units, theta_hat),
-        "item_params": item_params or {},
-        "diagnostics": diag or {},
+        "theta": theta_table(data.units, params.theta),
+        "item_params": {
+            "a_plus": {iid: float(a) for iid, a in zip(design.item_ids, params.a_plus)},
+            "thresholds": {
+                key: [float(v) for v in row] for key, row in zip(design.columns, params.kappa)
+            },
+        },
+        "diagnostics": diag,
     }
     Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
 

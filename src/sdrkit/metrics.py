@@ -40,9 +40,14 @@ def build_shift_table(
 ) -> ShiftTable:
     """Pair one fit's per-unit estimates into honest/fake rows per persona.
 
-    ``theta_by_key`` maps (respondent, persona, condition) to a trait vector;
-    a persona is included only when both conditions are present.
+    ``theta_by_key`` maps (respondent, persona, condition) to a trait vector
+    of one respondent; a persona is included only when both conditions are
+    present.
     """
+    respondents = sorted({k[0] for k in theta_by_key})
+    if len(respondents) > 1:  # rows are keyed by persona alone
+        raise SdrkitError(f"a shift table pairs one respondent's estimates, got "
+                          f"{len(respondents)}: {', '.join(map(repr, respondents))}")
     honest = {k[1]: v for k, v in theta_by_key.items() if k[2] == "honest"}
     fake = {k[1]: v for k, v in theta_by_key.items() if k[2] == "fake_good"}
     ids = tuple(sorted(set(honest) & set(fake)))

@@ -6,16 +6,19 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sdrkit import cli
 from sdrkit.cli import (
     EXIT_CONFIG,
+    EXIT_DIAGNOSTICS,
     EXIT_OK,
     EXIT_STAGE,
     main,
 )
-from sdrkit.core import write_inventory, write_item_pool
+from sdrkit.core import ResponseFormat, load_response_sets, write_inventory, write_item_pool
+from sdrkit.irt import DiagnosticsError, HmcOptions, build_model_data, fit_hmc, fit_theta_frame
 from sdrkit.simulate import default_sim_params, write_sim_params
 
 from conftest import small_instrument
@@ -447,10 +450,10 @@ def test_pipeline_refits_a_fit_that_failed_the_gate(instrument_files, tmp_path, 
     original = cli._fit_format
 
     def unconverged(data, *args, **kwargs):
-        theta, item_params, diag = original(data, *args, **kwargs)
+        params, diag = original(data, *args, **kwargs)
         if data.design.model == "gfc":
             diag = {**diag, "rhat_share_below_gate": 0.5}
-        return theta, item_params, diag
+        return params, diag
 
     out_dir = tmp_path / "run"
     with monkeypatch.context() as patch:
@@ -731,6 +734,118 @@ def test_rate_plan_rejects_a_count_below_one(instrument_files, tmp_path, capsys,
     assert exc.value.code == EXIT_CONFIG
     assert f"argument {flag}: must be at least 1, got 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _argv(instrument_files, tmp_path, command, *flags):
+    """A full command line for ``command`` writing to ``tmp_path / "out"``;
+    ``flags`` come last, so they override.  Input files need not exist."""
+    inputs = {"--inventory": instrument_files / "inventory.csv",
+              "--pool": instrument_files / "pool.csv",
+              "--personas": tmp_path / "personas.json", "--responses": tmp_path / "runs",
+              "--ratings": tmp_path / "ratings.csv"}
+    required = {
+        "personas": ["--n", "3"],
+        "aggregate": ["--ratings", "--pool"],
+        "administer": ["--inventory", "--pool", "--personas", "--format", "likert",
+                       "--condition", "honest"],
+        "fit": ["--format", "likert", "--responses", "--inventory", "--pool"],
+    }[command]
+    argv = [command]
+    for word in required:
+        argv += [word, str(inputs[word])] if word in inputs else [word]
+    return [*argv, "--out", str(tmp_path / "out"), *flags]
+
+
+_SEED = ("--seed", "-1", "must be at least 0, got -1")
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    (["personas"], *_SEED), (["aggregate"], *_SEED), (["administer"], *_SEED),
+    (["fit", "--backend", "map"], *_SEED), (["fit", "--backend", "hmc"], *_SEED),
+    (["personas"], "--n", "0", "must be at least 1, got 0"),
+    (["personas"], "--n", "-3", "must be at least 1, got -3"),
+    (["administer"], "--delta", "-1", "must be a finite number at least 0, got -1.0"),
+    (["administer"], "--delta", "nan", "must be a finite number at least 0, got nan"),
+    (["administer"], "--delta", "inf", "must be a finite number at least 0, got inf"),
+], ids=["personas-seed", "aggregate-seed", "administer-seed", "fit-map-seed", "fit-hmc-seed",
+        "personas-n-0", "personas-n-negative", "delta-negative", "delta-nan", "delta-inf"])
+def test_a_flag_value_out_of_range_is_a_config_error(
+    instrument_files, tmp_path, capsys, command, flag, value, message
+):
+    with pytest.raises(SystemExit) as exc:
+        main(_argv(instrument_files, tmp_path, *command, flag, value))
+    assert exc.value.code == EXIT_CONFIG
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_refuses_a_fit_of_more_than_one_respondent(tmp_path, capsys):
+    personas, fit = tmp_path / "personas.json", tmp_path / "fit_likert.json"
+    assert main(["personas", "--n", "4", "--seed", "1", "--out", str(personas)]) == EXIT_OK
+    ids = [p["id"] for p in json.loads(personas.read_text())["personas"]]
+    rng = np.random.default_rng(0)
+    rows = [
+        {"respondent_id": resp, "persona_id": pid, "condition": cond,
+         **dict(zip("ACENO", map(float, rng.standard_normal(5))))}
+        for resp in ("sim", "other") for pid in ids for cond in ("honest", "fake_good")
+    ]
+    fit.write_text(json.dumps({"model": "grm", "backend": "map", "theta": rows}))
+    capsys.readouterr()
+    rc = main(["report", "--fit-likert", str(fit), "--personas", str(personas),
+               "--out", str(tmp_path / "report")])
+    assert rc == EXIT_STAGE
+    assert capsys.readouterr().err.startswith(
+        "stage failure: a shift table pairs one respondent's estimates, got 2: 'other', 'sim'"
+    )
+
+
+def _likert_runs(instrument_files, tmp_path):
+    """Administer 4 simulated personas' Likert sessions under both conditions."""
+    personas, runs = tmp_path / "personas.json", tmp_path / "runs"
+    assert main(["personas", "--n", "4", "--seed", "1", "--out", str(personas)]) == EXIT_OK
+    for cond in ("honest", "fake_good"):
+        assert main(_argv(instrument_files, tmp_path, "administer", "--seed", "2",
+                          "--condition", cond, "--out", str(runs))) == EXIT_OK
+    return runs
+
+
+def test_a_diagnostics_error_from_the_sampler_exits_4(
+    instrument_files, tmp_path, capsys, monkeypatch
+):
+    def divergent(data, opts):
+        raise DiagnosticsError("pervasive divergences: 5 of 8 draws")
+
+    runs = _likert_runs(instrument_files, tmp_path)
+    monkeypatch.setattr(cli, "fit_hmc", divergent)
+    capsys.readouterr()
+    argv = _argv(instrument_files, tmp_path, "fit", "--backend", "hmc")
+    assert main(argv) == EXIT_DIAGNOSTICS
+    assert capsys.readouterr().err == (
+        "diagnostics failure: pervasive divergences: 5 of 8 draws\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+    out_dir = tmp_path / "run"
+    study = _small_study(instrument_files)
+    assert _run_pipeline(tmp_path, out_dir, **study, backend="hmc") == EXIT_DIAGNOSTICS
+    assert (out_dir / "runs" / "responses_likert_fake_good.csv").is_file()
+    assert not list(out_dir.rglob("fit_*.json"))
+
+
+def test_hmc_fit_artifact_holds_the_posterior_mean_traits(instrument_files, tmp_path):
+    runs = _likert_runs(instrument_files, tmp_path)
+    settings = {"chains": 2, "warmup": 30, "samples": 8, "seed": 3}
+    argv = _argv(instrument_files, tmp_path, "fit", "--backend", "hmc",
+                 *[w for k, v in settings.items() for w in (f"--{k}", str(v))])
+    assert main(argv) == EXIT_DIAGNOSTICS  # 8 draws fail the R-hat gate; the fit is kept
+    art = json.loads((tmp_path / "out").read_text())
+    assert art["backend"] == "hmc"
+    pool, inv = small_instrument()
+    sets = [rs for f in sorted(runs.glob("responses_*.csv")) for rs in load_response_sets(f)]
+    data = build_model_data(sets, inv, pool, ResponseFormat.LIKERT)
+    expected = fit_hmc(data, HmcOptions(**settings)).theta_hat
+    frame = fit_theta_frame(art)
+    assert np.array_equal(np.array([frame[u] for u in data.units]), expected)
 
 
 def test_pipeline_rerun_over_a_manifest_without_artifacts_rebuilds(

@@ -795,8 +795,7 @@ def test_fit_artifact_round_trip(tmp_path, small_pool_inventory):
     )
     fit = fit_map(data, MapOptions(n_starts=1, seed=0))
     path = tmp_path / "fit.json"
-    write_fit_artifact(path, data, fit.theta_hat, backend="map",
-                       diag={"log_posterior": fit.log_posterior})
+    write_fit_artifact(path, data, fit.params, "map", {"log_posterior": fit.log_posterior})
     art = load_fit_artifact(path)
     assert art["backend"] == "map"
     frame = fit_theta_frame(art)
