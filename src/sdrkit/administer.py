@@ -16,7 +16,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -313,6 +313,72 @@ def keyed_rng(seed: int, *key: str) -> np.random.Generator:
     """Generator seeded by SHA-256 of the seed and key parts, joined by U+001F."""
     digest = hashlib.sha256(("\x1f".join([str(seed), *key])).encode()).digest()
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
+
+
+def keyed_uniforms(seed: int, key: Sequence[str], unit_ids: Iterable[str]) -> np.ndarray:
+    """``[keyed_rng(seed, *key, uid).random() for uid in unit_ids]``, bit for
+    bit, in one vectorized pass: one hash prefix, then every unit's seeding
+    and first draw at once (:func:`_first_uniforms`)."""
+    prefix = hashlib.sha256("\x1f".join([str(seed), *key, ""]).encode())
+    digests = []
+    for uid in unit_ids:
+        h = prefix.copy()
+        h.update(uid.encode())
+        digests.append(h.digest()[:8])
+    return _first_uniforms(np.frombuffer(b"".join(digests), dtype="<u8"))
+
+
+def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """SeedSequence's hash constants for its first ``count`` hashes, as
+    columns: hash k xors with h_k and multiplies by h_{k+1} = h_k * mult."""
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & 0xFFFFFFFF)
+    column = np.array(h, dtype=np.uint32)[:, None]
+    return column[:-1], column[1:]
+
+
+# numpy's SeedSequence with its pool of four uint32 words, and PCG64; NEP 19
+# keeps both bit streams stable across numpy versions
+_MIX_XOR, _MIX_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # 4 to fill, 12 to mix
+_STATE_XOR, _STATE_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)  # 8 state words
+# for each pool word, the other three and the constants that mix it into them
+_MIXES = [(np.array([d for d in range(4) if d != s]), _MIX_XOR[4 + 3 * s : 7 + 3 * s],
+           _MIX_MUL[4 + 3 * s : 7 + 3 * s]) for s in range(4)]
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128, _MASK64 = (1 << 128) - 1, (1 << 64) - 1
+# two steps from the seeded state: ((inc + s) * M + inc) * M + inc
+_PCG_MULT2, _PCG_MULT1 = _PCG_MULT * _PCG_MULT & _MASK128, _PCG_MULT + 1
+
+
+def _hashmix(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    words = (words ^ xor) * mul
+    return words ^ (words >> 16)
+
+
+def _first_uniforms(keys: np.ndarray) -> np.ndarray:
+    """``np.random.default_rng(k).random()`` for every uint64 key ``k`` at once.
+
+    SeedSequence reads a key as one or two uint32 entropy words and pads its
+    pool with zero words, so a key's zero high word mixes like the padding.
+    The pool is mixed for all keys together; its eight state words make each
+    key's 128-bit PCG64 seed s and stream t, and the first draw is the top 53
+    bits of one XSL-RR output.
+    """
+    pool = np.zeros((4, keys.size), dtype=np.uint32)
+    pool[0], pool[1] = keys & 0xFFFFFFFF, keys >> 32
+    pool = _hashmix(pool, _MIX_XOR[:4], _MIX_MUL[:4])
+    for src, (dst, xor, mul) in enumerate(_MIXES):
+        mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * _hashmix(pool[src], xor, mul)
+        pool[dst] = mixed ^ (mixed >> 16)
+    words = _hashmix(np.concatenate([pool, pool]), _STATE_XOR, _STATE_MUL)
+    out = []
+    for s_hi, s_lo, t_hi, t_lo in np.ascontiguousarray(words.T, "<u4").view("<u8").tolist():
+        inc = ((t_hi << 65) | (t_lo << 1) | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT2 + inc * _PCG_MULT1) & _MASK128
+        rot, x = state >> 122, (state >> 64) ^ (state & _MASK64)
+        out.append((((x >> rot) | (x << (64 - rot))) & _MASK64) >> 11)
+    return np.array(out, dtype=float) * 2.0**-53
 
 
 def render_unit_prompt(plan: SessionPlan, unit: SessionUnit) -> str:

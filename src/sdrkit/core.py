@@ -543,7 +543,12 @@ def write_response_sets(sets: Sequence[ResponseSet], path: str | Path) -> None:
 
 
 def _response_row(row: dict) -> tuple[tuple, tuple[int, str, int, bool]]:
-    key = (row["respondent_id"], row["persona_id"], row["format"], row["condition"])
+    key = (
+        row["respondent_id"],
+        row["persona_id"],
+        ResponseFormat(row["format"]),
+        InstructionCondition(row["condition"]),
+    )
     answer = (
         int(row["position"]),
         row["unit_id"],
@@ -555,19 +560,30 @@ def _response_row(row: dict) -> tuple[tuple, tuple[int, str, int, bool]]:
 
 def load_response_sets(path: str | Path) -> list[ResponseSet]:
     """Read response sets; a row with a missing or non-integer field, as in a
-    file cut mid-row, raises ``SdrkitError`` naming the file and the line."""
-    groups: dict[tuple, list[tuple[int, str, int, bool]]] = {}
-    for key, answer in read_csv_rows(path, _response_row, "response row"):
-        groups.setdefault(key, []).append(answer)
+    file cut mid-row, an unknown format or condition, or a second answer to a
+    unit of the same response set raises ``SdrkitError`` naming the file and
+    the line."""
+    groups: dict[tuple, dict[str, tuple[int, str, int, bool]]] = {}
+
+    def row(raw: dict) -> None:  # checks while parsing, so an error names the line
+        key, answer = _response_row(raw)
+        answers = groups.setdefault(key, {})
+        if answer[1] in answers:
+            raise ValueError(f"a second answer to unit {answer[1]!r} of {key[0]!r}, "
+                             f"{key[1]!r}, {key[2].value}, {key[3].value}")
+        answers[answer[1]] = answer
+
+    for _ in read_csv_rows(path, row, "response row"):
+        pass
     out: list[ResponseSet] = []
-    for (resp, persona, fmt, cond), answers in groups.items():
-        answers.sort(key=lambda a: a[0])
+    for (resp, persona, fmt, cond), by_unit in groups.items():
+        answers = sorted(by_unit.values(), key=lambda a: a[0])
         out.append(
             ResponseSet(
                 respondent_id=resp,
                 persona_id=persona,
-                format=ResponseFormat(fmt),
-                condition=InstructionCondition(cond),
+                format=fmt,
+                condition=cond,
                 answers={unit: answer for _, unit, answer, _ in answers},
                 presentation_order=tuple(unit for _, unit, _, _ in answers),
                 side_assignment={unit: flipped for _, unit, _, flipped in answers},

@@ -850,18 +850,6 @@ def _ess_bulk(z: np.ndarray) -> np.ndarray:
     return np.where(constant, float(m * n), m * n / tau)
 
 
-def split_rhat(x: np.ndarray) -> float:
-    """Rank-normalized split R-hat for draws shaped (chains, samples)."""
-    if x.shape[0] < 2:
-        raise DiagnosticsError("R-hat needs at least 2 chains")
-    return float(_split_rhat(_split_ranked(np.asarray(x)[:, :, None]))[0])
-
-
-def ess_bulk(x: np.ndarray) -> float:
-    """Rank-normalized bulk effective sample size for (chains, samples) draws."""
-    return float(_ess_bulk(_split_ranked(np.asarray(x)[:, :, None]))[0])
-
-
 #: Parameters per diagnostics batch. The ranking and FFT temporaries grow with
 #: the batch: all 1020 parameters of 4 x 500 draws at once held 140 MB more,
 #: batches of 64 hold 11 MB and run as fast.

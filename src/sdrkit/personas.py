@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -204,17 +205,23 @@ def _five_numbers(p: dict, field: str) -> tuple:
     return tuple(value)
 
 
-def _persona_set(raw: dict) -> PersonaSet:
-    personas = tuple(
-        Persona(
-            id=p["id"],
-            z=_five_numbers(p, "z"),
-            stanines=_five_numbers(p, "stanines"),
-            description=p["description"],
+def _persona(p: dict) -> Persona:
+    z, stanines = _five_numbers(p, "z"), _five_numbers(p, "stanines")
+    # exact comparisons: NaN fails every one, and an int beyond float range fails too
+    if not all(abs(v) <= sys.float_info.max for v in z):
+        raise ValueError(f"persona {p['id']!r}: z must be finite, got {list(z)!r}")
+    if not all(isinstance(s, int) and 1 <= s <= 9 for s in stanines):
+        raise ValueError(
+            f"persona {p['id']!r}: stanines must be integers in 1..9, got {list(stanines)!r}"
         )
-        for p in raw["personas"]
-    )
-    return PersonaSet(personas, seed=raw.get("seed", 0))
+    return Persona(id=p["id"], z=z, stanines=stanines, description=p["description"])
+
+
+def _persona_set(raw: dict) -> PersonaSet:
+    seed = raw.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return PersonaSet(tuple(_persona(p) for p in raw["personas"]), seed=seed)
 
 
 def load_persona_set(path: str | Path) -> PersonaSet:

@@ -2,28 +2,17 @@
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
-from scipy import stats
 
-from .core import SdrkitError, UndefinedStatisticError, read_csv_rows, write_csv_rows
+from .core import SdrkitError, UndefinedStatisticError, read_csv_rows
 
 
 class RatingError(SdrkitError):
     pass
-
-
-class RatingParseError(SdrkitError):
-    """Non-conforming rating reply. ``kind`` distinguishes failure modes so a
-    caller can decide to refit once: 'non-digit', 'out-of-range', 'wrong-count'."""
-
-    def __init__(self, kind: str, message: str):
-        super().__init__(message)
-        self.kind = kind
 
 
 @dataclass(frozen=True)
@@ -177,58 +166,15 @@ def agreement_stats(
     )
 
 
-def between_rater_agreement(
-    a: DesirabilityTable, b: DesirabilityTable
-) -> dict[str, float]:
-    """Agreement of two raters' per-item mean scores over the shared item set."""
-    common = sorted(set(a.scores) & set(b.scores))
-    if not common:
-        raise RatingError("disjoint item sets")
-    xa = np.array([a.scores[i] for i in common])
-    xb = np.array([b.scores[i] for i in common])
-    icc_a1, _ = icc_absolute_agreement(np.column_stack([xa, xb]))
-    return {
-        "pearson": _pearson(xa, xb),
-        "spearman": float(stats.spearmanr(xa, xb).statistic),
-        "icc_a1": icc_a1,
-    }
-
-
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     if np.var(x) <= 0 or np.var(y) <= 0:
         raise UndefinedStatisticError("Pearson r undefined: zero variance")
     return float(np.corrcoef(x, y)[0, 1])
 
 
-_SEPARATORS = re.compile(r"[\s,]+")
-
-
-def parse_block_rating_response(text: str, expected: int) -> list[int]:
-    """Parse a block-rating reply into exactly ``expected`` digits in {1..9}.
-
-    Normalization removes line breaks, commas, and whitespace before
-    validation, mirroring the acceptance rule used during data collection.
-    """
-    if expected < 1:
-        raise ValueError("expected count must be >= 1")
-    normalized = _SEPARATORS.sub("", text.strip())
-    if not normalized or not normalized.isdigit():
-        raise RatingParseError("non-digit", f"reply contains non-digit residue: {text!r}")
-    if "0" in normalized:
-        raise RatingParseError("out-of-range", "reply contains digit 0, outside 1..9")
-    if len(normalized) != expected:
-        raise RatingParseError(
-            "wrong-count", f"expected {expected} ratings, got {len(normalized)}"
-        )
-    return [int(c) for c in normalized]
-
-
 # ---------------------------------------------------------------------------
 # File I/O: one row per (item, rater, replication, value)
 # ---------------------------------------------------------------------------
-
-RATINGS_HEADER = ["item_id", "rater", "replication", "value"]
-
 
 def _rating_row(row: dict) -> tuple[tuple[str, str, int], int]:
     return (row["item_id"], row["rater"], int(row["replication"])), int(row["value"])
@@ -241,16 +187,3 @@ def load_rating_dataset(path: str | Path) -> RatingDataset:
             raise RatingError(f"duplicate rating row: {key}")
         values[key] = value
     return RatingDataset(values)
-
-
-def write_rating_dataset(ds: RatingDataset, path: str | Path) -> None:
-    write_csv_rows(path, RATINGS_HEADER, (
-        [item, rater, rep, v] for (item, rater, rep), v in sorted(ds.values.items())
-    ))
-
-
-def rating_rows(
-    rows: Iterable[tuple[str, str, int, int]],
-) -> RatingDataset:
-    """Build a dataset from (item_id, rater, replication, value) tuples."""
-    return RatingDataset({(i, l, r): v for i, l, r, v in rows})

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .administer import ProviderReply, ProviderRequest, SessionPlan, keyed_rng
+from .administer import ProviderReply, ProviderRequest, SessionPlan, keyed_uniforms
 from .core import (
     DESIRABLE_SIGNS,
     InstructionCondition,
@@ -129,8 +129,10 @@ def simulate_answers(
     and ``statements``) in one vectorized pass (GFC: as if each pair were
     shown unflipped).
 
-    Each unit's uniform comes from its own keyed stream, so an answer does not
-    depend on which other units are drawn with it or in what order. The noise
+    Each unit's uniform is the first draw of its own keyed stream, ``keyed_rng(
+    seed, persona, format, unit)``, drawn for all units at once by
+    ``keyed_uniforms``; so an answer does not depend on which other units are
+    drawn with it or in what order. The noise
     is keyed per unit, not per condition, so delta = 0 reproduces honest
     answers bit for bit and paired draws share their noise.
     """
@@ -146,12 +148,12 @@ def simulate_answers(
         kappa = [item.kappa for item in items]
     _, eta = utilities(theta[None], np.array([it.trait for it in items], dtype=int),
                        np.array([it.a_signed for it in items]), paired)
-    u = [keyed_rng(spec.seed, persona.id, fmt.value, unit.id).random() for unit in units]
+    u = keyed_uniforms(spec.seed, (persona.id, fmt.value), [unit.id for unit in units])
     # ItemParams and SimParams checked the thresholds at construction
     cdf = np.cumsum(_category_probs(eta[0], np.reshape(kappa, (-1, 6))), axis=-1)
     # searchsorted(cdf, u, side="right") over the first six entries: the last
     # may round below 1.0, and a u above it must still answer 7, not 8
-    return (cdf[:, :-1] <= np.array(u)[:, None]).sum(axis=-1) + 1
+    return (cdf[:, :-1] <= u[:, None]).sum(axis=-1) + 1
 
 
 def simulate_response_set(

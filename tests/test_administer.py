@@ -2,7 +2,10 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sdrkit.administer import (
     HttpProvider,
@@ -10,7 +13,10 @@ from sdrkit.administer import (
     ProviderRequest,
     ResponseParseError,
     TransportError,
+    _first_uniforms,
     build_rating_plan,
+    keyed_rng,
+    keyed_uniforms,
     make_session_plans,
     parse_single_int,
     render_gfc_prompt,
@@ -145,6 +151,33 @@ def test_gfc_flips_display_statement_sides(small_pool_inventory):
         for u in p.units:
             canonical = tuple(pool.get(i).text for i in u.statements)
             assert u.texts == (canonical[::-1] if u.flipped else canonical)
+
+
+# ---------------------------------------------------------------------------
+# Keyed uniforms
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    key=st.lists(st.text(max_size=8), max_size=3),
+    unit_ids=st.lists(st.text(max_size=12), max_size=40),
+)
+@example(seed=0, key=["p001", "likert"], unit_ids=[])
+@example(seed=2**63 - 1, key=["p001", "gfc"], unit_ids=["n\u00e4\u65e5~\U0001f600"])
+def test_keyed_uniforms_are_each_units_first_keyed_draw(seed, key, unit_ids):
+    got = keyed_uniforms(seed, key, unit_ids)
+    assert got.dtype == np.float64 and got.shape == (len(unit_ids),)
+    assert got.tolist() == [keyed_rng(seed, *key, uid).random() for uid in unit_ids]
+
+
+def test_first_uniforms_match_default_rng_on_one_and_two_word_keys():
+    keys = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    want = [np.random.default_rng(k).random() for k in keys]
+    assert _first_uniforms(np.array(keys, dtype=np.uint64)).tolist() == want
+    for k, u in zip(keys, want):
+        assert _first_uniforms(np.array([k], dtype=np.uint64)).tolist() == [u]
 
 
 # ---------------------------------------------------------------------------

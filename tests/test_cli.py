@@ -502,6 +502,46 @@ def test_fit_on_a_file_cut_mid_row_is_a_stage_failure(instrument_files, tmp_path
     assert f"stage failure: {responses}: malformed response row at line {line}" in err
 
 
+@pytest.mark.parametrize("damage, message", [
+    ("second-answer", "a second answer to unit"),
+    ("format", "'99' is not a valid ResponseFormat"),
+    ("condition", "'honestly' is not a valid InstructionCondition"),
+], ids=["second-answer", "format", "condition"])
+def test_fit_on_a_bad_response_row_is_a_stage_failure(
+    instrument_files, tmp_path, capsys, damage, message
+):
+    personas, runs = tmp_path / "personas.json", tmp_path / "runs"
+    assert main(["personas", "--n", "2", "--seed", "1", "--out", str(personas)]) == EXIT_OK
+    assert main([
+        "administer", "--inventory", str(instrument_files / "inventory.csv"),
+        "--pool", str(instrument_files / "pool.csv"), "--personas", str(personas),
+        "--format", "likert", "--condition", "honest", "--out", str(runs),
+    ]) == EXIT_OK
+    responses = runs / "responses_likert_honest.csv"
+    lines = responses.read_text().splitlines(keepends=True)
+    fields = lines[-1].split(",")
+    if damage == "second-answer":
+        fields[5] = str(8 - int(fields[5]))
+        lines.append(",".join(fields))
+    else:
+        fields[2 if damage == "format" else 3] = "99" if damage == "format" else "honestly"
+        lines[-1] = ",".join(fields)
+    responses.write_text("".join(lines))
+    capsys.readouterr()
+    rc = main([
+        "fit", "--format", "likert", "--responses", str(responses),
+        "--inventory", str(instrument_files / "inventory.csv"),
+        "--pool", str(instrument_files / "pool.csv"),
+        "--backend", "map", "--starts", "1", "--out", str(tmp_path / "fit.json"),
+    ])
+    assert rc == EXIT_STAGE
+    err = capsys.readouterr().err
+    line = len(lines)
+    assert err.startswith(f"stage failure: {responses}: malformed response row at line {line}: "
+                          f"{message}")
+    assert not (tmp_path / "fit.json").exists()
+
+
 @pytest.mark.parametrize("rel, field", [
     pytest.param("manifest.json", None, id="manifest.json"),
     pytest.param("reports/report.json", None, id="reports/report.json"),
@@ -679,6 +719,28 @@ def test_report_on_a_persona_z_that_is_not_five_numbers_is_a_stage_failure(tmp_p
     message = (f"stage failure: {personas}: malformed persona set: persona 'p001': "
                f"z must be five numbers, got {z!r}")
     assert capsys.readouterr().err.startswith(message)
+
+
+def test_administer_refuses_a_persona_whose_trait_is_not_finite(instrument_files, tmp_path, capsys):
+    personas, params = tmp_path / "personas.json", tmp_path / "params.json"
+    assert main(["personas", "--n", "2", "--seed", "1", "--out", str(personas)]) == EXIT_OK
+    pool, inv = small_instrument()
+    write_sim_params(default_sim_params(inv, pool, seed=0), params)
+    raw = json.loads(personas.read_text())
+    raw["personas"][0]["z"][1] = float("nan")  # C
+    personas.write_text(json.dumps(raw))
+    capsys.readouterr()
+    rc = main([
+        "administer", "--inventory", str(instrument_files / "inventory.csv"),
+        "--pool", str(instrument_files / "pool.csv"),
+        "--personas", str(personas), "--format", "likert", "--condition", "honest",
+        "--params", str(params), "--out", str(tmp_path / "runs"),
+    ])
+    assert rc == EXIT_STAGE
+    message = (f"stage failure: {personas}: malformed persona set: persona 'p001': "
+               "z must be finite")
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "runs").exists()
 
 
 def test_assembly_config_missing_a_field_is_a_config_error(instrument_files, tmp_path, capsys):

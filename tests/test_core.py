@@ -25,13 +25,14 @@ from sdrkit.core import (
     load_item_pool,
     load_response_sets,
     validate_inventory,
+    write_csv_rows,
     write_inventory,
     write_item_pool,
     write_response_sets,
 )
 from sdrkit.irt import load_fit_artifact, theta_table
 from sdrkit.personas import load_persona_set, sample_personas, write_persona_set
-from sdrkit.ratings import RatingError, load_rating_dataset, rating_rows, write_rating_dataset
+from sdrkit.ratings import RatingError, load_rating_dataset
 from sdrkit.simulate import default_sim_params, load_sim_params, write_sim_params
 
 
@@ -189,6 +190,47 @@ def test_response_file_cut_mid_row_names_the_file_and_line(tmp_path):
     assert load_response_sets(f) == whole
 
 
+def _likert_set_rows(tmp_path):
+    rs = ResponseSet(
+        respondent_id="m", persona_id="p001", format=ResponseFormat.LIKERT,
+        condition=InstructionCondition.HONEST,
+        answers={"a": 3, "b": 7, "c": 1},
+        presentation_order=("a", "b", "c"),
+    )
+    f = tmp_path / "resp.csv"
+    write_response_sets([rs], f)
+    return f, f.read_text().splitlines(keepends=True)
+
+
+def test_response_file_answering_a_unit_twice_names_the_file_and_line(tmp_path):
+    f, lines = _likert_set_rows(tmp_path)
+    fields = lines[2].split(",")  # unit b, answered 7
+    fields[5], fields[6] = "2", "3"  # answered 2 at a new position
+    f.write_text("".join(lines) + ",".join(fields))
+    message = (f"{f}: malformed response row at line 5: a second answer to unit 'b' of "
+               "'m', 'p001', likert, honest")
+    with pytest.raises(SdrkitError) as exc:
+        load_response_sets(f)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("column, value, message", [
+    (2, "99", "'99' is not a valid ResponseFormat"),
+    (3, "honestly", "'honestly' is not a valid InstructionCondition"),
+], ids=["format", "condition"])
+def test_response_file_with_an_unknown_format_or_condition_names_the_file_and_line(
+    tmp_path, column, value, message
+):
+    f, lines = _likert_set_rows(tmp_path)
+    fields = lines[2].split(",")
+    fields[column] = value
+    lines[2] = ",".join(fields)
+    f.write_text("".join(lines))
+    with pytest.raises(SdrkitError) as exc:
+        load_response_sets(f)
+    assert str(exc.value) == f"{f}: malformed response row at line 3: {message}"
+
+
 def test_inventory_file_using_an_item_twice_is_rejected(tmp_path, small_pool_inventory):
     _, inv = small_pool_inventory
     f = tmp_path / "inv.csv"
@@ -230,7 +272,8 @@ def _write_inventory(path, pool, inv):
 
 
 def _write_ratings(path, pool, inv):
-    write_rating_dataset(rating_rows([("a1", "r1", 1, 5), ("a2", "r1", 1, 6)]), path)
+    write_csv_rows(path, ["item_id", "rater", "replication", "value"],
+                   [("a1", "r1", 1, 5), ("a2", "r1", 1, 6)])
 
 
 # case: (write a valid file, damage its text, loader, error, message after the path)

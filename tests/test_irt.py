@@ -27,7 +27,6 @@ from sdrkit.irt import (
     Posterior,
     build_model_data,
     diagnostics,
-    ess_bulk,
     fit_hmc,
     fit_map,
     design_for,
@@ -37,7 +36,6 @@ from sdrkit.irt import (
     log_posterior,
     log_posterior_and_grad,
     param_dim,
-    split_rhat,
     unpack,
     write_fit_artifact,
 )
@@ -416,6 +414,16 @@ def test_map_fit_matches_the_recorded_digest(small_pool_inventory, fmt):
 # ---------------------------------------------------------------------------
 
 
+def split_rhat(x):
+    """Split R-hat of one (chains, samples) parameter, through ``diagnostics``."""
+    return diagnostics(Posterior(draws=x[:, :, None], units=()))["rhat"][0]
+
+
+def ess_bulk(x):
+    """Bulk ESS of one (chains, samples) parameter, through ``diagnostics``."""
+    return diagnostics(Posterior(draws=x[:, :, None], units=()))["ess"][0]
+
+
 def test_split_rhat_identical_chains_is_one():
     rng = np.random.default_rng(30)
     chain = rng.standard_normal(400)
@@ -452,10 +460,8 @@ def test_diagnostics_need_four_draws_per_chain(samples):
     draws = np.random.default_rng(36).standard_normal((2, samples, 3))
     post = Posterior(draws=draws, units=())
     message = f"^R-hat and ESS need at least 4 draws per chain, got {samples}$"
-    for check in (diagnostics, lambda p: split_rhat(p.draws[:, :, 0]),
-                  lambda p: ess_bulk(p.draws[:, :, 0])):
-        with pytest.raises(DiagnosticsError, match=message):
-            check(post)
+    with pytest.raises(DiagnosticsError, match=message):
+        diagnostics(post)
     assert diagnostics(replace(post, draws=np.tile(draws, (1, 4, 1))))["rhat"].shape == (3,)
 
 

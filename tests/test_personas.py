@@ -141,6 +141,39 @@ def test_persona_set_rejects_a_field_that_is_not_five_numbers(tmp_path, field, v
     )
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("z", [0.1, float("nan"), 0.3, 0.4, 0.5], "z must be finite, got [0.1, nan, 0.3, 0.4, 0.5]"),
+    ("z", [0.1, 0.2, float("-inf"), 0.4, 0.5], "z must be finite, got [0.1, 0.2, -inf, 0.4, 0.5]"),
+    ("z", [0.1, 10**400, 0.3, 0.4, 0.5], "z must be finite"),
+    ("stanines", [5, 5, 2**70, 5, 5], f"stanines must be integers in 1..9, got [5, 5, {2**70}, 5, 5]"),
+    ("stanines", [5, 0, 5, 5, 5], "stanines must be integers in 1..9, got [5, 0, 5, 5, 5]"),
+    ("stanines", [5, 5.0, 5, 5, 5], "stanines must be integers in 1..9, got [5, 5.0, 5, 5, 5]"),
+], ids=["z-nan", "z-inf", "z-huge-int", "stanine-huge", "stanine-zero", "stanine-float"])
+def test_persona_set_rejects_a_trait_value_out_of_range(tmp_path, field, value, message):
+    f = tmp_path / "personas.json"
+    write_persona_set(sample_personas(2, seed=7), f)
+    raw = json.loads(f.read_text())
+    raw["personas"][0][field] = value
+    f.write_text(json.dumps(raw))
+    with pytest.raises(PersonaError) as exc:
+        load_persona_set(f)
+    assert str(exc.value).startswith(f"{f}: malformed persona set: persona 'p001': {message}")
+
+
+@pytest.mark.parametrize("seed", [True, -1, 1.5, "7", None])
+def test_persona_set_rejects_a_seed_that_is_not_a_non_negative_integer(tmp_path, seed):
+    f = tmp_path / "personas.json"
+    write_persona_set(sample_personas(2, seed=7), f)
+    raw = json.loads(f.read_text())
+    raw["seed"] = seed
+    f.write_text(json.dumps(raw))
+    with pytest.raises(PersonaError) as exc:
+        load_persona_set(f)
+    assert str(exc.value) == (
+        f"{f}: malformed persona set: seed must be a non-negative integer, got {seed!r}"
+    )
+
+
 def test_descriptions_match_stanines():
     lex = Lexicon.default()
     for p in sample_personas(20, seed=3):

@@ -1,24 +1,25 @@
-"""Rating aggregation, intraclass correlations, and reply parsing."""
+"""Rating aggregation, intraclass correlations, and the ratings file."""
 
 import numpy as np
 import pytest
 
 from sdrkit import metrics
+from sdrkit.core import write_csv_rows
 from sdrkit.ratings import (
     AgreementStats,
     RatingDataset,
     RatingError,
-    RatingParseError,
     UndefinedStatisticError,
     agreement_stats,
     aggregate_ratings,
-    between_rater_agreement,
     icc_absolute_agreement,
     load_rating_dataset,
-    parse_block_rating_response,
-    rating_rows,
-    write_rating_dataset,
 )
+
+
+def rating_rows(rows):
+    """A dataset from (item_id, rater, replication, value) tuples."""
+    return RatingDataset({(i, r, rep): v for i, r, rep, v in rows})
 
 
 def _independent_icc_a1(x: np.ndarray) -> float:
@@ -117,46 +118,9 @@ def test_agreement_stats_deterministic_under_seed():
     assert s1 == s2
 
 
-def test_between_rater_agreement_perfect_and_disjoint():
-    a = aggregate_ratings(rating_rows([("i1", "r1", 1, 2), ("i2", "r1", 1, 8)]))
-    b = aggregate_ratings(rating_rows([("i1", "r2", 1, 2), ("i2", "r2", 1, 8)]))
-    out = between_rater_agreement(a, b)
-    assert out["pearson"] == pytest.approx(1.0)
-    assert out["icc_a1"] == pytest.approx(1.0)
-    c = aggregate_ratings(rating_rows([("zz", "r3", 1, 5), ("zy", "r3", 1, 6)]))
-    with pytest.raises(RatingError):
-        between_rater_agreement(a, c)
-
-
-@pytest.mark.parametrize(
-    "text,expected",
-    [
-        ("1 2 3", [1, 2, 3]),
-        (" 5,6 , 7 ", [5, 6, 7]),
-        ("9\n9\n1", [9, 9, 1]),
-    ],
-)
-def test_parse_block_rating_accepts_normalizable_replies(text, expected):
-    assert parse_block_rating_response(text, len(expected)) == expected
-
-
-@pytest.mark.parametrize(
-    "text,count,kind",
-    [
-        ("one two", 2, "non-digit"),
-        ("1 0 3", 3, "out-of-range"),
-        ("1 2 3 4", 3, "wrong-count"),
-        ("", 1, "non-digit"),
-    ],
-)
-def test_parse_block_rating_rejects(text, count, kind):
-    with pytest.raises(RatingParseError) as exc:
-        parse_block_rating_response(text, count)
-    assert exc.value.kind == kind
-
-
 def test_rating_dataset_round_trip(tmp_path):
     ds = rating_rows([("i1", "r1", 1, 4), ("i1", "r1", 2, 5), ("i2", "r2", 1, 9)])
     f = tmp_path / "ratings.csv"
-    write_rating_dataset(ds, f)
+    write_csv_rows(f, ["item_id", "rater", "replication", "value"],
+                   ([*key, v] for key, v in ds.values.items()))
     assert load_rating_dataset(f) == ds

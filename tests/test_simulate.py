@@ -4,7 +4,6 @@ import math
 import sys
 import threading
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -461,7 +460,7 @@ def test_answer_stays_on_the_scale_when_the_last_cumulative_probability_is_below
     )
     persona = Persona("p1", (eta, 0.0, 0.0, 0.0, 0.0), (5,) * 5, "")
     u = np.nextafter(1.0, 0.0)  # the largest uniform a stream can return
-    monkeypatch.setattr(simulate, "keyed_rng", lambda *key: SimpleNamespace(random=lambda: u))
+    monkeypatch.setattr(simulate, "keyed_uniforms", lambda *key: np.array([u]))
     answers = simulate_answers(
         persona, ResponseFormat.LIKERT, InstructionCondition.HONEST, [statement("i1")], params,
         SimSpec(),
