@@ -154,12 +154,17 @@ def parse_single_int(text: str) -> int:
 
 @dataclass(frozen=True)
 class ProviderRequest:
-    message: str  # single user message, no chat history
+    """One unit of a planned session. In-process providers answer from the
+    plan and unit; a transport sends only the model id and the ``message``."""
+
     model_id: str
-    # the planned session and unit the message was rendered from; in-process
-    # providers answer from them, and no transport ever sends them
-    plan: SessionPlan | None = None
-    unit: SessionUnit | None = None
+    plan: SessionPlan
+    unit: SessionUnit
+
+    @property
+    def message(self) -> str:
+        """The unit's prompt, a single user message with no chat history."""
+        return render_unit_prompt(self.plan, self.unit)
 
 
 @dataclass(frozen=True)
@@ -401,10 +406,7 @@ def run_session(
     refits = 0
     transport_retries = 0
     for unit in plan.units:
-        prompt = render_unit_prompt(plan, unit)
-        request = ProviderRequest(
-            message=prompt, model_id=provider.model_id, plan=plan, unit=unit
-        )
+        request = ProviderRequest(provider.model_id, plan, unit)
         value: int | None = None
         for attempt in range(1 + MAX_RETRIES):
             reply = None

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import shutil
 import sys
@@ -31,13 +30,21 @@ from .administer import (
 from .assemble import InfeasibleError, assemble as solve_assembly
 from .core import (
     AssemblyConfig,
+    FieldError,
     InstructionCondition,
     ResponseFormat,
     SdrkitError,
+    cell,
     load_inventory,
     load_item_pool,
     load_response_sets,
+    read_count,
+    read_flag,
     read_json,
+    read_list,
+    read_member,
+    read_number,
+    read_text,
     write_inventory,
     write_item_pool,
     write_response_sets,
@@ -112,19 +119,9 @@ def _digest(value) -> str:
     return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
 
 
-def _condition(label: str) -> InstructionCondition:
-    alias = {"fake": "fake_good"}
-    try:
-        return InstructionCondition(alias.get(label, label))
-    except ValueError:
-        raise ConfigError(f"unknown condition: {label!r}") from None
-
-
-def _format(label: str) -> ResponseFormat:
-    try:
-        return ResponseFormat(label)
-    except ValueError:
-        raise ConfigError(f"unknown format: {label!r}") from None
+#: condition names on the command line and in pipeline configs
+CONDITIONS = {"honest": InstructionCondition.HONEST, "fake": InstructionCondition.FAKE_GOOD,
+              "fake_good": InstructionCondition.FAKE_GOOD}
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +169,16 @@ def cmd_aggregate(args) -> int:
 
 
 def _assembly_config(args) -> AssemblyConfig:
-    try:  # a value that AssemblyConfig rejects is a configuration error
-        if not args.config:
-            return AssemblyConfig.standard(args.blocks)
-        return read_json(_require(args.config, "assembly config"), lambda raw: AssemblyConfig(
-            block_count=raw["block_count"],
-            per_trait=raw.get("per_trait"),
-            per_trait_pair=raw.get("per_trait_pair"),
-            mixed_key_range=tuple(raw["mixed_key_range"]) if raw.get("mixed_key_range") else None,
-            sign_floor=raw.get("sign_floor", 0.30),
-            node_budget=raw.get("node_budget"),
-        ), "assembly config", ConfigError)
-    except SdrkitError as exc:
-        raise ConfigError(str(exc)) from None
+    if not args.config:
+        return AssemblyConfig.standard(args.blocks)
+    return read_json(_require(args.config, "assembly config"), lambda raw: AssemblyConfig(
+        block_count=raw["block_count"],
+        per_trait=raw.get("per_trait"),
+        per_trait_pair=raw.get("per_trait_pair"),
+        mixed_key_range=raw.get("mixed_key_range"),
+        sign_floor=raw.get("sign_floor", 0.30),
+        node_budget=raw.get("node_budget"),
+    ), "assembly config", ConfigError)
 
 
 def cmd_assemble(args) -> int:
@@ -256,8 +250,8 @@ def cmd_administer(args) -> int:
     inventory = load_inventory(_require(args.inventory, "inventory"))
     pool = load_item_pool(_require(args.pool, "item pool"))
     personas = load_persona_set(_require(args.personas, "persona set"))
-    fmt = _format(args.format)
-    cond = _condition(args.condition)
+    fmt = ResponseFormat(args.format)
+    cond = CONDITIONS[args.condition]
     provider = _build_provider(args, inventory, pool, fmt)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -315,15 +309,14 @@ def cmd_fit(args) -> int:
     if args.backend == "map":
         opts = MapOptions(seed=args.seed, n_starts=args.starts)
     else:  # R-hat splits each of 2+ chains into halves of 2+ draws
-        for flag, value, low in (("--chains", args.chains, 2), ("--samples", args.samples, 4)):
-            if value < low:
-                raise ConfigError(f"{flag} must be at least {low} with --backend hmc, got {value}")
+        read_count(args.chains, "--chains with --backend hmc", 2)
+        read_count(args.samples, "--samples with --backend hmc", 4)
         opts = HmcOptions(seed=args.seed, chains=args.chains, warmup=args.warmup,
                           samples=args.samples)
     inventory = load_inventory(_require(args.inventory, "inventory"))
     pool = load_item_pool(_require(args.pool, "item pool"))
     sets = _load_response_files(_require(args.responses, "response data"))
-    n_units = _fit_write_gate(sets, inventory, pool, _format(args.format), opts, args.out)
+    n_units = _fit_write_gate(sets, inventory, pool, ResponseFormat(args.format), opts, args.out)
     print(f"fitted {n_units} response units ({opts.backend}) -> {args.out}")
     return EXIT_OK
 
@@ -422,62 +415,37 @@ def _write_report(fit_paths: dict[str, Path], sources: dict[str, str], personas,
 _DEFAULT_SEEDS = {"personas": 1, "plan": 2, "sim": 3, "params": 4, "fit": 5}
 
 
-def _pipeline_config(cfg: dict) -> dict:
-    """Fill a pipeline config's defaults and check its values."""
-    cfg.setdefault("pool", str(_packaged("marker_inventory_pool.csv")))
-    cfg.setdefault("inventory", str(_packaged("marker_inventory_blocks.csv")))
-    cfg.setdefault("n_personas", 50)
-    cfg.setdefault("backend", "map")
-    cfg.setdefault("formats", ["likert", "gfc"])
-    cfg.setdefault("conditions", ["honest", "fake_good"])
-    cfg.setdefault("out_dir", "run")
-    seeds = dict(_DEFAULT_SEEDS)
-    seeds.update(cfg.get("seeds", {}))
-    cfg["seeds"] = seeds
-    provider = {"type": "sim", "fake_good_delta": 1.0, "matched_discrimination": False}
-    provider.update(cfg.get("provider", {}))
-    cfg["provider"] = provider
-    if provider["type"] != "sim":
-        raise ConfigError("pipeline currently orchestrates the built-in simulator provider")
+def _pipeline_config(raw: dict) -> dict:
+    """A pipeline config with its defaults filled in, once its values check out."""
+    cfg = {
+        "pool": str(_packaged("marker_inventory_pool.csv")),
+        "inventory": str(_packaged("marker_inventory_blocks.csv")),
+        "n_personas": 50, "backend": "map", "formats": ["likert", "gfc"],
+        "conditions": ["honest", "fake_good"], "out_dir": "run", **raw,
+        "seeds": {**_DEFAULT_SEEDS, **raw.get("seeds", {})},  # ** refuses a non-mapping
+        "provider": {"type": "sim", "fake_good_delta": 1.0, "matched_discrimination": False,
+                     **raw.get("provider", {})},
+    }
+    seeds, provider = cfg["seeds"], cfg["provider"]
+    read_member(provider["type"], "provider.type", ("sim",))  # the built-in simulator only
     for key in ("pool", "inventory"):
-        _require(cfg[key], f"pipeline {key}")
+        _require(read_text(cfg[key], key), f"pipeline {key}")
     if cfg.get("ratings"):
-        _require(cfg["ratings"], "pipeline ratings")
-    if cfg["backend"] not in ("map", "hmc"):
-        raise ConfigError(f"unknown backend: {cfg['backend']!r}")
-    n = cfg["n_personas"]
-    if not _count(n) or n < 1:
-        raise ConfigError(f"n_personas must be a positive integer, got {n!r}")
+        _require(read_text(cfg["ratings"], "ratings"), "pipeline ratings")
+    read_member(cfg["backend"], "backend", ("map", "hmc"))
+    read_count(cfg["n_personas"], "n_personas", 1)
     for name, seed in seeds.items():
-        if not _count(seed):
-            raise ConfigError(f"seeds.{name} must be a non-negative integer, got {seed!r}")
-    for key, parse in (("formats", _format), ("conditions", _condition)):
-        if not isinstance(cfg[key], list) or not cfg[key]:
-            raise ConfigError(f"{key} must be a non-empty list of names, got {cfg[key]!r}")
-        for label in cfg[key]:
-            try:
-                parse(label)
-            except (ConfigError, TypeError):  # unknown, or not a name at all
-                raise ConfigError(f"{key}: unknown name {label!r}") from None
+        read_count(seed, f"seeds.{name}")
+    read_list(cfg["formats"], "formats", read_member, choices=ResponseFormat)
+    conditions = read_list(cfg["conditions"], "conditions", read_member,
+                           choices=tuple(CONDITIONS))
     # the report pairs each persona's honest and fake-good fits
-    conditions = cfg["conditions"]
-    if {_condition(c) for c in conditions} != set(InstructionCondition):
-        raise ConfigError(f"conditions must name both honest and fake_good, got {conditions!r}")
-    if not isinstance(cfg["out_dir"], str):
-        raise ConfigError(f"out_dir must be a path string, got {cfg['out_dir']!r}")
-    delta = provider["fake_good_delta"]
-    # type(), not isinstance(): a JSON boolean is not a number here
-    if type(delta) not in (int, float) or not math.isfinite(delta) or delta < 0:
-        raise ConfigError(f"provider.fake_good_delta must be a finite number >= 0, got {delta!r}")
-    if not isinstance(provider["matched_discrimination"], bool):
-        raise ConfigError("provider.matched_discrimination must be true or false, got "
-                          f"{provider['matched_discrimination']!r}")
+    if {CONDITIONS[c] for c in conditions} != set(InstructionCondition):
+        raise FieldError(f"conditions must name both honest and fake_good, got {conditions!r}")
+    read_text(cfg["out_dir"], "out_dir")
+    read_number(provider["fake_good_delta"], "provider.fake_good_delta", 0)
+    read_flag(provider["matched_discrimination"], "provider.matched_discrimination")
     return cfg
-
-
-def _count(value) -> bool:
-    """Whether a JSON value is a non-negative integer (JSON booleans are not)."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _reusable(raw: dict) -> tuple[dict, dict, dict]:
@@ -583,10 +551,10 @@ def cmd_pipeline(args) -> int:
             unit = failed[0].failed_unit
             raise SdrkitError(f"administration failed at unit {unit} ({fmt.value}/{cond.value})")
 
-    conditions = [_condition(c) for c in cfg["conditions"]]
+    conditions = [CONDITIONS[c] for c in cfg["conditions"]]
     run_config = {"plan": seeds["plan"], "sim": seeds["sim"], "delta": spec.fake_good_delta}
     fits = {}
-    for fmt in [_format(f) for f in cfg["formats"]]:
+    for fmt in [ResponseFormat(f) for f in cfg["formats"]]:
         runs = [f"runs/responses_{fmt.value}_{cond.value}.csv" for cond in conditions]
         for rel, cond in zip(runs, conditions):
             stages.run([rel], run_config, ["personas.json", "sim_params.json", *data],
@@ -640,16 +608,13 @@ def cmd_lint(args) -> int:
 
 def _at_least(low: int, kind=int):
     """An argparse type: a finite ``kind`` value no smaller than ``low``."""
+    read = read_count if kind is int else read_number
 
     def count(text: str):
         try:
-            value = kind(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
-        if not low <= value < math.inf:  # also refuses nan
-            finite = "a finite number " if kind is float else ""
-            raise argparse.ArgumentTypeError(f"must be {finite}at least {low}, got {value}")
-        return value
+            return kind(read(cell(text), "", low))
+        except FieldError as exc:  # argparse's message names the flag
+            raise argparse.ArgumentTypeError(str(exc).lstrip()) from None
 
     return count
 
@@ -700,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", required=True)
     p.add_argument("--personas", required=True)
     p.add_argument("--format", required=True, choices=["likert", "gfc"])
-    p.add_argument("--condition", required=True, choices=["honest", "fake", "fake_good"])
+    p.add_argument("--condition", required=True, choices=list(CONDITIONS))
     p.add_argument("--provider", default="sim", choices=["sim", "http"])
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--delta", type=_at_least(0, float), default=1.0,
@@ -749,7 +714,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, FieldError) as exc:  # file readers wrap theirs: this is a flag's
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DiagnosticsError as exc:

@@ -10,8 +10,12 @@ from __future__ import annotations
 import csv
 import enum
 import json
+import math
 import numbers
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -34,6 +38,104 @@ class UndefinedStatisticError(SdrkitError):
     """A statistic has no defined value for the given data (e.g. zero variance)."""
 
 
+# ---------------------------------------------------------------------------
+# Field readers: every input file and options object checks its fields here
+# ---------------------------------------------------------------------------
+
+
+class FieldError(SdrkitError, ValueError):
+    """A field not of its type or not in its range. The readers below raise it
+    naming the field; ``read_json`` and ``read_csv_rows`` add the file and line."""
+
+
+def _refuse(name: str, want: str, value, lo=-math.inf, hi=math.inf, above=False) -> FieldError:
+    if hi != math.inf:
+        want += f" in {'(' if above else '['}{lo}, {hi}]"
+    elif lo != -math.inf:
+        want += f" above {lo}" if above else f" of at least {lo}"
+    return FieldError(f"{name} must be {want}, got {value!r}")
+
+
+def read_count(value, name: str, low: int = 0, high: float = math.inf):
+    """``value`` if it is an integer in [low, high]; a boolean is not one."""
+    if (type(value) is int or isinstance(value, numbers.Integral)
+            and not isinstance(value, bool)) and low <= value <= high:
+        return value
+    raise _refuse(name, "an integer", value, low, high)
+
+
+def read_number(value, name: str, lo=-math.inf, hi=math.inf, above: bool = False):
+    """``value`` if it is a finite number in [lo, hi], or in (lo, hi] when
+    ``above``; a boolean, NaN or an integer beyond float range is not one."""
+    real = type(value) in (float, int) or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool))
+    # exact comparisons: NaN fails every one, an integer beyond float range the first
+    if real and abs(value) <= sys.float_info.max and (
+            lo < value <= hi if above else lo <= value <= hi):
+        return value
+    raise _refuse(name, "a finite number", value, lo, hi, above)
+
+
+@cache
+def _by_value(choices) -> dict:
+    """Each of ``choices`` by its value, with the value's type."""
+    return {getattr(c, "value", c): (type(getattr(c, "value", c)), c) for c in choices}
+
+
+def read_member(value, name: str, choices):
+    """The member of ``choices`` (an enum, or a tuple of values) whose value
+    is ``value`` and of its type: JSON true is not 1."""
+    try:
+        kind, choice = _by_value(choices)[value]
+    except (KeyError, TypeError):  # not a member, or not hashable
+        kind = None
+    if kind is type(value):
+        return choice
+    raise _refuse(name, "one of " + ", ".join(map(repr, _by_value(choices))), value)
+
+
+def read_text(value, name: str) -> str:
+    """``value`` if it is a non-empty string."""
+    if type(value) is str and value:
+        return value
+    raise _refuse(name, "a non-empty string", value)
+
+
+def read_flag(value, name: str) -> bool:
+    """``value`` if it is a boolean."""
+    if type(value) is bool:
+        return value
+    raise _refuse(name, "true or false", value)
+
+
+def read_list(value, name: str, read=None, length: int = 0, **bounds) -> list:
+    """``value`` as a list, if it is a list or tuple of ``length`` items (of at
+    least one without ``length``), each read by ``read(item, f"{name}[i]", **bounds)``."""
+    if isinstance(value, (list, tuple)) and (len(value) == length if length else value):
+        return [v if read is None else read(v, f"{name}[{i}]", **bounds)
+                for i, v in enumerate(value)]
+    raise _refuse(name, f"a list of {length} values" if length else "a non-empty list", value)
+
+
+def cell(text: str):
+    """A CSV field as the JSON value it spells: an int, a float, or the text."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+@contextmanager
+def naming(what: str, error: type[SdrkitError] = FieldError):
+    """Raise a ``FieldError`` from inside as ``error``, its message after ``what``."""
+    try:
+        yield
+    except FieldError as exc:
+        raise error(f"{what}{exc}") from None
+
+
 class TraitDomain(enum.Enum):
     """Big Five trait domains, in fixed (A, C, E, N, O) index order."""
 
@@ -46,13 +148,6 @@ class TraitDomain(enum.Enum):
     @property
     def index(self) -> int:
         return self.value
-
-    @classmethod
-    def from_label(cls, label: str) -> "TraitDomain":
-        try:
-            return cls[label.strip().upper()]
-        except KeyError:
-            raise PoolError(f"unknown domain label: {label!r}") from None
 
 
 TRAIT_ORDER: tuple[TraitDomain, ...] = tuple(TraitDomain)
@@ -84,14 +179,12 @@ class Item:
     desirability: float | None = None  # 1..9 scale, None until rated
 
     def __post_init__(self) -> None:
-        if self.keying not in (+1, -1):
-            raise PoolError(f"item {self.id!r}: keying must be +1 or -1, got {self.keying}")
-        if not self.text:
-            raise PoolError(f"item {self.id!r}: empty statement text")
-        if self.desirability is not None and not (1.0 <= self.desirability <= 9.0):
-            raise PoolError(
-                f"item {self.id!r}: desirability {self.desirability} outside [1, 9]"
-            )
+        with naming(f"item {self.id!r}: ", PoolError):
+            read_text(self.id, "id")
+            read_text(self.text, "text")
+            read_member(self.keying, "keying", (1, -1))
+            if self.desirability is not None:
+                read_number(self.desirability, "desirability", 1, 9)
 
 
 @dataclass(frozen=True)
@@ -144,10 +237,12 @@ class GfcBlock:
     desirability_gap: float
 
     def __post_init__(self) -> None:
+        with naming(f"block {block_id(self.left, self.right)!r}: ", InventoryError):
+            read_text(self.left, "left_id")
+            read_text(self.right, "right_id")
+            read_number(self.desirability_gap, "desirability_gap", 0)
         if self.left == self.right:
             raise InventoryError(f"block pairs item {self.left!r} with itself")
-        if self.desirability_gap < 0:
-            raise InventoryError("desirability gap must be nonnegative")
 
 
 class ResponseFormat(enum.Enum):
@@ -211,8 +306,7 @@ class ResponseSet:
 
     def __post_init__(self) -> None:
         for unit, ans in self.answers.items():
-            if not (1 <= ans <= N_CATEGORIES):
-                raise SdrkitError(f"answer for {unit!r} out of range: {ans}")
+            read_count(ans, f"answer to {unit!r}", 1, N_CATEGORIES)
         if set(self.presentation_order) != set(self.answers):
             raise SdrkitError("presentation order does not cover exactly the answered units")
 
@@ -241,26 +335,21 @@ class AssemblyConfig:
     node_budget: int | None = None
 
     def __post_init__(self) -> None:
-        for name, low in (("block_count", 1), ("per_trait", 0), ("per_trait_pair", 0),
-                          ("node_budget", 0)):
-            value = getattr(self, name)
-            if (value is not None or name == "block_count") and not _whole(value, low):
-                raise SdrkitError(f"{name} must be an integer of at least {low}, got {value!r}")
-        mixed = self.mixed_key_range
-        if mixed is not None and not (
-            isinstance(mixed, tuple) and len(mixed) == 2
-            and all(_whole(v, 0) for v in mixed) and mixed[0] <= mixed[1]
-        ):
-            raise SdrkitError(f"mixed_key_range must be two integers 0 <= lo <= hi, got {mixed!r}")
-        floor = self.sign_floor
-        real = isinstance(floor, numbers.Real) and not isinstance(floor, bool)
-        if floor is not None and not (real and 0.0 <= floor <= 1.0):
-            raise SdrkitError(f"sign_floor must be a number in [0, 1], got {floor!r}")
+        read_count(self.block_count, "block_count", 1)
+        for name in ("per_trait", "per_trait_pair", "node_budget"):
+            if getattr(self, name) is not None:
+                read_count(getattr(self, name), name)
+        if self.mixed_key_range is not None:
+            lo, hi = read_list(self.mixed_key_range, "mixed_key_range", read_count, 2)
+            read_count(hi, "mixed_key_range[1]", lo)
+            object.__setattr__(self, "mixed_key_range", (lo, hi))
+        if self.sign_floor is not None:
+            read_number(self.sign_floor, "sign_floor", 0, 1)
 
     @classmethod
     def standard(cls, block_count: int = 30) -> "AssemblyConfig":
         if block_count % 10 != 0:
-            raise SdrkitError("block count must be divisible by 10 for the standard config")
+            raise FieldError("block count must be divisible by 10 for the standard config")
         p = block_count
         return cls(
             block_count=p,
@@ -268,11 +357,6 @@ class AssemblyConfig:
             per_trait_pair=p // 10,
             mixed_key_range=(int(0.4 * p + 0.5), int(0.6 * p + 0.5)),
         )
-
-
-def _whole(value, low: int) -> bool:
-    """Whether ``value`` is an integer of at least ``low`` (booleans are not)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
 @dataclass(frozen=True)
@@ -455,8 +539,8 @@ def read_csv_rows(
     """Yield ``parse(row)`` for each row of a CSV file.
 
     A file without the ``header`` columns raises ``error``, and so does a row
-    with a missing or malformed field, as in a file cut mid-row, naming the
-    file and the line.
+    with a missing or malformed field, as in a file cut mid-row, or one that
+    ``parse`` refuses with ``error``, naming the file and the line.
     """
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -464,10 +548,10 @@ def read_csv_rows(
             raise error(f"{path}: expected header columns {list(header)}")
         for row in reader:
             try:
-                if None in row.values():
-                    raise ValueError("too few fields")
+                if None in row or None in row.values():  # extra fields, or missing ones
+                    raise ValueError("a row must have one field per header column")
                 yield parse(row)
-            except (KeyError, ValueError) as exc:
+            except (KeyError, ValueError, error) as exc:
                 raise error(
                     f"{path}: malformed {what} at line {reader.line_num}: {exc}"
                 ) from None
@@ -478,9 +562,9 @@ def _pool_item(row: dict) -> Item:
     return Item(
         id=row["id"],
         text=row["text"],
-        domain=TraitDomain.from_label(row["domain"]),
-        keying=int(row["keying"]),
-        desirability=float(des) if des else None,
+        domain=TraitDomain[read_member(row["domain"].strip().upper(), "domain", TRAIT_LABELS)],
+        keying=cell(row["keying"]),
+        desirability=cell(des) if des else None,
     )
 
 
@@ -510,7 +594,7 @@ def load_inventory(path: str | Path) -> Inventory:
     used in two blocks raises :class:`InventoryError`."""
     blocks = tuple(read_csv_rows(
         path,
-        lambda row: GfcBlock(row["left_id"], row["right_id"], float(row["desirability_gap"])),
+        lambda row: GfcBlock(row["left_id"], row["right_id"], cell(row["desirability_gap"])),
         "block row",
         InventoryError,
     ))
@@ -542,51 +626,44 @@ def write_response_sets(sets: Sequence[ResponseSet], path: str | Path) -> None:
     ))
 
 
-def _response_row(row: dict) -> tuple[tuple, tuple[int, str, int, bool]]:
-    key = (
-        row["respondent_id"],
-        row["persona_id"],
-        ResponseFormat(row["format"]),
-        InstructionCondition(row["condition"]),
-    )
-    answer = (
-        int(row["position"]),
-        row["unit_id"],
-        int(row["answer"]),
-        bool(int(row["side_flipped"])),
-    )
-    return key, answer
-
-
 def load_response_sets(path: str | Path) -> list[ResponseSet]:
-    """Read response sets; a row with a missing or non-integer field, as in a
-    file cut mid-row, an unknown format or condition, or a second answer to a
-    unit of the same response set raises ``SdrkitError`` naming the file and
-    the line."""
-    groups: dict[tuple, dict[str, tuple[int, str, int, bool]]] = {}
+    """Read response sets; a row with a missing or malformed field, as in a
+    file cut mid-row, or a second answer to a unit of the same response set
+    raises ``SdrkitError`` naming the file and the line."""
+    groups: dict[tuple, dict[str, tuple[int, int, bool]]] = {}
 
     def row(raw: dict) -> None:  # checks while parsing, so an error names the line
-        key, answer = _response_row(raw)
+        key = (
+            read_text(raw["respondent_id"], "respondent_id"),
+            read_text(raw["persona_id"], "persona_id"),
+            read_member(raw["format"], "format", ResponseFormat),
+            read_member(raw["condition"], "condition", InstructionCondition),
+        )
+        unit = read_text(raw["unit_id"], "unit_id")
         answers = groups.setdefault(key, {})
-        if answer[1] in answers:
-            raise ValueError(f"a second answer to unit {answer[1]!r} of {key[0]!r}, "
+        if unit in answers:
+            raise ValueError(f"a second answer to unit {unit!r} of {key[0]!r}, "
                              f"{key[1]!r}, {key[2].value}, {key[3].value}")
-        answers[answer[1]] = answer
+        answers[unit] = (
+            read_count(cell(raw["position"]), "position"),
+            read_count(cell(raw["answer"]), "answer", 1, N_CATEGORIES),
+            read_count(cell(raw["side_flipped"]), "side_flipped", 0, 1) == 1,
+        )
 
     for _ in read_csv_rows(path, row, "response row"):
         pass
     out: list[ResponseSet] = []
     for (resp, persona, fmt, cond), by_unit in groups.items():
-        answers = sorted(by_unit.values(), key=lambda a: a[0])
+        order = sorted(by_unit, key=lambda unit: by_unit[unit][0])  # by position
         out.append(
             ResponseSet(
                 respondent_id=resp,
                 persona_id=persona,
                 format=fmt,
                 condition=cond,
-                answers={unit: answer for _, unit, answer, _ in answers},
-                presentation_order=tuple(unit for _, unit, _, _ in answers),
-                side_assignment={unit: flipped for _, unit, _, flipped in answers},
+                answers={unit: by_unit[unit][1] for unit in order},
+                presentation_order=tuple(order),
+                side_assignment={unit: by_unit[unit][2] for unit in order},
             )
         )
     return out

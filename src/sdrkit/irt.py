@@ -26,6 +26,7 @@ import numpy as np
 from scipy import optimize, special, stats
 
 from .core import (
+    InstructionCondition,
     Inventory,
     ItemPool,
     N_CATEGORIES,
@@ -33,7 +34,12 @@ from .core import (
     ResponseSet,
     SdrkitError,
     TRAIT_LABELS,
+    read_count,
     read_json,
+    read_list,
+    read_member,
+    read_number,
+    read_text,
 )
 from .ordinal import CategorySplit, log_prob_and_grads
 
@@ -364,13 +370,6 @@ def log_posterior_and_grad(data: ModelData, x: np.ndarray) -> tuple[float, np.nd
 # ---------------------------------------------------------------------------
 
 
-def _require_at_least(opts, **lows: int) -> None:
-    for name, low in lows.items():
-        value = getattr(opts, name)
-        if value < low:
-            raise SdrkitError(f"{name} must be at least {low}, got {value}")
-
-
 #: Upper bound on discrimination strengths during optimization, at five prior
 #: standard deviations (prior mass above it is ~1e-5). The joint posterior has
 #: degenerate spikes where a single item's strength runs away while the latent
@@ -387,7 +386,7 @@ class MapOptions:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _require_at_least(self, n_starts=1)
+        read_count(self.n_starts, "n_starts", 1)
 
 
 @dataclass(frozen=True)
@@ -509,7 +508,8 @@ class HmcOptions:
     max_leapfrog: int = 72
 
     def __post_init__(self) -> None:
-        _require_at_least(self, chains=1, warmup=0, samples=1, max_leapfrog=1)
+        for name, low in (("chains", 1), ("warmup", 0), ("samples", 1), ("max_leapfrog", 1)):
+            read_count(getattr(self, name), name, low)
 
 
 @dataclass(frozen=True)
@@ -912,7 +912,7 @@ def write_fit_artifact(
 
 
 def _checked_fit_artifact(raw: dict) -> dict:
-    fit_theta_frame(raw)  # a theta row missing a field, or a non-number, raises here
+    fit_theta_frame(raw)  # a theta row missing a field, or one of the wrong type, raises here
     return raw
 
 
@@ -923,7 +923,10 @@ def load_fit_artifact(path: str | Path) -> dict:
 def fit_theta_frame(fit_artifact: dict) -> dict[tuple[str, str, str], np.ndarray]:
     """Index a fit artifact's theta table by (respondent, persona, condition)."""
     out = {}
-    for row in fit_artifact["theta"]:
-        key = (row["respondent_id"], row["persona_id"], row["condition"])
-        out[key] = np.array([row[t] for t in TRAIT_LABELS], dtype=float)
+    for i, row in enumerate(read_list(fit_artifact["theta"], "theta")):
+        at = f"theta[{i}]."
+        key = (read_text(row["respondent_id"], at + "respondent_id"),
+               read_text(row["persona_id"], at + "persona_id"),
+               read_member(row["condition"], at + "condition", InstructionCondition).value)
+        out[key] = np.array([read_number(row[t], at + t) for t in TRAIT_LABELS], dtype=float)
     return out

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -11,7 +10,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import SdrkitError, TRAIT_LABELS, read_json
+from .core import SdrkitError, TRAIT_LABELS, read_count, read_json, read_list, read_number, read_text
 
 #: Meta-analytic Big Five intercorrelations in (A, C, E, N, O) order.
 _DEFAULT_SIGMA = (
@@ -194,34 +193,20 @@ def write_persona_set(ps: PersonaSet, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
 
 
-def _five_numbers(p: dict, field: str) -> tuple:
-    value = p[field]
-    if not (
-        isinstance(value, list)
-        and len(value) == 5
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        raise ValueError(f"persona {p['id']!r}: {field} must be five numbers, got {value!r}")
-    return tuple(value)
-
-
 def _persona(p: dict) -> Persona:
-    z, stanines = _five_numbers(p, "z"), _five_numbers(p, "stanines")
-    # exact comparisons: NaN fails every one, and an int beyond float range fails too
-    if not all(abs(v) <= sys.float_info.max for v in z):
-        raise ValueError(f"persona {p['id']!r}: z must be finite, got {list(z)!r}")
-    if not all(isinstance(s, int) and 1 <= s <= 9 for s in stanines):
-        raise ValueError(
-            f"persona {p['id']!r}: stanines must be integers in 1..9, got {list(stanines)!r}"
-        )
-    return Persona(id=p["id"], z=z, stanines=stanines, description=p["description"])
+    pid = read_text(p["id"], "persona id")
+    where = f"persona {pid!r}: "
+    return Persona(
+        id=pid,
+        z=tuple(read_list(p["z"], where + "z", read_number, 5)),
+        stanines=tuple(read_list(p["stanines"], where + "stanines", read_count, 5, low=1, high=9)),
+        description=read_text(p["description"], where + "description"),
+    )
 
 
 def _persona_set(raw: dict) -> PersonaSet:
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return PersonaSet(tuple(_persona(p) for p in raw["personas"]), seed=seed)
+    personas = tuple(_persona(p) for p in read_list(raw["personas"], "personas"))
+    return PersonaSet(personas, seed=read_count(raw.get("seed", 0), "seed"))
 
 
 def load_persona_set(path: str | Path) -> PersonaSet:

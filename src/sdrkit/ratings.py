@@ -8,7 +8,15 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import SdrkitError, UndefinedStatisticError, read_csv_rows
+from .core import (
+    SdrkitError,
+    UndefinedStatisticError,
+    cell,
+    naming,
+    read_count,
+    read_csv_rows,
+    read_text,
+)
 
 
 class RatingError(SdrkitError):
@@ -24,9 +32,9 @@ class RatingDataset:
     def __post_init__(self) -> None:
         if not self.values:
             raise RatingError("empty rating dataset")
-        for (item, rater, rep), v in self.values.items():
-            if not (1 <= v <= 9):
-                raise RatingError(f"rating out of range for ({item}, {rater}, {rep}): {v}")
+        with naming("", RatingError):
+            for key, v in self.values.items():
+                read_count(v, f"rating {key}", 1, 9)
 
     @property
     def items(self) -> list[str]:
@@ -177,7 +185,9 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def _rating_row(row: dict) -> tuple[tuple[str, str, int], int]:
-    return (row["item_id"], row["rater"], int(row["replication"])), int(row["value"])
+    key = (read_text(row["item_id"], "item_id"), read_text(row["rater"], "rater"),
+           read_count(cell(row["replication"]), "replication"))
+    return key, read_count(cell(row["value"]), "value", 1, 9)
 
 
 def load_rating_dataset(path: str | Path) -> RatingDataset:

@@ -11,7 +11,6 @@ per trait toward the socially desirable pole.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -24,15 +23,29 @@ from .core import (
     InstructionCondition,
     Inventory,
     ItemPool,
+    N_CATEGORIES,
     ResponseFormat,
     ResponseSet,
     SdrkitError,
     Unit,
+    naming,
+    read_count,
     read_json,
+    read_list,
+    read_member,
+    read_number,
 )
-from .irt import UnitKey, build_model_data, utilities
-from .ordinal import _category_probs, check_thresholds
+from .irt import N_TRAITS, UnitKey, build_model_data, utilities
+from .ordinal import _category_probs
 from .personas import Persona
+
+
+def _thresholds(value, name: str) -> tuple:
+    """``value`` as a tuple, if it is six finite, strictly increasing thresholds."""
+    kappa = read_list(value, name, read_number, N_CATEGORIES - 1)
+    for k in range(1, len(kappa)):
+        read_number(kappa[k], f"{name}[{k}]", kappa[k - 1], above=True)
+    return tuple(kappa)
 
 
 @dataclass(frozen=True)
@@ -43,9 +56,10 @@ class ItemParams:
     kappa: tuple[float, ...]  # 6 strictly increasing Likert thresholds
 
     def __post_init__(self) -> None:
-        if self.a_plus <= 0:
-            raise SdrkitError("discrimination strength must be positive")
-        check_thresholds(np.asarray(self.kappa))
+        read_number(self.a_plus, "a_plus", 0, above=True)
+        read_member(self.keying, "keying", (1, -1))
+        read_count(self.trait, "trait", 0, N_TRAITS - 1)
+        object.__setattr__(self, "kappa", _thresholds(self.kappa, "kappa"))
 
     @property
     def a_signed(self) -> float:
@@ -58,8 +72,9 @@ class SimParams:
     block_kappa: Mapping[str, tuple[float, ...]]  # block id -> 6 thresholds
 
     def __post_init__(self) -> None:
-        for kappa in self.block_kappa.values():
-            check_thresholds(np.asarray(kappa))
+        object.__setattr__(self, "block_kappa", {
+            bid: _thresholds(kappa, f"blocks.{bid}") for bid, kappa in self.block_kappa.items()
+        })
 
 
 @dataclass(frozen=True)
@@ -68,8 +83,7 @@ class SimSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.fake_good_delta) or self.fake_good_delta < 0:
-            raise SdrkitError("fake-good shift must be finite and nonnegative")
+        read_number(self.fake_good_delta, "fake_good_delta", 0)
 
 
 def effective_theta(
@@ -230,8 +244,6 @@ class SimulatorProvider:
 
     def complete(self, request: ProviderRequest) -> ProviderReply:
         plan, unit = request.plan, request.unit
-        if plan is None or unit is None:
-            raise SdrkitError("simulator requests must carry their session plan and unit")
         drawn = self._drawn
         if drawn is None or drawn[0] is not plan:
             ids = [u.id for u in plan.units]
@@ -287,14 +299,11 @@ def write_sim_params(params: SimParams, path: str | Path) -> None:
 
 
 def _sim_params(raw: dict) -> SimParams:
-    items = {
-        iid: ItemParams(
-            a_plus=d["a_plus"], keying=d["keying"], trait=d["trait"], kappa=tuple(d["kappa"])
-        )
-        for iid, d in raw["items"].items()
-    }
-    blocks = {bid: tuple(k) for bid, k in raw["blocks"].items()}
-    return SimParams(items=items, block_kappa=blocks)
+    items = {}
+    for iid, d in raw["items"].items():
+        with naming(f"items.{iid}."):
+            items[iid] = ItemParams(d["a_plus"], d["keying"], d["trait"], d["kappa"])
+    return SimParams(items=items, block_kappa=raw["blocks"])
 
 
 def load_sim_params(path: str | Path) -> SimParams:

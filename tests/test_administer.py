@@ -313,31 +313,29 @@ def test_http_provider_round_trip(monkeypatch, small_pool_inventory):
     )
     monkeypatch.setenv("SDRKIT_API_TOKEN", "secret")
     provider = HttpProvider("https://api.example/v1/chat", "model-x", session=session)
-    reply = provider.complete(ProviderRequest(message="hello", model_id="model-x"))
+    plan = single_unit_plan(small_pool_inventory)
+    reply = provider.complete(ProviderRequest("model-x", plan, plan.units[0]))
     assert reply.text == " 6 "
     post = session.posts[0]
-    assert post["json"]["messages"] == [{"role": "user", "content": "hello"}]
-    assert post["json"]["model"] == "model-x"
+    # the planned session and unit stay in process: only the rendered message is sent
+    assert post["json"] == {
+        "model": "model-x",
+        "messages": [{"role": "user", "content": render_unit_prompt(plan, plan.units[0])}],
+    }
     assert post["headers"]["Authorization"] == "Bearer secret"
 
-    # the planned session and unit stay in process: only the message is sent
-    plan = single_unit_plan(small_pool_inventory)
-    provider.complete(
-        ProviderRequest(message="hello", model_id="model-x", plan=plan, unit=plan.units[0])
-    )
-    assert set(session.posts[1]["json"]) == {"model", "messages"}
-    assert session.posts[1]["json"] == post["json"]
 
-
-def test_http_provider_error_paths(monkeypatch):
+def test_http_provider_error_paths(monkeypatch, small_pool_inventory):
     monkeypatch.delenv("SDRKIT_API_TOKEN", raising=False)
+    plan = single_unit_plan(small_pool_inventory)
+    request = ProviderRequest("m", plan, plan.units[0])
     provider = HttpProvider(
         "https://api.example/v1/chat", "m", session=FakeSession(FakeResponse(status_code=500, text="oops"))
     )
     with pytest.raises(TransportError):
-        provider.complete(ProviderRequest(message="x", model_id="m"))
+        provider.complete(request)
     provider = HttpProvider(
         "https://api.example/v1/chat", "m", session=FakeSession(FakeResponse(payload={"nope": 1}))
     )
     with pytest.raises(TransportError):
-        provider.complete(ProviderRequest(message="x", model_id="m"))
+        provider.complete(request)

@@ -190,18 +190,18 @@ def test_pipeline_rejects_external_provider(tmp_path, instrument_files):
 
 
 @pytest.mark.parametrize("study, message", [
-    ({"n_personas": "abc"}, "n_personas must be a positive integer, got 'abc'"),
-    ({"seeds": {"plan": "x"}}, "seeds.plan must be a non-negative integer, got 'x'"),
-    ({"formats": ["likert", "essay"]}, "formats: unknown name 'essay'"),
-    ({"conditions": "honest"}, "conditions must be a non-empty list of names, got 'honest'"),
+    ({"n_personas": "abc"}, "n_personas must be an integer of at least 1, got 'abc'"),
+    ({"seeds": {"plan": "x"}}, "seeds.plan must be an integer of at least 0, got 'x'"),
+    ({"formats": ["likert", "essay"]}, "formats[1] must be one of 'likert', 'gfc', got 'essay'"),
+    ({"conditions": "honest"}, "conditions must be a non-empty list, got 'honest'"),
     ({"conditions": ["honest"]},
      "conditions must name both honest and fake_good, got ['honest']"),
     ({"provider": {"fake_good_delta": "x"}},
-     "provider.fake_good_delta must be a finite number >= 0, got 'x'"),
+     "provider.fake_good_delta must be a finite number of at least 0, got 'x'"),
     ({"provider": {"fake_good_delta": -1}},
-     "provider.fake_good_delta must be a finite number >= 0, got -1"),
+     "provider.fake_good_delta must be a finite number of at least 0, got -1"),
     ({"provider": {"fake_good_delta": float("inf")}},
-     "provider.fake_good_delta must be a finite number >= 0, got inf"),
+     "provider.fake_good_delta must be a finite number of at least 0, got inf"),
     ({"provider": {"matched_discrimination": "false"}},
      "provider.matched_discrimination must be true or false, got 'false'"),
 ])
@@ -209,7 +209,9 @@ def test_pipeline_config_value_of_the_wrong_kind_is_a_config_error(tmp_path, cap
                                                                    message):
     out_dir = tmp_path / "run"
     assert _run_pipeline(tmp_path, out_dir, **study) == EXIT_CONFIG
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    cfg = tmp_path / "run.json"
+    err = capsys.readouterr().err
+    assert err == f"config error: {cfg}: malformed pipeline config: {message}\n"
     assert not out_dir.exists()  # no stage wrote anything
 
 
@@ -217,7 +219,8 @@ def test_pipeline_out_dir_must_be_a_string(tmp_path, capsys):
     cfg = tmp_path / "pipeline.json"
     cfg.write_text(json.dumps({"backend": "map", "out_dir": 5}))
     assert main(["pipeline", "--config", str(cfg)]) == EXIT_CONFIG
-    assert capsys.readouterr().err == "config error: out_dir must be a path string, got 5\n"
+    assert capsys.readouterr().err == (f"config error: {cfg}: malformed pipeline config: "
+                                       "out_dir must be a non-empty string, got 5\n")
 
 
 def test_version_flag(capsys):
@@ -504,8 +507,8 @@ def test_fit_on_a_file_cut_mid_row_is_a_stage_failure(instrument_files, tmp_path
 
 @pytest.mark.parametrize("damage, message", [
     ("second-answer", "a second answer to unit"),
-    ("format", "'99' is not a valid ResponseFormat"),
-    ("condition", "'honestly' is not a valid InstructionCondition"),
+    ("format", "format must be one of 'likert', 'gfc', got '99'"),
+    ("condition", "condition must be one of 'honest', 'fake_good', got 'honestly'"),
 ], ids=["second-answer", "format", "condition"])
 def test_fit_on_a_bad_response_row_is_a_stage_failure(
     instrument_files, tmp_path, capsys, damage, message
@@ -582,7 +585,7 @@ def test_fit_rejects_a_count_below_its_floor(instrument_files, tmp_path, capsys,
         ])
     assert exc.value.code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"argument {flag}: must be at least {low}, got {value}" in err
+    assert f"argument {flag}: must be an integer of at least {low}, got {value}" in err
     assert not (tmp_path / "fit.json").exists()
 
 
@@ -603,7 +606,8 @@ def test_fit_rejects_hmc_settings_rhat_cannot_use_before_reading(
     ]
     assert main([*argv, "--backend", "hmc"]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"config error: {flag} must be at least {low} with --backend hmc, got {value}" in err
+    assert (f"config error: {flag} with --backend hmc must be an integer of at least {low}, "
+            f"got {value}") in err
     with pytest.raises(AssertionError, match="^read or fitted"):  # MAP ignores the flag
         main([*argv, "--backend", "map"])
 
@@ -717,7 +721,7 @@ def test_report_on_a_persona_z_that_is_not_five_numbers_is_a_stage_failure(tmp_p
     rc = main(["report", "--personas", str(personas), "--out", str(tmp_path / "report")])
     assert rc == EXIT_STAGE
     message = (f"stage failure: {personas}: malformed persona set: persona 'p001': "
-               f"z must be five numbers, got {z!r}")
+               f"z must be a list of 5 values, got {z!r}")
     assert capsys.readouterr().err.startswith(message)
 
 
@@ -738,8 +742,64 @@ def test_administer_refuses_a_persona_whose_trait_is_not_finite(instrument_files
     ])
     assert rc == EXIT_STAGE
     message = (f"stage failure: {personas}: malformed persona set: persona 'p001': "
-               "z must be finite")
+               "z[1] must be a finite number, got nan")
     assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("respondent_id", None), ("A", None), ("condition", None), ("A", "0.5"), ("A", True),
+], ids=["respondent-null", "trait-null", "condition-null", "trait-string", "trait-true"])
+def test_report_refuses_a_fit_whose_theta_field_is_null_or_of_the_wrong_type(
+    tmp_path, capsys, field, value
+):
+    personas, fit = tmp_path / "personas.json", tmp_path / "fit_likert.json"
+    assert main(["personas", "--n", "4", "--seed", "1", "--out", str(personas)]) == EXIT_OK
+    ids = [p["id"] for p in json.loads(personas.read_text())["personas"]]
+    rng = np.random.default_rng(0)
+    rows = [
+        {"respondent_id": "sim", "persona_id": pid, "condition": cond,
+         **dict(zip("ACENO", map(float, rng.standard_normal(5))))}
+        for pid in ids for cond in ("honest", "fake_good")
+    ]
+    rows[1][field] = value
+    fit.write_text(json.dumps({"model": "grm", "backend": "map", "theta": rows}))
+    capsys.readouterr()
+    rc = main(["report", "--fit-likert", str(fit), "--personas", str(personas),
+               "--out", str(tmp_path / "report")])
+    assert rc == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"stage failure: {fit}: malformed fit artifact: theta[1].{field} must be ")
+    assert err.endswith(f", got {value!r}\n")
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("fmt, item, field, value", [
+    ("likert", "a1", "a_plus", float("nan")),
+    ("gfc", "c1", "trait", True),  # c1's pool trait index is 1
+], ids=["a_plus-nan", "trait-true"])
+def test_administer_refuses_sim_params_with_a_nan_or_boolean_field(
+    instrument_files, tmp_path, capsys, fmt, item, field, value
+):
+    personas, params = tmp_path / "personas.json", tmp_path / "params.json"
+    assert main(["personas", "--n", "2", "--seed", "1", "--out", str(personas)]) == EXIT_OK
+    pool, inv = small_instrument()
+    write_sim_params(default_sim_params(inv, pool, seed=0), params)
+    raw = json.loads(params.read_text())
+    raw["items"][item][field] = value
+    params.write_text(json.dumps(raw))
+    capsys.readouterr()
+    rc = main([
+        "administer", "--inventory", str(instrument_files / "inventory.csv"),
+        "--pool", str(instrument_files / "pool.csv"),
+        "--personas", str(personas), "--format", fmt, "--condition", "honest",
+        "--params", str(params), "--out", str(tmp_path / "runs"),
+    ])
+    assert rc == EXIT_STAGE
+    message = (f"stage failure: {params}: malformed simulator params: items.{item}.{field} "
+               f"must be ")
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.endswith(f", got {value!r}\n")
     assert not (tmp_path / "runs").exists()
 
 
@@ -760,13 +820,18 @@ def test_assembly_config_missing_a_field_is_a_config_error(instrument_files, tmp
     (["--blocks", "7"], None, "block count must be divisible by 10"),
     ([], {"block_count": "10"}, "block_count must be an integer of at least 1, got '10'"),
     ([], {"block_count": True}, "block_count must be an integer of at least 1, got True"),
-    ([], {"block_count": 10, "mixed_key_range": [4]}, "mixed_key_range must be two integers"),
-    ([], {"block_count": 10, "mixed_key_range": [5, 4]}, "mixed_key_range must be two integers"),
-    ([], {"block_count": 10, "sign_floor": "0.3"}, "sign_floor must be a number in [0, 1]"),
-    ([], {"block_count": 10, "sign_floor": 1.5}, "sign_floor must be a number in [0, 1]"),
+    ([], {"block_count": 10, "mixed_key_range": [4]},
+     "mixed_key_range must be a list of 2 values, got [4]"),
+    ([], {"block_count": 10, "mixed_key_range": [5, 4]},
+     "mixed_key_range[1] must be an integer of at least 5, got 4"),
+    ([], {"block_count": 10, "sign_floor": "0.3"},
+     "sign_floor must be a finite number in [0, 1], got '0.3'"),
+    ([], {"block_count": 10, "sign_floor": 1.5},
+     "sign_floor must be a finite number in [0, 1], got 1.5"),
     ([], {"block_count": 10, "per_trait": 4, "node_budget": "x"},
      "node_budget must be an integer of at least 0, got 'x'"),
-    ([], {"block_count": 10, "per_trait_pair": -1}, "per_trait_pair must be an integer"),
+    ([], {"block_count": 10, "per_trait_pair": -1},
+     "per_trait_pair must be an integer of at least 0, got -1"),
 ])
 def test_assembly_config_value_out_of_range_is_a_config_error(
     instrument_files, tmp_path, capsys, monkeypatch, args, config, message
@@ -779,6 +844,7 @@ def test_assembly_config_value_out_of_range_is_a_config_error(
         cfg = tmp_path / "assembly.json"
         cfg.write_text(json.dumps(config))
         args = ["--config", str(cfg)]
+        message = f"{cfg}: malformed assembly config: {message}"
     rc = main([
         "assemble", "--pool", str(instrument_files / "pool.csv"), *args,
         "--out", str(tmp_path / "inventory.csv"),
@@ -794,7 +860,7 @@ def test_rate_plan_rejects_a_count_below_one(instrument_files, tmp_path, capsys,
         main(["rate-plan", "--pool", str(instrument_files / "pool.csv"), "--raters", "r1",
               flag, "0", "--out", str(out)])
     assert exc.value.code == EXIT_CONFIG
-    assert f"argument {flag}: must be at least 1, got 0" in capsys.readouterr().err
+    assert f"argument {flag}: must be an integer of at least 1, got 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -818,17 +884,17 @@ def _argv(instrument_files, tmp_path, command, *flags):
     return [*argv, "--out", str(tmp_path / "out"), *flags]
 
 
-_SEED = ("--seed", "-1", "must be at least 0, got -1")
+_SEED = ("--seed", "-1", "must be an integer of at least 0, got -1")
 
 
 @pytest.mark.parametrize("command, flag, value, message", [
     (["personas"], *_SEED), (["aggregate"], *_SEED), (["administer"], *_SEED),
     (["fit", "--backend", "map"], *_SEED), (["fit", "--backend", "hmc"], *_SEED),
-    (["personas"], "--n", "0", "must be at least 1, got 0"),
-    (["personas"], "--n", "-3", "must be at least 1, got -3"),
-    (["administer"], "--delta", "-1", "must be a finite number at least 0, got -1.0"),
-    (["administer"], "--delta", "nan", "must be a finite number at least 0, got nan"),
-    (["administer"], "--delta", "inf", "must be a finite number at least 0, got inf"),
+    (["personas"], "--n", "0", "must be an integer of at least 1, got 0"),
+    (["personas"], "--n", "-3", "must be an integer of at least 1, got -3"),
+    (["administer"], "--delta", "-1", "must be a finite number of at least 0, got -1"),
+    (["administer"], "--delta", "nan", "must be a finite number of at least 0, got nan"),
+    (["administer"], "--delta", "inf", "must be a finite number of at least 0, got inf"),
 ], ids=["personas-seed", "aggregate-seed", "administer-seed", "fit-map-seed", "fit-hmc-seed",
         "personas-n-0", "personas-n-negative", "delta-negative", "delta-nan", "delta-inf"])
 def test_a_flag_value_out_of_range_is_a_config_error(

@@ -36,11 +36,15 @@ from sdrkit.ratings import RatingError, load_rating_dataset
 from sdrkit.simulate import default_sim_params, load_sim_params, write_sim_params
 
 
-def test_trait_domain_order_and_labels():
+def test_trait_domain_order_and_labels(tmp_path):
     assert [t.name for t in TraitDomain] == ["A", "C", "E", "N", "O"]
-    assert TraitDomain.from_label(" o ") is TraitDomain.O
-    with pytest.raises(PoolError):
-        TraitDomain.from_label("X")
+    f = tmp_path / "pool.csv"
+    f.write_text("id,text,domain,keying\nx,hello, o ,1\n")
+    assert load_item_pool(f).get("x").domain is TraitDomain.O
+    f.write_text("id,text,domain,keying\nx,hello,X,1\n")
+    message = f"{f}: malformed pool row at line 2: domain must be one of 'A', 'C', 'E', 'N', 'O', got 'X'"
+    with pytest.raises(PoolError, match=f"^{re.escape(message)}$"):
+        load_item_pool(f)
 
 
 def test_item_validation():
@@ -215,8 +219,8 @@ def test_response_file_answering_a_unit_twice_names_the_file_and_line(tmp_path):
 
 
 @pytest.mark.parametrize("column, value, message", [
-    (2, "99", "'99' is not a valid ResponseFormat"),
-    (3, "honestly", "'honestly' is not a valid InstructionCondition"),
+    (2, "99", "format must be one of 'likert', 'gfc', got '99'"),
+    (3, "honestly", "condition must be one of 'honest', 'fake_good', got 'honestly'"),
 ], ids=["format", "condition"])
 def test_response_file_with_an_unknown_format_or_condition_names_the_file_and_line(
     tmp_path, column, value, message
@@ -229,6 +233,45 @@ def test_response_file_with_an_unknown_format_or_condition_names_the_file_and_li
     with pytest.raises(SdrkitError) as exc:
         load_response_sets(f)
     assert str(exc.value) == f"{f}: malformed response row at line 3: {message}"
+
+
+@pytest.mark.parametrize("column, value, message", [
+    (7, "2", "side_flipped must be an integer in [0, 1], got 2"),
+    (6, "-1", "position must be an integer of at least 0, got -1"),
+], ids=["side_flipped-2", "position-negative"])
+def test_response_file_with_a_count_out_of_range_names_the_file_line_and_field(
+    tmp_path, column, value, message
+):
+    f, lines = _likert_set_rows(tmp_path)
+    fields = lines[2].rstrip("\r\n").split(",")
+    fields[column] = value
+    lines[2] = ",".join(fields) + "\n"
+    f.write_text("".join(lines))
+    with pytest.raises(SdrkitError) as exc:
+        load_response_sets(f)
+    assert str(exc.value) == f"{f}: malformed response row at line 3: {message}"
+
+
+def test_response_file_row_with_an_extra_field_names_the_file_and_line(tmp_path):
+    f, lines = _likert_set_rows(tmp_path)
+    lines[2] = lines[2].rstrip("\r\n") + ",5\n"
+    f.write_text("".join(lines))
+    message = f"{f}: malformed response row at line 3: a row must have one field per header column"
+    with pytest.raises(SdrkitError, match=f"^{re.escape(message)}$"):
+        load_response_sets(f)
+
+
+def test_inventory_file_with_a_nan_gap_names_the_file_line_and_field(tmp_path, small_pool_inventory):
+    _, inv = small_pool_inventory
+    f = tmp_path / "inv.csv"
+    write_inventory(inv, f)
+    lines = f.read_text().splitlines(keepends=True)
+    lines[2] = lines[2][: lines[2].rindex(",") + 1] + "nan\n"
+    f.write_text("".join(lines))
+    message = (f"{f}: malformed block row at line 3: block 'c2~e2': desirability_gap must be a "
+               "finite number of at least 0, got nan")
+    with pytest.raises(InventoryError, match=f"^{re.escape(message)}$"):
+        load_inventory(f)
 
 
 def test_inventory_file_using_an_item_twice_is_rejected(tmp_path, small_pool_inventory):
@@ -294,8 +337,7 @@ _MALFORMED = {
         lambda f, pool, inv: write_sim_params(default_sim_params(inv, pool, seed=0), f),
         _cut_json, load_sim_params, SdrkitError, " is not valid JSON"),
     "fit artifact cut": (
-        lambda f, pool, inv: f.write_text(json.dumps({"model": "grm", "theta": []})),
-        _cut_json, load_fit_artifact, SdrkitError, " is not valid JSON"),
+        _write_fit, _cut_json, load_fit_artifact, SdrkitError, " is not valid JSON"),
     "persona without z": (
         lambda f, pool, inv: write_persona_set(sample_personas(2, seed=0), f),
         _drop("z", lambda raw: raw["personas"][1]), load_persona_set, SdrkitError,

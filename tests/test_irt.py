@@ -774,7 +774,7 @@ def test_fan_out_restores_blas_threads(monkeypatch, fails):
 
 @pytest.mark.parametrize("value", [0, -1])
 def test_map_options_reject_fewer_than_one_start(value):
-    with pytest.raises(SdrkitError, match=f"^n_starts must be at least 1, got {value}$"):
+    with pytest.raises(SdrkitError, match=f"^n_starts must be an integer of at least 1, got {value}$"):
         MapOptions(n_starts=value)
 
 
@@ -784,7 +784,7 @@ def test_map_options_reject_fewer_than_one_start(value):
 def test_hmc_options_reject_counts_below_their_floor(field, low):
     HmcOptions(**{field: low})
     for value in (low - 1, -3):
-        with pytest.raises(SdrkitError, match=f"^{field} must be at least {low}, got {value}$"):
+        with pytest.raises(SdrkitError, match=f"^{field} must be an integer of at least {low}, got {value}$"):
             HmcOptions(**{field: value})
 
 

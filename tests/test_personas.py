@@ -136,18 +136,18 @@ def test_persona_set_rejects_a_field_that_is_not_five_numbers(tmp_path, field, v
     with pytest.raises(PersonaError) as exc:
         load_persona_set(f)
     assert str(exc.value) == (
-        f"{f}: malformed persona set: persona 'p002': {field} must be five numbers, "
+        f"{f}: malformed persona set: persona 'p002': {field} must be a list of 5 values, "
         f"got {value!r}"
     )
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("z", [0.1, float("nan"), 0.3, 0.4, 0.5], "z must be finite, got [0.1, nan, 0.3, 0.4, 0.5]"),
-    ("z", [0.1, 0.2, float("-inf"), 0.4, 0.5], "z must be finite, got [0.1, 0.2, -inf, 0.4, 0.5]"),
-    ("z", [0.1, 10**400, 0.3, 0.4, 0.5], "z must be finite"),
-    ("stanines", [5, 5, 2**70, 5, 5], f"stanines must be integers in 1..9, got [5, 5, {2**70}, 5, 5]"),
-    ("stanines", [5, 0, 5, 5, 5], "stanines must be integers in 1..9, got [5, 0, 5, 5, 5]"),
-    ("stanines", [5, 5.0, 5, 5, 5], "stanines must be integers in 1..9, got [5, 5.0, 5, 5, 5]"),
+    ("z", [0.1, float("nan"), 0.3, 0.4, 0.5], "z[1] must be a finite number, got nan"),
+    ("z", [0.1, 0.2, float("-inf"), 0.4, 0.5], "z[2] must be a finite number, got -inf"),
+    ("z", [0.1, 10**400, 0.3, 0.4, 0.5], f"z[1] must be a finite number, got {10**400}"),
+    ("stanines", [5, 5, 2**70, 5, 5], f"stanines[2] must be an integer in [1, 9], got {2**70}"),
+    ("stanines", [5, 0, 5, 5, 5], "stanines[1] must be an integer in [1, 9], got 0"),
+    ("stanines", [5, 5.0, 5, 5, 5], "stanines[1] must be an integer in [1, 9], got 5.0"),
 ], ids=["z-nan", "z-inf", "z-huge-int", "stanine-huge", "stanine-zero", "stanine-float"])
 def test_persona_set_rejects_a_trait_value_out_of_range(tmp_path, field, value, message):
     f = tmp_path / "personas.json"
@@ -170,7 +170,7 @@ def test_persona_set_rejects_a_seed_that_is_not_a_non_negative_integer(tmp_path,
     with pytest.raises(PersonaError) as exc:
         load_persona_set(f)
     assert str(exc.value) == (
-        f"{f}: malformed persona set: seed must be a non-negative integer, got {seed!r}"
+        f"{f}: malformed persona set: seed must be an integer of at least 0, got {seed!r}"
     )
 
 

@@ -13,7 +13,6 @@ from sdrkit.administer import (
     ProviderRequest,
     keyed_rng,
     make_session_plans,
-    render_unit_prompt,
     run_session,
 )
 from sdrkit.core import (
@@ -180,22 +179,13 @@ def test_gfc_flip_antisymmetry_is_exact(small_pool_inventory):
             assert flipped == 8 - a
 
 
-def test_simulator_needs_the_planned_unit(small_pool_inventory):
-    pool, inv = small_pool_inventory
-    provider = SimulatorProvider(default_sim_params(inv, pool), SimSpec())
-    with pytest.raises(SdrkitError):
-        provider.complete(ProviderRequest(message="Statement: x", model_id="sim"))
-
-
 def mirrored(unit):
     """The same GFC unit with its displayed sides swapped."""
     return replace(unit, texts=unit.texts[::-1], flipped=not unit.flipped)
 
 
 def planned_request(plan, unit):
-    return ProviderRequest(
-        message=render_unit_prompt(plan, unit), model_id="sim", plan=plan, unit=unit
-    )
+    return ProviderRequest("sim", plan, unit)
 
 
 def statement(item):
@@ -336,7 +326,7 @@ def test_provider_draws_each_plan_once_and_matches_plans_by_identity(
         seed=24, respondent_id="sim",
     )
     with pytest.raises(SdrkitError, match="not in its session plan"):
-        provider.complete(ProviderRequest("x", "sim", plan=likert, unit=honest.units[0]))
+        provider.complete(ProviderRequest("sim", likert, honest.units[0]))
 
 
 def test_provider_shared_by_concurrent_sessions_answers_each_correctly(small_pool_inventory):
