@@ -331,6 +331,30 @@ def test_zero_probability_point_reports_neg_inf(small_pool_inventory):
     assert np.all(grad == 0.0)
 
 
+#: SHA-256 of (log posterior, gradient) at the points below, recorded before
+#: the ordinal kernel's four sigmoid/softplus passes became one; a faster
+#: kernel or posterior must keep every bit.
+GRADIENT_SHA256 = {
+    ResponseFormat.LIKERT: "dd571f13f5d16609b890926d07f5c75a8ad6bf8f7b54a258873e936460033556",
+    ResponseFormat.GFC: "a5ce63e994c2d8694eae74ba2fe929892e9fc08236823c420f0576d660f091e7",
+}
+
+
+@pytest.mark.parametrize("fmt", [ResponseFormat.LIKERT, ResponseFormat.GFC])
+def test_gradient_matches_the_recorded_digest(small_pool_inventory, fmt):
+    """Scaled points from near the prior mode (x0.1) out to saturated
+    sigmoids (x8) and underflowed threshold gaps (x40, a -inf point)."""
+    data = make_data(small_pool_inventory, fmt, n_personas=8, seed=60,
+                     conditions=list(InstructionCondition))
+    rng = np.random.default_rng(61)
+    h = hashlib.sha256()
+    for scale in (0.1, 0.5, 2.0, 8.0, 40.0):
+        lp, grad = log_posterior_and_grad(data, scale * rng.standard_normal(param_dim(data)))
+        h.update(np.float64(lp).tobytes())
+        h.update(grad.tobytes())
+    assert h.hexdigest() == GRADIENT_SHA256[fmt]
+
+
 def test_non_finite_input_rejected(small_pool_inventory):
     data = make_data(small_pool_inventory, ResponseFormat.LIKERT, n_personas=2, seed=27)
     x = np.zeros(param_dim(data))
