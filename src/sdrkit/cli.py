@@ -223,7 +223,9 @@ def cmd_personas(args) -> int:
     if args.covariance:
         cov = read_json(_require(args.covariance, "covariance file"),
                         lambda raw: TraitCovariance(np.array(raw)), "covariance")
-    lex = Lexicon.from_file(_require(args.lexicon, "lexicon")) if args.lexicon else None
+    lex = None
+    if args.lexicon:
+        lex = Lexicon.from_file(_require(args.lexicon, "lexicon"), ConfigError)
     ps = sample_personas(args.n, cov=cov, seed=args.seed, lexicon=lex)
     write_persona_set(ps, args.out)
     print(f"sampled {len(ps)} personas -> {args.out}")
@@ -247,8 +249,8 @@ def _build_provider(args, inventory, pool, fmt):
 
 
 def cmd_administer(args) -> int:
-    inventory = load_inventory(_require(args.inventory, "inventory"))
     pool = load_item_pool(_require(args.pool, "item pool"))
+    inventory = load_inventory(_require(args.inventory, "inventory"), pool)
     personas = load_persona_set(_require(args.personas, "persona set"))
     fmt = ResponseFormat(args.format)
     cond = CONDITIONS[args.condition]
@@ -313,8 +315,8 @@ def cmd_fit(args) -> int:
         read_count(args.samples, "--samples with --backend hmc", 4)
         opts = HmcOptions(seed=args.seed, chains=args.chains, warmup=args.warmup,
                           samples=args.samples)
-    inventory = load_inventory(_require(args.inventory, "inventory"))
     pool = load_item_pool(_require(args.pool, "item pool"))
+    inventory = load_inventory(_require(args.inventory, "inventory"), pool)
     sets = _load_response_files(_require(args.responses, "response data"))
     n_units = _fit_write_gate(sets, inventory, pool, ResponseFormat(args.format), opts, args.out)
     print(f"fitted {n_units} response units ({opts.backend}) -> {args.out}")
@@ -529,7 +531,7 @@ def cmd_pipeline(args) -> int:
     if cfg.get("ratings"):
         table = aggregate_ratings(load_rating_dataset(cfg["ratings"]))
         pool = pool.with_desirability(table.scores)
-    inventory = load_inventory(cfg["inventory"])
+    inventory = load_inventory(cfg["inventory"], pool)
 
     n, seed = cfg["n_personas"], seeds["personas"]
     stages.run(["personas.json"], {"n_personas": n, "seed": seed}, [],

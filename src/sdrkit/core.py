@@ -94,11 +94,11 @@ def read_member(value, name: str, choices):
     raise _refuse(name, "one of " + ", ".join(map(repr, _by_value(choices))), value)
 
 
-def read_text(value, name: str) -> str:
-    """``value`` if it is a non-empty string."""
-    if type(value) is str and value:
+def read_text(value, name: str, empty: bool = False) -> str:
+    """``value`` if it is a string, and not the empty one unless ``empty``."""
+    if type(value) is str and (value or empty):
         return value
-    raise _refuse(name, "a non-empty string", value)
+    raise _refuse(name, "a string" if empty else "a non-empty string", value)
 
 
 def read_flag(value, name: str) -> bool:
@@ -589,9 +589,10 @@ def write_item_pool(pool: ItemPool, path: str | Path) -> None:
     ))
 
 
-def load_inventory(path: str | Path) -> Inventory:
-    """Load an inventory from CSV; a malformed row, an empty file or an item
-    used in two blocks raises :class:`InventoryError`."""
+def load_inventory(path: str | Path, pool: ItemPool | None = None) -> Inventory:
+    """Load an inventory from CSV; a malformed row, an empty file, an item
+    used in two blocks or, given ``pool``, an item id that is not in it raises
+    :class:`InventoryError`."""
     blocks = tuple(read_csv_rows(
         path,
         lambda row: GfcBlock(row["left_id"], row["right_id"], cell(row["desirability_gap"])),
@@ -602,7 +603,11 @@ def load_inventory(path: str | Path) -> Inventory:
         raise InventoryError(f"{path}: empty inventory")
     first: dict[str, int] = {}
     for number, b in enumerate(blocks, start=1):
-        for item in (b.left, b.right):
+        for field, item in (("left_id", b.left), ("right_id", b.right)):
+            if pool is not None and item not in pool.by_id():
+                raise InventoryError(
+                    f"{path}: block {number}: {field} {item!r} is not in the item pool"
+                )
             if item in first:
                 raise InventoryError(
                     f"{path}: item {item!r} is used in block {first[item]} and block {number}"

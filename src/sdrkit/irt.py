@@ -291,7 +291,7 @@ def utilities(
 
 
 def _posterior_core(data: ModelData, x: np.ndarray, need_grad: bool):
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise SdrkitError("non-finite parameter value")
     design = data.design
     layout = data.layout
@@ -452,10 +452,10 @@ def fit_map(data: ModelData, opts: MapOptions = MapOptions()) -> MapFit:
     rng = np.random.default_rng(opts.seed)
     n, j = data.n_units, data.design.n_items
     off = N_TRAITS * n
-    bounds = [(None, None)] * param_dim(data)
     alpha_hi = math.log(STRENGTH_CAP)
-    for k in range(off, off + j):
-        bounds[k] = (None, alpha_hi)
+    upper = np.full(param_dim(data), np.inf)
+    upper[off : off + j] = alpha_hi
+    bounds = optimize.Bounds(-np.inf, upper)  # as arrays: scipy converts a list slowly
     x0s = [_initial_point(data, rng) for _ in range(opts.n_starts)]
     starts = _fan_out(partial(_map_start, data, bounds), x0s)
     start_stats = tuple(s for _, _, s in starts)

@@ -19,10 +19,26 @@ _EXP_CAP = 30.0  # beyond this, log(expm1(d)) == d to double precision
 
 
 def _sigmoid_softplus(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sigmoid(x) and softplus(x), both from one exp(-|x|)."""
-    e = np.exp(-np.abs(x))
-    sig = np.where(x >= 0, 1.0, e) / (1.0 + e)
-    return sig, np.maximum(x, 0.0) + np.log1p(e)
+    """sigmoid(x) and softplus(x), both from one exp(-|x|); the sigmoid
+    overwrites ``x``.
+
+    The steps work in place, in three buffers: once arrays outgrow the C
+    allocator's reuse threshold (128 KiB under glibc), every fresh temporary
+    costs page faults.
+    """
+    pos = np.maximum(x, 0.0)
+    above = x >= 0
+    e = np.abs(x, out=x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    sp = np.log1p(e)
+    sp += pos
+    np.add(e, 1.0, out=pos)
+    # where(x >= 0, 1, e) as max(e, x >= 0), since 0 <= e <= 1: the same
+    # bits, without a branch per element that random signs mispredict
+    np.maximum(e, above, out=e)
+    e /= pos
+    return e, sp
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -147,31 +163,34 @@ def log_prob_and_grads(
     kappa_hi = np.asarray(kappa_hi, dtype=float).ravel()
     s = split if split is not None else CategorySplit.from_thresholds(kappa_lo, kappa_hi)
 
-    logp = np.empty_like(eta)
-    g_lo = np.empty_like(eta)
-    g_hi = np.empty_like(eta)
-
-    # k = 1: P = 1 - sigmoid(v)
-    sig, sp = _sigmoid_softplus(eta[s.first] - kappa_hi[s.first])
-    logp[s.first] = -sp
-    g_lo[s.first] = 0.0
-    g_hi[s.first] = -sig
-
-    # k = 7: P = sigmoid(u)
-    sig, sp = _sigmoid_softplus(kappa_lo[s.last] - eta[s.last])
-    logp[s.last] = -sp
-    g_lo[s.last] = sig
-    g_hi[s.last] = 0.0
-
-    # interior: P = (e^u - e^v) / ((1 + e^u)(1 + e^v)), with d = u - v > 0.
+    # One sigmoid/softplus pass over z = [v of every answer | u of the
+    # interior ones], v = eta - kappa_hi and u = eta - kappa_lo, except that
+    # a k = 7 entry of v is replaced by kappa_lo - eta, computed as such;
+    # logp, g_lo and g_hi are then read off slices of the result:
+    #   k = 1:    P = 1 - sigmoid(v)
+    #   k = 7:    P = 1 - sigmoid(kappa_lo - eta)
+    #   interior: P = (e^u - e^v) / ((1 + e^u)(1 + e^v)), with d = u - v > 0.
+    n = eta.size
     ei, klo, khi = eta[s.interior], kappa_lo[s.interior], kappa_hi[s.interior]
     log_em1, inv_lo, inv_hi = _gap_terms(khi[s.gap_rep] - klo[s.gap_rep])
-    u = ei - klo
-    v = ei - khi
-    sig_u, sp_u = _sigmoid_softplus(u)
-    sig_v, sp_v = _sigmoid_softplus(v)
-    logp[s.interior] = v + log_em1[s.gap_of] - sp_u - sp_v
+    z = np.empty(n + ei.size)
+    v = np.subtract(eta, kappa_hi, out=z[:n])
+    v[s.last] = kappa_lo[s.last] - eta[s.last]
+    np.subtract(ei, klo, out=z[n:])
+    logp_in = v[s.interior] + log_em1[s.gap_of]  # read v before the pass overwrites it
+    sig, sp = _sigmoid_softplus(z)
+    sig_v, sig_u, sp_v, sp_u = sig[:n], sig[n:], sp[:n], sp[n:]
+
+    logp_in -= sp_u
+    logp_in -= sp_v[s.interior]
+    g_hi_in = inv_hi[s.gap_of] - sig_v[s.interior]
+    g_lo = np.zeros(n)
+    g_lo[s.last] = sig_v[s.last]
     g_lo[s.interior] = inv_lo[s.gap_of] - sig_u
-    g_hi[s.interior] = inv_hi[s.gap_of] - sig_v
+    logp = np.negative(sp_v, out=sp_v)  # -softplus at k = 1 and 7
+    logp[s.interior] = logp_in
+    g_hi = np.negative(sig_v, out=sig_v)
+    g_hi[s.last] = 0.0
+    g_hi[s.interior] = g_hi_in
 
     return logp.reshape(shape), g_lo.reshape(shape), g_hi.reshape(shape)

@@ -77,8 +77,8 @@ class Lexicon:
                 raise PersonaError(f"lexicon missing intensity term for stanine {s}")
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "Lexicon":
-        return read_json(path, cls._from_raw, "lexicon", PersonaError)
+    def from_file(cls, path: str | Path, error: type[SdrkitError] = PersonaError) -> "Lexicon":
+        return read_json(path, cls._from_raw, "lexicon", error)
 
     @classmethod
     def default(cls) -> "Lexicon":
@@ -86,11 +86,14 @@ class Lexicon:
 
     @classmethod
     def _from_raw(cls, raw: dict) -> "Lexicon":
+        traits, terms = raw["traits"], raw["intensity"]
         adjectives = {
-            t: {side: tuple(words) for side, words in sides.items()}
-            for t, sides in raw["traits"].items()
+            t: {side: tuple(read_list(traits[t][side], f"traits.{t}.{side}", read_text))
+                for side in ("high", "low")}
+            for t in TRAIT_LABELS
         }
-        intensity = {int(k): v for k, v in raw["intensity"].items()}
+        intensity = {s: read_text(terms[str(s)], f"intensity.{s}", empty=True)
+                     for s in range(1, 10)}
         return cls(adjectives=adjectives, intensity=intensity)
 
 

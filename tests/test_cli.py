@@ -3,6 +3,8 @@
 import hashlib
 import importlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -228,6 +230,16 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("sdrkit ")
+
+
+def test_python_m_sdrkit_runs_the_command_line(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, "-m", "sdrkit", "--help"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: sdrkit ")
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -653,6 +665,47 @@ def test_administer_on_a_malformed_input_is_a_stage_failure(
     ])
     assert rc == EXIT_STAGE
     assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("command", ["administer", "fit"])
+def test_an_inventory_id_not_in_the_pool_is_refused_by_file_block_and_field(
+    instrument_files, tmp_path, capsys, command
+):
+    inventory = tmp_path / "inventory.csv"
+    rows = (instrument_files / "inventory.csv").read_text().splitlines(keepends=True)
+    fields = rows[2].split(",")
+    rows[2] = ",".join([*fields[:2], "nan", *fields[3:]])  # block 2's right_id
+    inventory.write_text("".join(rows))
+    capsys.readouterr()
+    rc = main(_argv(instrument_files, tmp_path, command, "--inventory", str(inventory)))
+    assert rc == EXIT_STAGE
+    assert capsys.readouterr().err == (
+        f"stage failure: {inventory}: block 2: right_id 'nan' is not in the item pool\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("traits", "O", "high"), "curious", "traits.O.high must be a non-empty list, got 'curious'"),
+    (("traits", "N", "low"), ["calm", 3], "traits.N.low[1] must be a non-empty string, got 3"),
+    (("intensity", "3"), None, "intensity.3 must be a string, got None"),
+    (("intensity", "9"), 9, "intensity.9 must be a string, got 9"),
+], ids=["words-as-a-string", "word-as-a-number", "null-intensity", "numeric-intensity"])
+def test_personas_refuses_a_malformed_lexicon_by_file_and_field(
+    instrument_files, tmp_path, capsys, path, value, message
+):
+    raw = json.loads((DATA / "lexicon.json").read_text())
+    *parents, last = path
+    node = raw
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    lexicon = tmp_path / "lexicon.json"
+    lexicon.write_text(json.dumps(raw))
+    capsys.readouterr()
+    rc = main(_argv(instrument_files, tmp_path, "personas", "--lexicon", str(lexicon)))
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {lexicon}: malformed lexicon: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("fmt, damage, message", [

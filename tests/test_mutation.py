@@ -113,10 +113,11 @@ def _pipeline_ok(path, kind):  # every key has a default; both conditions must s
     return kind == "delete" and (path[0] != "conditions" or len(path) == 1)
 
 
-# CSV columns: "count", "number" and "member" refuse every mutation; any text is
-# a valid "text" field but the empty one; an "unread" field is never read
+# CSV columns: "count", "number" and "member" refuse every mutation (an inventory's
+# item ids are members of the pool); any text is a valid "text" field but the
+# empty one; an "unread" field is never read
 RESPONSE_COLUMNS = ("text", "text", "member", "member", "text", "count", "count", "count")
-INVENTORY_COLUMNS = ("unread", "text", "text", "number")
+INVENTORY_COLUMNS = ("unread", "member", "member", "number")
 RATING_COLUMNS = ("text", "text", "count", "count")
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sdrkit.core import SdrkitError
 from sdrkit.ordinal import (
     CategorySplit,
+    _gap_terms,
     category_probs,
     check_thresholds,
     log_prob_and_grads,
@@ -146,3 +147,71 @@ def test_extreme_eta_stays_finite():
         khi = np.array([np.inf if k == 7 else kappa[0]])
         logp, _, _ = log_prob_and_grads(np.array([eta]), klo, khi)
         assert logp[0] > -1e-6
+
+
+def _four_pass_kernel(eta, kappa_lo, kappa_hi, split=None):
+    """The kernel as it was before its one fused sigmoid/softplus pass: one
+    pass each for k = 1, k = 7 and the interior u and v. The reference the
+    fused kernel must match bit for bit."""
+
+    def sigmoid_softplus(x):
+        e = np.exp(-np.abs(x))
+        return np.where(x >= 0, 1.0, e) / (1.0 + e), np.maximum(x, 0.0) + np.log1p(e)
+
+    eta = np.asarray(eta, dtype=float).ravel()
+    kappa_lo = np.asarray(kappa_lo, dtype=float).ravel()
+    kappa_hi = np.asarray(kappa_hi, dtype=float).ravel()
+    s = split if split is not None else CategorySplit.from_thresholds(kappa_lo, kappa_hi)
+    logp, g_lo, g_hi = np.empty_like(eta), np.empty_like(eta), np.empty_like(eta)
+    sig, sp = sigmoid_softplus(eta[s.first] - kappa_hi[s.first])
+    logp[s.first], g_lo[s.first], g_hi[s.first] = -sp, 0.0, -sig
+    sig, sp = sigmoid_softplus(kappa_lo[s.last] - eta[s.last])
+    logp[s.last], g_lo[s.last], g_hi[s.last] = -sp, sig, 0.0
+    ei, klo, khi = eta[s.interior], kappa_lo[s.interior], kappa_hi[s.interior]
+    log_em1, inv_lo, inv_hi = _gap_terms(khi[s.gap_rep] - klo[s.gap_rep])
+    u, v = ei - klo, ei - khi
+    sig_u, sp_u = sigmoid_softplus(u)
+    sig_v, sp_v = sigmoid_softplus(v)
+    logp[s.interior] = v + log_em1[s.gap_of] - sp_u - sp_v
+    g_lo[s.interior] = inv_lo[s.gap_of] - sig_u
+    g_hi[s.interior] = inv_hi[s.gap_of] - sig_v
+    return logp, g_lo, g_hi
+
+
+_GAP = st.one_of(st.just(0.0), st.floats(1e-300, 1e-12), st.floats(1e-12, 45.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    c1=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=3),
+    gaps=st.lists(st.lists(_GAP, min_size=5, max_size=5), min_size=3, max_size=3),
+    answers=st.lists(
+        st.tuples(st.integers(1, 7), st.integers(0, 2), st.floats(-1e3, 1e3)), max_size=60
+    ),
+)
+def test_fused_kernel_equals_the_four_pass_kernel_bit_for_bit(c1, gaps, answers):
+    """Open thresholds (k = 1 and 7), |eta| up to 1e3, gaps that are 0 or
+    underflow next to kappa_{k-1}, beyond the expm1 cap; with the split the
+    posterior builds (grouped categories, shared gaps) and without one."""
+    g = len(c1)
+    kappa = np.asarray(c1)[:, None] + np.cumsum(np.asarray(gaps[:g]), axis=1)
+    kappa = np.concatenate([np.asarray(c1)[:, None], kappa], axis=1)
+    ext = np.concatenate([np.full((g, 1), -np.inf), kappa, np.full((g, 1), np.inf)], axis=1)
+    k = np.array([a[0] for a in answers], dtype=int)
+    col = np.array([a[1] for a in answers], dtype=int) % g
+    eta = np.array([a[2] for a in answers], dtype=float)
+    # the posterior's grouping: k = 1, then k = 7, then interior, one entry per gap
+    order = np.concatenate([np.flatnonzero(k == 1), np.flatnonzero(k == 7),
+                            np.flatnonzero((k > 1) & (k < 7))])
+    k, col, eta = k[order], col[order], eta[order]
+    n1, n7 = int((k == 1).sum()), int((k == 7).sum())
+    _, rep, of = np.unique(col[n1 + n7:] * 5 + k[n1 + n7:] - 2, return_index=True,
+                           return_inverse=True)
+    split = CategorySplit(first=slice(0, n1), last=slice(n1, n1 + n7),
+                          interior=slice(n1 + n7, None), gap_rep=rep, gap_of=of)
+    klo, khi = ext[col, k - 1], ext[col, k]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for s in (split, None):
+            for got, want in zip(log_prob_and_grads(eta, klo, khi, s),
+                                 _four_pass_kernel(eta, klo, khi, s)):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
