@@ -14,6 +14,7 @@ import os
 import shutil
 import sys
 from dataclasses import asdict
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -66,6 +67,7 @@ from .irt import (
 from .metrics import build_shift_table, summarize_effects
 from .personas import (
     Lexicon,
+    PersonaError,
     TraitCovariance,
     load_persona_set,
     sample_personas,
@@ -218,11 +220,21 @@ def cmd_assemble(args) -> int:
     return EXIT_OK
 
 
+def _trait_covariance(raw) -> TraitCovariance:
+    """A covariance file's matrix, read as five rows of five numbers; a matrix
+    ``TraitCovariance`` refuses is a field error, so ``read_json`` names the file."""
+    sigma = read_list(raw, "covariance", partial(read_list, read=read_number, length=5), 5)
+    try:
+        return TraitCovariance(np.array(sigma, dtype=float))
+    except PersonaError as exc:
+        raise FieldError(str(exc)) from None
+
+
 def cmd_personas(args) -> int:
     cov = None
     if args.covariance:
-        cov = read_json(_require(args.covariance, "covariance file"),
-                        lambda raw: TraitCovariance(np.array(raw)), "covariance")
+        cov = read_json(_require(args.covariance, "covariance file"), _trait_covariance,
+                        "covariance", ConfigError)
     lex = None
     if args.lexicon:
         lex = Lexicon.from_file(_require(args.lexicon, "lexicon"), ConfigError)
@@ -294,7 +306,7 @@ def _administer(personas, inventory, pool, fmt, cond, seed, provider, manifest, 
     return len(sets), failed
 
 
-def _load_response_files(path: Path):
+def _load_response_files(path: Path, inventory):
     if path.is_dir():
         files = sorted(path.glob("responses_*.csv"))
         if not files:
@@ -303,7 +315,7 @@ def _load_response_files(path: Path):
         files = [path]
     sets = []
     for f in files:
-        sets.extend(load_response_sets(f))
+        sets.extend(load_response_sets(f, inventory))
     return sets
 
 
@@ -317,7 +329,7 @@ def cmd_fit(args) -> int:
                           samples=args.samples)
     pool = load_item_pool(_require(args.pool, "item pool"))
     inventory = load_inventory(_require(args.inventory, "inventory"), pool)
-    sets = _load_response_files(_require(args.responses, "response data"))
+    sets = _load_response_files(_require(args.responses, "response data"), inventory)
     n_units = _fit_write_gate(sets, inventory, pool, ResponseFormat(args.format), opts, args.out)
     print(f"fitted {n_units} response units ({opts.backend}) -> {args.out}")
     return EXIT_OK
@@ -564,7 +576,7 @@ def cmd_pipeline(args) -> int:
         fits[fmt.value] = f"fits/fit_{fmt.value}.json"
         stages.run([fits[fmt.value]], {"backend": backend, "seed": seeds["fit"]}, [*runs, *data],
                    lambda p: _fit_write_gate(
-                       [rs for r in runs for rs in load_response_sets(out_dir / r)],
+                       [rs for r in runs for rs in load_response_sets(out_dir / r, inventory)],
                        inventory, pool, fmt, fit_opts, p))
 
     stages.run([f"reports/{name}" for name in REPORT_FILES], {}, ["personas.json", *fits.values()],

@@ -310,6 +310,16 @@ class ResponseSet:
         if set(self.presentation_order) != set(self.answers):
             raise SdrkitError("presentation order does not cover exactly the answered units")
 
+    def answers_to(self, units: Sequence[str]) -> list[int]:
+        """The answers to ``units``, in their order; a unit not answered raises."""
+        try:
+            return [self.answers[u] for u in units]
+        except KeyError as exc:
+            raise SdrkitError(
+                f"response set {self.respondent_id}/{self.persona_id}/{self.condition.value} "
+                f"({self.format.value}) has no answer for unit {exc.args[0]!r}"
+            ) from None
+
 
 # ---------------------------------------------------------------------------
 # Assembly configuration and validation
@@ -631,10 +641,12 @@ def write_response_sets(sets: Sequence[ResponseSet], path: str | Path) -> None:
     ))
 
 
-def load_response_sets(path: str | Path) -> list[ResponseSet]:
+def load_response_sets(path: str | Path, inventory: Inventory | None = None) -> list[ResponseSet]:
     """Read response sets; a row with a missing or malformed field, as in a
     file cut mid-row, or a second answer to a unit of the same response set
-    raises ``SdrkitError`` naming the file and the line."""
+    raises ``SdrkitError`` naming the file and the line. Given ``inventory``,
+    so does a set that leaves a unit of its format unanswered, as when a
+    row's persona or respondent id is changed, naming the file."""
     groups: dict[tuple, dict[str, tuple[int, int, bool]]] = {}
 
     def row(raw: dict) -> None:  # checks while parsing, so an error names the line
@@ -671,4 +683,11 @@ def load_response_sets(path: str | Path) -> list[ResponseSet]:
                 side_assignment={unit: by_unit[unit][2] for unit in order},
             )
         )
+    if inventory is not None:
+        units = {fmt: [u.id for u in inventory.units(fmt)] for fmt in ResponseFormat}
+        for rs in out:
+            try:
+                rs.answers_to(units[rs.format])
+            except SdrkitError as exc:
+                raise SdrkitError(f"{path}: {exc}") from None
     return out

@@ -48,6 +48,7 @@ class TraitCovariance:
         if not np.allclose(np.diag(s), 1.0, atol=1e-12):
             raise PersonaError("covariance must have unit diagonal")
         object.__setattr__(self, "sigma", s)
+        self.cholesky()  # refuses a matrix that is not positive definite
 
     def cholesky(self) -> np.ndarray:
         try:

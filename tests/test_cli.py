@@ -708,6 +708,85 @@ def test_personas_refuses_a_malformed_lexicon_by_file_and_field(
     assert not (tmp_path / "out").exists()
 
 
+def _identity_with(*cells):
+    sigma = np.eye(5).tolist()
+    for i, j, value in cells:
+        sigma[i][j] = value
+    return sigma
+
+
+@pytest.mark.parametrize("sigma, message", [
+    ("abc", "covariance must be a list of 5 values, got 'abc'"),
+    (_identity_with((1, 2, "x")), "covariance[1][2] must be a finite number, got 'x'"),
+    ([*np.eye(5).tolist()[:4], [0.0] * 4],
+     "covariance[4] must be a list of 5 values, got [0.0, 0.0, 0.0, 0.0]"),
+    (_identity_with((0, 1, 0.5)), "covariance must be symmetric"),
+    (_identity_with((3, 3, 2.0)), "covariance must have unit diagonal"),
+    (_identity_with((0, 1, 1.5), (1, 0, 1.5)), "covariance is not positive definite"),
+], ids=["a-string", "a-non-numeric-entry", "a-row-short", "asymmetric", "non-unit-diagonal",
+        "not-positive-definite"])
+def test_personas_refuses_a_malformed_covariance_by_file_and_field(
+    instrument_files, tmp_path, capsys, sigma, message
+):
+    covariance = tmp_path / "covariance.json"
+    covariance.write_text(json.dumps(sigma))
+    capsys.readouterr()
+    rc = main(_argv(instrument_files, tmp_path, "personas", "--covariance", str(covariance)))
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {covariance}: malformed covariance: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def _renamed_first_persona(responses: Path) -> None:
+    """Change the first row's persona id to ``7``: a set of one answer, and
+    one that lacks it."""
+    lines = responses.read_text().splitlines(keepends=True)
+    fields = lines[1].split(",")
+    fields[1] = "7"
+    lines[1] = ",".join(fields)
+    responses.write_text("".join(lines))
+
+
+INCOMPLETE = "response set sim/7/honest (likert) has no answer for unit"
+
+
+@pytest.mark.parametrize("given", ["file", "directory"])
+def test_fit_names_the_file_holding_an_incomplete_set(instrument_files, tmp_path, capsys, given):
+    personas, runs = tmp_path / "personas.json", tmp_path / "runs"
+    assert main(["personas", "--n", "3", "--seed", "1", "--out", str(personas)]) == EXIT_OK
+    for cond in ("honest", "fake_good"):
+        assert main(_argv(instrument_files, tmp_path, "administer", "--condition", cond,
+                          "--out", str(runs))) == EXIT_OK
+    responses = runs / "responses_likert_honest.csv"
+    _renamed_first_persona(responses)
+    capsys.readouterr()
+    rc = main(_argv(instrument_files, tmp_path, "fit", "--starts", "1",
+                    "--responses", str(responses if given == "file" else runs)))
+    assert rc == EXIT_STAGE
+    assert capsys.readouterr().err.startswith(f"stage failure: {responses}: {INCOMPLETE} ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_fit_stage_names_the_file_holding_an_incomplete_set(
+    instrument_files, tmp_path, capsys, monkeypatch
+):
+    original = cli.write_response_sets
+
+    def damaged(sets, path):
+        original(sets, path)
+        if Path(path).name == "responses_likert_honest.csv":
+            _renamed_first_persona(Path(path))
+
+    monkeypatch.setattr(cli, "write_response_sets", damaged)
+    out_dir = tmp_path / "run"
+    capsys.readouterr()
+    assert _run_pipeline(tmp_path, out_dir, **_small_study(instrument_files, 3)) == EXIT_STAGE
+    responses = out_dir / "runs" / "responses_likert_honest.csv"
+    assert f"{responses}: {INCOMPLETE} " in capsys.readouterr().err
+    assert not list(out_dir.rglob("fit_*.json"))
+
+
 @pytest.mark.parametrize("fmt, damage, message", [
     ("likert", "keying-and-trait",
      "simulator params disagree with the pool on item 'a1': keying -1 and trait 1, "

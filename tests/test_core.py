@@ -194,6 +194,28 @@ def test_response_file_cut_mid_row_names_the_file_and_line(tmp_path):
     assert load_response_sets(f) == whole
 
 
+def test_response_sets_checked_against_an_inventory_name_the_file(tmp_path):
+    inv = Inventory((GfcBlock("a", "b", 0.1),))
+    whole = ResponseSet(
+        respondent_id="m", persona_id="p001", format=ResponseFormat.LIKERT,
+        condition=InstructionCondition.HONEST, answers={"a": 3, "b": 5},
+        presentation_order=("a", "b"),
+    )
+    short = ResponseSet(
+        respondent_id="m", persona_id="p002", format=ResponseFormat.GFC,
+        condition=InstructionCondition.HONEST, answers={"b~a": 2},
+        presentation_order=("b~a",),
+    )
+    f = tmp_path / "resp.csv"
+    write_response_sets([whole], f)
+    assert load_response_sets(f, inv) == load_response_sets(f)
+    write_response_sets([whole, short], f)
+    assert len(load_response_sets(f)) == 2  # without the inventory, unchecked
+    message = f"{f}: response set m/p002/honest (gfc) has no answer for unit 'a~b'"
+    with pytest.raises(SdrkitError, match=f"^{re.escape(message)}$"):
+        load_response_sets(f, inv)
+
+
 def _likert_set_rows(tmp_path):
     rs = ResponseSet(
         respondent_id="m", persona_id="p001", format=ResponseFormat.LIKERT,

@@ -546,6 +546,28 @@ def _reference_rhat_ess(x):
     return rhat, m * n / tau
 
 
+def _rank_rows():
+    rng = np.random.default_rng(37)
+    rows = {
+        "random": rng.standard_normal((6, 40)),
+        "rounded": np.round(rng.standard_normal((6, 40))),  # many ties
+        "constant": np.full((3, 8), 2.5),
+        "signed zeros and infinities": np.array([[0.0, -0.0, np.inf, -np.inf, np.inf, 0.0]]),
+        "one column": rng.integers(0, 3, (4, 1)).astype(float),
+    }
+    with_nan = rng.standard_normal((3, 7))
+    with_nan[1, 4] = np.nan  # scipy makes the whole row NaN, and only that row
+    rows["a NaN"] = with_nan
+    return rows
+
+
+@pytest.mark.parametrize("rows", list(_rank_rows().values()), ids=list(_rank_rows()))
+def test_average_ranks_equal_scipy_bit_for_bit(rows):
+    ours = irt._average_ranks(rows)
+    theirs = stats.rankdata(rows, method="average", axis=-1)
+    assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+
+
 @pytest.mark.parametrize("shape", [(4, 20, 150), (4, 301, 12), (2, 9, 6)])
 def test_diagnostics_match_per_parameter_formulas(shape):
     rng = np.random.default_rng(35)
@@ -599,6 +621,22 @@ def test_hmc_diagnostics_vector_lengths(hmc_posterior):
     assert diag["ess"].shape == (param_dim(data),)
     assert np.all(np.isfinite(diag["rhat"]))
     assert np.all(diag["ess"] > 0)
+
+
+#: SHA-256 of the R-hat and ESS bytes of the posterior above, recorded while
+#: the ranks still came from ``scipy.stats.rankdata``: however the ranks are
+#: computed, the diagnostics must not change.
+DIAGNOSTICS_SHA256 = {
+    "rhat": "71409fd4ff143b865b1e43c4e75c65e5908bc52e88cf6b51f2dd25a0790e260b",
+    "ess": "f0dd2535a72551ae29a48bc885be5503bd2b6072b4f906746343f2e4ede39ea3",
+}
+
+
+def test_hmc_diagnostics_match_the_recorded_digest(hmc_posterior):
+    _, _, post = hmc_posterior
+    diag = diagnostics(post)
+    for name, digest in DIAGNOSTICS_SHA256.items():
+        assert hashlib.sha256(diag[name].tobytes()).hexdigest() == digest
 
 
 def test_hmc_agrees_with_map_direction(hmc_posterior, small_pool_inventory):

@@ -23,18 +23,72 @@ from sdrkit.metrics import (
 )
 
 
-@pytest.mark.parametrize("modules, absent", [
-    ("sdrkit.metrics, sdrkit.report", ("sdrkit.simulate",)),
-    ("sdrkit.irt", ("requests", "sdrkit.administer")),  # the scorer needs no HTTP client
-], ids=["metrics-report", "irt"])
-def test_importing_a_layer_leaves_out_what_it_does_not_use(modules, absent):
+HEAVY = ("scipy", "requests", "urllib3")  # loaded only by the code that calls them
+
+
+def _run_python(*args) -> str:
+    """Standard output of a fresh interpreter that finds sdrkit in ``src``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    code = f"import sys, {modules}; print([m for m in {absent!r} if m in sys.modules])"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
+def _loaded(names) -> str:
+    """Python code that prints the loaded modules among ``names`` and their submodules."""
+    return (f"print(sorted(m for m in sys.modules for n in {tuple(names)!r}"
+            " if m == n or m.startswith(n + '.')))")
+
+
+@pytest.mark.parametrize("modules, absent", [
+    ("sdrkit.metrics, sdrkit.report", ("sdrkit.simulate",)),
+    ("sdrkit.irt", ("sdrkit.administer", *HEAVY)),  # the scorer needs no HTTP client
+    ("sdrkit.cli", HEAVY),  # each command loads scipy or requests only where it calls them
+], ids=["metrics-report", "irt", "cli"])
+def test_importing_a_layer_leaves_out_what_it_does_not_use(modules, absent):
+    assert _run_python("-c", f"import sys, {modules}; {_loaded(absent)}").strip() == "[]"
+
+
+def test_sdrkit_help_loads_neither_scipy_nor_requests():
+    code = ("import runpy, sys\n"
+            "sys.argv = ['sdrkit', '--help']\n"
+            "try:\n    runpy.run_module('sdrkit', run_name='__main__')\n"
+            "except SystemExit:\n    pass\n" + _loaded(HEAVY))
+    out = _run_python("-c", code).splitlines()
+    assert out[0].startswith("usage: sdrkit ") and out[-1] == "[]"
+
+
+def test_scipy_stats_is_never_loaded_and_optimize_is_loaded_before_the_fork():
+    """A MAP fit loads ``scipy.optimize`` before it fans out, so forked workers
+    find it loaded; neither it nor the diagnostics load ``scipy.stats``."""
+    code = """
+import sys
+import numpy as np
+sys.path.insert(0, {tests!r})
+from conftest import small_instrument
+from sdrkit import irt
+from sdrkit.core import ResponseFormat
+
+fan_out = irt._fan_out
+def checked(fn, tasks):
+    print("optimize before fan-out:", "scipy.optimize" in sys.modules)
+    return fan_out(fn, tasks)
+irt._fan_out = checked
+pool, inv = small_instrument()
+y = np.random.default_rng(0).integers(1, 8, (3, 10))
+units = tuple(("r", f"p{{i}}", "honest") for i in range(3))
+data = irt.ModelData(irt.design_for(inv, pool, ResponseFormat.LIKERT), y, units)
+irt.fit_map(data, irt.MapOptions(n_starts=2, seed=0))
+print("after fit_map:", "scipy.optimize" in sys.modules, "scipy.stats" in sys.modules)
+irt.diagnostics(irt.Posterior(np.random.default_rng(1).standard_normal((2, 8, 4)), ()))
+print("after diagnostics:", "scipy.special" in sys.modules, "scipy.stats" in sys.modules)
+""".format(tests=str(Path(__file__).resolve().parent))
+    assert _run_python("-c", code).splitlines() == [
+        "optimize before fan-out: True",
+        "after fit_map: True False",
+        "after diagnostics: True False",
+    ]
 
 
 def test_cohens_dz_hand_example():

@@ -114,9 +114,10 @@ def _pipeline_ok(path, kind):  # every key has a default; both conditions must s
 
 
 # CSV columns: "count", "number" and "member" refuse every mutation (an inventory's
-# item ids are members of the pool); any text is a valid "text" field but the
-# empty one; an "unread" field is never read
-RESPONSE_COLUMNS = ("text", "text", "member", "member", "text", "count", "count", "count")
+# item ids are members of the pool; a response row's ids must keep its set
+# answering every unit of the inventory); any text is a valid "text" field but
+# the empty one; an "unread" field is never read
+RESPONSE_COLUMNS = ("member",) * 5 + ("count",) * 3
 INVENTORY_COLUMNS = ("unread", "member", "member", "number")
 RATING_COLUMNS = ("text", "text", "count", "count")
 

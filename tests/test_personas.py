@@ -59,6 +59,10 @@ def test_covariance_validation():
     bad2 = np.eye(5) * 2.0  # non-unit diagonal
     with pytest.raises(PersonaError):
         TraitCovariance(bad2)
+    bad3 = np.eye(5)
+    bad3[0, 1] = bad3[1, 0] = 1.5  # not positive definite: refused on construction
+    with pytest.raises(PersonaError, match="not positive definite"):
+        TraitCovariance(bad3)
     sigma = default_covariance()
     chol = sigma.cholesky()
     assert np.allclose(chol @ chol.T, sigma.sigma)
