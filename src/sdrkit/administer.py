@@ -175,7 +175,14 @@ class ProviderReply:
 
 
 class Provider(Protocol):
+    """A respondent. A session loop calls :meth:`prepare` with every plan of
+    a stage before the stage's first request, so a provider that can answer
+    ahead may, and with no plans after its last; :meth:`complete` must
+    answer a plan's units whether or not it was prepared."""
+
     model_id: str
+
+    def prepare(self, plans: Sequence[SessionPlan]) -> None: ...
 
     def complete(self, request: ProviderRequest) -> ProviderReply: ...
 
@@ -214,6 +221,9 @@ class HttpProvider:
 
             session = requests.Session()
         self._session = session
+
+    def prepare(self, plans: Sequence[SessionPlan]) -> None:
+        """Nothing to do: an endpoint answers one prompt at a time."""
 
     def complete(self, request: ProviderRequest) -> ProviderReply:
         import requests
@@ -331,15 +341,29 @@ def keyed_rng(seed: int, *key: str) -> np.random.Generator:
 
 def keyed_uniforms(seed: int, key: Sequence[str], unit_ids: Iterable[str]) -> np.ndarray:
     """``[keyed_rng(seed, *key, uid).random() for uid in unit_ids]``, bit for
-    bit, in one vectorized pass: one hash prefix, then every unit's seeding
-    and first draw at once (:func:`_first_uniforms`)."""
-    prefix = hashlib.sha256("\x1f".join([str(seed), *key, ""]).encode())
+    bit: the one-key row of :func:`keyed_uniform_table`."""
+    return keyed_uniform_table(seed, [key], list(unit_ids))[0]
+
+
+def keyed_uniform_table(
+    seed: int, keys: Sequence[Sequence[str]], unit_ids: Sequence[str]
+) -> np.ndarray:
+    """``keyed_rng(seed, *key, uid).random()`` for every key (rows) and unit
+    (columns), bit for bit, in one vectorized pass: one hash prefix per key,
+    one SHA-256 per key and unit, then every stream's seeding and first draw
+    at once (:func:`_first_uniforms`). The numpy passes cost about 0.2 ms
+    however few streams they draw, and 0.2 us more per stream (2-vCPU host),
+    so draw many keys together."""
+    encoded = [uid.encode() for uid in unit_ids]
     digests = []
-    for uid in unit_ids:
-        h = prefix.copy()
-        h.update(uid.encode())
-        digests.append(h.digest()[:8])
-    return _first_uniforms(np.frombuffer(b"".join(digests), dtype="<u8"))
+    for key in keys:
+        prefix = hashlib.sha256("\x1f".join([str(seed), *key, ""]).encode())
+        for uid in encoded:
+            h = prefix.copy()
+            h.update(uid)
+            digests.append(h.digest()[:8])
+    seeds = np.frombuffer(b"".join(digests), dtype="<u8")
+    return _first_uniforms(seeds).reshape(len(keys), len(encoded))
 
 
 def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -352,6 +376,12 @@ def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.nd
     return column[:-1], column[1:]
 
 
+def _limbs(value: int) -> np.ndarray:
+    """A 128-bit constant as four 32-bit limbs, least significant first, in a
+    uint64 column so that a limb times a limb cannot overflow."""
+    return np.array([value >> 32 * k & 0xFFFFFFFF for k in range(4)], dtype=np.uint64)[:, None]
+
+
 # numpy's SeedSequence with its pool of four uint32 words, and PCG64; NEP 19
 # keeps both bit streams stable across numpy versions
 _MIX_XOR, _MIX_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # 4 to fill, 12 to mix
@@ -359,15 +389,38 @@ _STATE_XOR, _STATE_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)  # 8 state w
 # for each pool word, the other three and the constants that mix it into them
 _MIXES = [(np.array([d for d in range(4) if d != s]), _MIX_XOR[4 + 3 * s : 7 + 3 * s],
            _MIX_MUL[4 + 3 * s : 7 + 3 * s]) for s in range(4)]
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128, _MASK64 = (1 << 128) - 1, (1 << 64) - 1
-# two steps from the seeded state: ((inc + s) * M + inc) * M + inc
-_PCG_MULT2, _PCG_MULT1 = _PCG_MULT * _PCG_MULT & _MASK128, _PCG_MULT + 1
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+# seeding steps once and the first draw once more, from state 0 with seed s
+# and increment inc = 2t + 1: ((inc + s) * M + inc) * M + inc is
+# s * M^2 + t * 2(M^2 + M + 1) + (M^2 + M + 1), all mod 2^128
+_SEED_MULT = _limbs(_PCG_MULT * _PCG_MULT & _MASK128)
+_STATE_ADD = _limbs((_PCG_MULT * _PCG_MULT + _PCG_MULT + 1) & _MASK128)
+_STREAM_MULT = _limbs(2 * (_PCG_MULT * _PCG_MULT + _PCG_MULT + 1) & _MASK128)
 
 
 def _hashmix(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
     words = (words ^ xor) * mul
     return words ^ (words >> 16)
+
+
+def _mul_add_128(addend: np.ndarray, *terms: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """``addend`` plus the sum of ``a * c`` over ``terms``, mod 2^128: each
+    ``a`` a (4, n) array of 32-bit limbs, ``c`` and ``addend`` constants'
+    limbs (:func:`_limbs`).
+
+    Each limb product splits into its low and high 32 bits, added into their
+    columns; a column then holds at most 15 values below 2^32, so the carries
+    can wait until the end.
+    """
+    acc = np.repeat(addend, terms[0][0].shape[1], axis=1)
+    for a, c in terms:
+        for i in range(4):  # limbs i.. of a[i] * c; the rest lie above 2^128
+            product = a[i] * c[: 4 - i]
+            acc[i:] += product & 0xFFFFFFFF
+            acc[i + 1 :] += product[:-1] >> 32
+    for k in range(3):
+        acc[k + 1] += acc[k] >> 32
+    return acc & 0xFFFFFFFF
 
 
 def _first_uniforms(keys: np.ndarray) -> np.ndarray:
@@ -377,7 +430,8 @@ def _first_uniforms(keys: np.ndarray) -> np.ndarray:
     pool with zero words, so a key's zero high word mixes like the padding.
     The pool is mixed for all keys together; its eight state words make each
     key's 128-bit PCG64 seed s and stream t, and the first draw is the top 53
-    bits of one XSL-RR output.
+    bits of one XSL-RR output. The 128-bit arithmetic runs on 32-bit limbs,
+    for all keys at once.
     """
     pool = np.zeros((4, keys.size), dtype=np.uint32)
     pool[0], pool[1] = keys & 0xFFFFFFFF, keys >> 32
@@ -386,13 +440,13 @@ def _first_uniforms(keys: np.ndarray) -> np.ndarray:
         mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * _hashmix(pool[src], xor, mul)
         pool[dst] = mixed ^ (mixed >> 16)
     words = _hashmix(np.concatenate([pool, pool]), _STATE_XOR, _STATE_MUL)
-    out = []
-    for s_hi, s_lo, t_hi, t_lo in np.ascontiguousarray(words.T, "<u4").view("<u8").tolist():
-        inc = ((t_hi << 65) | (t_lo << 1) | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT2 + inc * _PCG_MULT1) & _MASK128
-        rot, x = state >> 122, (state >> 64) ^ (state & _MASK64)
-        out.append((((x >> rot) | (x << (64 - rot))) & _MASK64) >> 11)
-    return np.array(out, dtype=float) * 2.0**-53
+    # generate_state(4, uint64) gives s_hi, s_lo, t_hi, t_lo, each low word first
+    limbs = words[[2, 3, 0, 1, 6, 7, 4, 5]].astype(np.uint64)  # s, then t
+    state = _mul_add_128(_STATE_ADD, (limbs[:4], _SEED_MULT), (limbs[4:], _STREAM_MULT))
+    x = (state[3] ^ state[1]) << 32 | (state[2] ^ state[0])  # high ^ low 64 bits
+    rot = state[3] >> 26  # the top 6 bits; (64 - rot) & 63 keeps rot = 0 defined
+    out = (x >> rot | x << ((64 - rot) & 63)) >> 11
+    return out.astype(float) * 2.0**-53
 
 
 def render_unit_prompt(plan: SessionPlan, unit: SessionUnit) -> str:

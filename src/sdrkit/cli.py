@@ -294,6 +294,7 @@ def _administer(personas, inventory, pool, fmt, cond, seed, provider, manifest, 
         list(personas), inventory, pool, [fmt], [cond], seed=seed,
         respondent_id=provider.model_id,
     )
+    provider.prepare(plans)
     sets, failed = [], []
     for plan in plans:
         result = run_session(plan, provider)
@@ -302,6 +303,7 @@ def _administer(personas, inventory, pool, fmt, cond, seed, provider, manifest, 
             sets.append(result.response_set)
         else:
             failed.append(result)
+    provider.prepare([])  # the stage is over: nothing it drew is needed again
     write_response_sets(sets, path)
     return len(sets), failed
 

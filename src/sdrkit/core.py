@@ -280,13 +280,20 @@ class Inventory:
         """The units answered in ``fmt``, in block order: one per statement
         (Likert) or one per block (GFC). An item used twice raises
         :class:`InventoryError`."""
-        ids = self.statements
-        if len(set(ids)) != len(ids):
-            reused = sorted({i for i in ids if ids.count(i) > 1})
-            raise InventoryError(f"inventory uses items in more than one block: {reused}")
-        if fmt is ResponseFormat.GFC:
-            return tuple(Unit(block_id(b.left, b.right), (b.left, b.right)) for b in self.blocks)
-        return tuple(Unit(i, (i,)) for i in ids)
+        # dataclass is frozen; cache each format's units on first use
+        cache = self.__dict__.setdefault("_units", {})
+        if fmt not in cache:
+            ids = self.statements
+            if len(set(ids)) != len(ids):
+                reused = sorted({i for i in ids if ids.count(i) > 1})
+                raise InventoryError(f"inventory uses items in more than one block: {reused}")
+            if fmt is ResponseFormat.GFC:
+                cache[fmt] = tuple(
+                    Unit(block_id(b.left, b.right), (b.left, b.right)) for b in self.blocks
+                )
+            else:
+                cache[fmt] = tuple(Unit(i, (i,)) for i in ids)
+        return cache[fmt]
 
 
 class InstructionCondition(enum.Enum):
@@ -634,9 +641,10 @@ def write_inventory(inv: Inventory, path: str | Path) -> None:
 
 def write_response_sets(sets: Sequence[ResponseSet], path: str | Path) -> None:
     write_csv_rows(path, RESPONSE_HEADER, (
-        [rs.respondent_id, rs.persona_id, rs.format.value, rs.condition.value, unit,
-         rs.answers[unit], pos, int(bool(rs.side_assignment.get(unit, False)))]
+        [*fixed, unit, rs.answers[unit], pos, int(bool(rs.side_assignment.get(unit, False)))]
         for rs in sets
+        # the fields every row of a set shares, built once per set
+        for fixed in [(rs.respondent_id, rs.persona_id, rs.format.value, rs.condition.value)]
         for pos, unit in enumerate(rs.presentation_order)
     ))
 

@@ -16,6 +16,7 @@ from sdrkit.administer import (
     _first_uniforms,
     build_rating_plan,
     keyed_rng,
+    keyed_uniform_table,
     keyed_uniforms,
     make_session_plans,
     parse_single_int,
@@ -172,8 +173,32 @@ def test_keyed_uniforms_are_each_units_first_keyed_draw(seed, key, unit_ids):
     assert got.tolist() == [keyed_rng(seed, *key, uid).random() for uid in unit_ids]
 
 
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    keys=st.lists(st.lists(st.text(max_size=6), max_size=2), max_size=4),
+    unit_ids=st.lists(st.text(max_size=8), max_size=10),
+)
+def test_keyed_uniform_table_rows_are_each_keys_uniforms(seed, keys, unit_ids):
+    got = keyed_uniform_table(seed, keys, unit_ids)
+    assert got.shape == (len(keys), len(unit_ids))
+    for key, row in zip(keys, got):
+        assert row.tolist() == [keyed_rng(seed, *key, uid).random() for uid in unit_ids]
+
+
+def first_rotation(key: int) -> int:
+    """The XSL-RR rotation of ``default_rng(key)``'s first output: the top six
+    bits of its PCG64 state after one step."""
+    bit_generator = np.random.PCG64(key)
+    bit_generator.random_raw()
+    return bit_generator.state["state"]["state"] >> 122
+
+
 def test_first_uniforms_match_default_rng_on_one_and_two_word_keys():
-    keys = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    # a rotation of 0 would shift by 64 if taken as 64 - rot
+    unrotated = [k for k in range(1000) if first_rotation(k) == 0]
+    assert len(unrotated) >= 3
+    keys = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, *unrotated]
     want = [np.random.default_rng(k).random() for k in keys]
     assert _first_uniforms(np.array(keys, dtype=np.uint64)).tolist() == want
     for k, u in zip(keys, want):

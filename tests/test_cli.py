@@ -21,7 +21,7 @@ from sdrkit.cli import (
 )
 from sdrkit.core import ResponseFormat, load_response_sets, write_inventory, write_item_pool
 from sdrkit.irt import DiagnosticsError, HmcOptions, build_model_data, fit_hmc, fit_theta_frame
-from sdrkit.simulate import default_sim_params, write_sim_params
+from sdrkit.simulate import SimulatorProvider, default_sim_params, write_sim_params
 
 from conftest import small_instrument
 
@@ -277,6 +277,30 @@ def test_sim_administer_output_is_byte_stable(tmp_path):
         f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()
     }
     assert digests == SIM_ADMINISTER_DIGESTS
+
+
+def test_administer_prepares_the_provider_with_its_stage_then_with_none(
+    instrument_files, tmp_path, monkeypatch
+):
+    personas = tmp_path / "personas.json"
+    assert main(["personas", "--n", "3", "--seed", "1", "--out", str(personas)]) == EXIT_OK
+    stages = []
+    real = SimulatorProvider.prepare
+
+    def recording(self, plans):
+        stages.append([(p.persona.id, p.format.value, p.condition.value) for p in plans])
+        real(self, plans)
+
+    monkeypatch.setattr(SimulatorProvider, "prepare", recording)
+    rc = main([
+        "administer", "--inventory", str(instrument_files / "inventory.csv"),
+        "--pool", str(instrument_files / "pool.csv"), "--personas", str(personas),
+        "--format", "gfc", "--condition", "fake", "--provider", "sim", "--seed", "2",
+        "--out", str(tmp_path / "runs"),
+    ])
+    assert rc == EXIT_OK
+    ids = [p["id"] for p in json.loads(personas.read_text())["personas"]]
+    assert stages == [[(i, "gfc", "fake_good") for i in ids], []]
 
 
 # SHA-256 of every hashed artifact of a fresh 12-persona MAP `sdrkit pipeline`

@@ -1,12 +1,18 @@
 """Generative simulator: determinism, shift semantics, and provider parity."""
 
+import gc
 import math
 import sys
 import threading
+import weakref
 from dataclasses import replace
+from functools import cache
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sdrkit import irt, simulate
 from sdrkit.administer import (
@@ -27,6 +33,7 @@ from sdrkit.core import (
 from sdrkit.ordinal import _category_probs, category_probs
 from sdrkit.personas import Persona, sample_personas
 from sdrkit.simulate import (
+    TABLE_PERSONAS,
     ItemParams,
     SimSpec,
     SimulatorProvider,
@@ -299,26 +306,42 @@ def test_provider_draws_each_plan_once_and_matches_plans_by_identity(
     assert honest_copy == honest and honest_copy is not honest
 
     draws = []
-    real = simulate.simulate_answers
+    real = simulate.simulate_table
 
-    def counting(*args):
-        draws.append(args[0].id)
-        return real(*args)
+    def counting(personas, *args):
+        draws.append([p.id for p in personas])
+        return real(personas, *args)
 
-    monkeypatch.setattr(simulate, "simulate_answers", counting)
+    monkeypatch.setattr(simulate, "simulate_table", counting)
     provider = SimulatorProvider(params, spec)
     sequence = []
     for unit in honest.units:
         sequence += [(honest, unit), (fake, unit), (honest, mirrored(unit))]
     sequence += [(honest_copy, honest.units[0]), (honest_copy, honest.units[1])]
-    for plan, unit in sequence:
-        answer = int(provider.complete(planned_request(plan, unit)).text)
-        canonical = 8 - answer if unit.flipped else answer
-        assert canonical == expected[plan.condition][unit.id]
+
+    def answer_sequence():
+        for plan, unit in sequence:
+            answer = int(provider.complete(planned_request(plan, unit)).text)
+            canonical = 8 - answer if unit.flipped else answer
+            assert canonical == expected[plan.condition][unit.id]
+
+    # unprepared plans: each switch to another plan object draws that plan alone
+    answer_sequence()
     switches = 1 + sum(p is not q for (p, _), (q, _) in zip(sequence, sequence[1:]))
-    assert len(draws) == switches
+    assert draws == [[persona.id]] * switches
+
+    # prepared plans draw once, in prepare (one table per condition); the
+    # value-equal copy was not prepared, so it still draws alone
+    draws.clear()
+    provider.prepare([honest, fake])
+    assert draws == [[persona.id]] * 2
+    answer_sequence()
+    assert draws == [[persona.id]] * 3
 
     short = replace(honest, units=honest.units[:1])
+    with pytest.raises(SdrkitError, match="not in its session plan"):
+        provider.complete(planned_request(short, honest.units[1]))
+    provider.prepare([short])
     with pytest.raises(SdrkitError, match="not in its session plan"):
         provider.complete(planned_request(short, honest.units[1]))
     (likert,) = make_session_plans(
@@ -327,6 +350,77 @@ def test_provider_draws_each_plan_once_and_matches_plans_by_identity(
     )
     with pytest.raises(SdrkitError, match="not in its session plan"):
         provider.complete(ProviderRequest("sim", likert, honest.units[0]))
+
+
+@cache
+def eighty_personas(seed):
+    return list(sample_personas(80, seed=seed))
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(0, 80),
+    persona_seed=st.integers(0, 2),
+    plan_seed=st.integers(0, 2**32),
+    sim_seed=st.integers(0, 2**32),
+    delta=st.sampled_from([0.0, 1.0, 2.5]),
+)
+@example(n=0, persona_seed=0, plan_seed=0, sim_seed=0, delta=1.0)
+@example(n=TABLE_PERSONAS + 1, persona_seed=1, plan_seed=1, sim_seed=1, delta=1.0)
+@example(n=80, persona_seed=2, plan_seed=2, sim_seed=2, delta=2.5)
+def test_prepared_stage_answers_as_each_plan_drawn_alone(
+    small_pool_inventory, n, persona_seed, plan_seed, sim_seed, delta
+):
+    pool, inv = small_pool_inventory
+    params = default_sim_params(inv, pool, seed=40)
+    spec = SimSpec(fake_good_delta=delta, seed=sim_seed)
+    # both formats and conditions, GFC sides flipped and orders shuffled per persona
+    plans = make_session_plans(
+        eighty_personas(persona_seed)[:n], inv, pool, list(ResponseFormat),
+        list(InstructionCondition), seed=plan_seed, respondent_id="sim",
+    )
+    expected = [
+        simulate_response_set(plan.persona, inv, params, plan.format, plan.condition, spec).answers
+        for plan in plans
+    ]
+    provider = SimulatorProvider(params, spec)
+    with mock.patch.object(simulate, "simulate_table", wraps=simulate.simulate_table) as table:
+        provider.prepare(plans)
+        # one table per format and condition and each TABLE_PERSONAS personas
+        batches = sorted(len(call.args[0]) for call in table.call_args_list)
+        full, rest = divmod(n, TABLE_PERSONAS)
+        assert batches == sorted(([rest] if rest else []) * 4 + [TABLE_PERSONAS] * full * 4)
+        table.reset_mock()
+        for plan, want in zip(plans, expected):
+            got = {}
+            for unit in plan.units:
+                answer = int(provider.complete(planned_request(plan, unit)).text)
+                got[unit.id] = 8 - answer if unit.flipped else answer
+            assert got == want
+        table.assert_not_called()
+
+
+def test_prepare_releases_the_previous_stage(small_pool_inventory):
+    pool, inv = small_pool_inventory
+    provider = SimulatorProvider(default_sim_params(inv, pool, seed=42), SimSpec(seed=43))
+    personas = list(sample_personas(3, seed=44))
+
+    def stage(cond):
+        return make_session_plans(
+            personas, inv, pool, [ResponseFormat.GFC], [cond], seed=45, respondent_id="sim"
+        )
+
+    first, alone = stage(InstructionCondition.HONEST), stage(InstructionCondition.HONEST)[0]
+    provider.prepare(first)
+    for plan in (first[0], alone):  # a prepared plan, and one drawn alone
+        provider.complete(planned_request(plan, plan.units[0]))
+    held = [weakref.ref(first[0]), weakref.ref(alone)]
+    del first, alone, plan
+    gc.collect()
+    assert all(ref() is not None for ref in held)
+    provider.prepare(stage(InstructionCondition.FAKE_GOOD))
+    gc.collect()
+    assert all(ref() is None for ref in held)
 
 
 def test_provider_shared_by_concurrent_sessions_answers_each_correctly(small_pool_inventory):
@@ -450,7 +544,7 @@ def test_answer_stays_on_the_scale_when_the_last_cumulative_probability_is_below
     )
     persona = Persona("p1", (eta, 0.0, 0.0, 0.0, 0.0), (5,) * 5, "")
     u = np.nextafter(1.0, 0.0)  # the largest uniform a stream can return
-    monkeypatch.setattr(simulate, "keyed_uniforms", lambda *key: np.array([u]))
+    monkeypatch.setattr(simulate, "keyed_uniform_table", lambda *key: np.array([[u]]))
     answers = simulate_answers(
         persona, ResponseFormat.LIKERT, InstructionCondition.HONEST, [statement("i1")], params,
         SimSpec(),
