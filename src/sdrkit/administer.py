@@ -16,7 +16,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -154,37 +154,21 @@ def parse_single_int(text: str) -> int:
 
 
 @dataclass(frozen=True)
-class ProviderRequest:
-    """One unit of a planned session. In-process providers answer from the
-    plan and unit; a transport sends only the model id and the ``message``."""
-
-    model_id: str
-    plan: SessionPlan
-    unit: SessionUnit
-
-    @property
-    def message(self) -> str:
-        """The unit's prompt, a single user message with no chat history."""
-        return render_unit_prompt(self.plan, self.unit)
-
-
-@dataclass(frozen=True)
 class ProviderReply:
     text: str
     latency: float = 0.0
 
 
 class Provider(Protocol):
-    """A respondent. A session loop calls :meth:`prepare` with every plan of
-    a stage before the stage's first request, so a provider that can answer
-    ahead may, and with no plans after its last; :meth:`complete` must
-    answer a plan's units whether or not it was prepared."""
+    """A respondent: :meth:`complete` answers one unit of a planned session.
+    :meth:`prepare` gets a stage's plans before its first unit and none after
+    its last, so a provider may answer ahead; unprepared plans are answered too."""
 
     model_id: str
 
     def prepare(self, plans: Sequence[SessionPlan]) -> None: ...
 
-    def complete(self, request: ProviderRequest) -> ProviderReply: ...
+    def complete(self, plan: SessionPlan, unit: SessionUnit) -> ProviderReply: ...
 
 
 class TransportError(SdrkitError):
@@ -198,9 +182,9 @@ HTTP_TIMEOUT_S = 120.0
 class HttpProvider:
     """Single-turn chat-completions client for an OpenAI-compatible endpoint.
 
-    Each request sends only the model id and the one user message, so the
-    endpoint's own decode defaults apply. The auth token is read from the
-    environment variable named by ``token_env``; ``session`` is the
+    Each request sends only the model id and the unit's prompt as one user
+    message, so the endpoint's own decode defaults apply. The auth token is
+    read from the environment variable named by ``token_env``; ``session`` is the
     ``requests`` session to post through (a fresh one by default).
     ``requests`` is imported here, not with the module: no other provider
     needs it, and it costs an HTTP-free command about 0.1 s to load.
@@ -225,13 +209,13 @@ class HttpProvider:
     def prepare(self, plans: Sequence[SessionPlan]) -> None:
         """Nothing to do: an endpoint answers one prompt at a time."""
 
-    def complete(self, request: ProviderRequest) -> ProviderReply:
+    def complete(self, plan: SessionPlan, unit: SessionUnit) -> ProviderReply:
         import requests
 
         token = os.environ.get(self.token_env, "")
         payload = {
-            "model": request.model_id,
-            "messages": [{"role": "user", "content": request.message}],
+            "model": self.model_id,
+            "messages": [{"role": "user", "content": render_unit_prompt(plan, unit)}],
         }
         headers = {"Content-Type": "application/json"}
         if token:
@@ -337,12 +321,6 @@ def keyed_rng(seed: int, *key: str) -> np.random.Generator:
     """Generator seeded by SHA-256 of the seed and key parts, joined by U+001F."""
     digest = hashlib.sha256(("\x1f".join([str(seed), *key])).encode()).digest()
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
-
-
-def keyed_uniforms(seed: int, key: Sequence[str], unit_ids: Iterable[str]) -> np.ndarray:
-    """``[keyed_rng(seed, *key, uid).random() for uid in unit_ids]``, bit for
-    bit: the one-key row of :func:`keyed_uniform_table`."""
-    return keyed_uniform_table(seed, [key], list(unit_ids))[0]
 
 
 def keyed_uniform_table(
@@ -469,13 +447,12 @@ def run_session(
     refits = 0
     transport_retries = 0
     for unit in plan.units:
-        request = ProviderRequest(provider.model_id, plan, unit)
         value: int | None = None
         for attempt in range(1 + MAX_RETRIES):
             reply = None
             for t_try in range(1 + MAX_TRANSPORT_RETRIES):
                 try:
-                    reply = provider.complete(request)
+                    reply = provider.complete(plan, unit)
                     break
                 except TransportError:
                     transport_retries += 1

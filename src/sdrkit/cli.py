@@ -121,6 +121,18 @@ def _digest(value) -> str:
     return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
 
 
+def _write_atomically(path: Path, write):
+    """``write(tmp)`` to a temporary file beside ``path``, then ``os.replace``
+    it into place, so a write that fails leaves the previous file as it was."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        result = write(tmp)
+        os.replace(tmp, path)
+        return result
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 #: condition names on the command line and in pipeline configs
 CONDITIONS = {"honest": InstructionCondition.HONEST, "fake": InstructionCondition.FAKE_GOOD,
               "fake_good": InstructionCondition.FAKE_GOOD}
@@ -274,12 +286,11 @@ def cmd_administer(args) -> int:
         seeds={"plan": args.seed}, created_at="",
     )
     out_file = out_dir / f"responses_{fmt.value}_{cond.value}.csv"
-    n_written, failed = _administer(
-        personas, inventory, pool, fmt, cond, args.seed, provider, manifest, out_file
-    )
-    (out_dir / f"manifest_{fmt.value}_{cond.value}.json").write_text(
-        manifest.to_json(), encoding="utf-8"
-    )
+    n_written, failed = _write_atomically(out_file, partial(
+        _administer, personas, inventory, pool, fmt, cond, args.seed, provider, manifest
+    ))
+    _write_atomically(out_dir / f"manifest_{fmt.value}_{cond.value}.json",
+                      lambda tmp: tmp.write_text(manifest.to_json(), encoding="utf-8"))
     print(f"wrote {n_written} response sets ({len(failed)} failed sessions) -> {out_file}")
     return EXIT_STAGE if failed and not n_written else EXIT_OK
 
@@ -317,8 +328,24 @@ def _load_response_files(path: Path, inventory):
         files = [path]
     sets = []
     for f in files:
-        sets.extend(load_response_sets(f, inventory))
+        loaded = load_response_sets(f, inventory)
+        _check_set_count(f, len(loaded))
+        sets.extend(loaded)
     return sets
+
+
+def _check_set_count(path: Path, count: int) -> None:
+    """Raise unless ``path`` holds one response set per complete session of
+    the ``sdrkit administer`` manifest beside it, if there is one: a file cut
+    between two sets has only whole sets, which ``load_response_sets`` accepts."""
+    manifest = path.with_name(f"manifest_{path.stem.removeprefix('responses_')}.json")
+    if not path.name.startswith("responses_") or not manifest.is_file():
+        return
+    ok = read_json(manifest, lambda raw: sum(s["outcome"] == "ok" for s in raw["sessions"]),
+                   "manifest")
+    if count != ok:
+        raise SdrkitError(f"{path}: {count} response sets, but {manifest.name} "
+                          f"records {ok} complete sessions")
 
 
 def cmd_fit(args) -> int:
@@ -516,9 +543,8 @@ class _Stages:
         for n, p in zip(names, paths):
             self.digests[n] = self.manifest.artifacts[n] = _sha256(p)
             self.manifest.inputs[n] = key
-        tmp = self.out_dir / "manifest.json.tmp"
-        tmp.write_text(self.manifest.to_json(), encoding="utf-8")
-        os.replace(tmp, self.out_dir / "manifest.json")
+        _write_atomically(self.out_dir / "manifest.json",
+                          lambda tmp: tmp.write_text(self.manifest.to_json(), encoding="utf-8"))
 
 
 _DATA_FILES = ("pool", "inventory", "ratings")

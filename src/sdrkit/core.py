@@ -480,8 +480,8 @@ def validate_inventory(
     if cfg.sign_floor is not None:
         bad_signs = {}
         for t, (np_, nm) in sign_counts.items():
-            total = np_ + nm
-            if total and (np_ < cfg.sign_floor * total or nm < cfg.sign_floor * total):
+            floor = cfg.sign_floor * (np_ + nm) - 1e-12  # the solver's rounding tolerance
+            if min(np_, nm) < floor:
                 bad_signs[t] = (np_, nm)
         checks.append(ConstraintCheck("sign-balance", not bad_signs, f"imbalanced traits: {bad_signs}"))
 

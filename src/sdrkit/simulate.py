@@ -17,7 +17,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .administer import ProviderReply, ProviderRequest, SessionPlan, keyed_uniform_table
+from .administer import ProviderReply, SessionPlan, SessionUnit, keyed_uniform_table
 from .core import (
     DESIRABLE_SIGNS,
     InstructionCondition,
@@ -174,19 +174,6 @@ def simulate_table(
     return (cdf[..., :-1] <= u[..., None]).sum(axis=-1) + 1
 
 
-def simulate_answers(
-    persona: Persona,
-    fmt: ResponseFormat,
-    condition: InstructionCondition,
-    units: Sequence[Unit],
-    params: SimParams,
-    spec: SimSpec,
-) -> np.ndarray:
-    """One persona's canonical answers to ``units``: the one-row
-    :func:`simulate_table`."""
-    return simulate_table([persona], fmt, condition, units, params, spec)[0]
-
-
 def simulate_response_set(
     persona: Persona,
     inventory: Inventory,
@@ -202,14 +189,13 @@ def simulate_response_set(
     """
     units = inventory.units(fmt)
     order = tuple(u.id for u in units)
+    answers = simulate_table([persona], fmt, condition, units, params, spec)[0]
     return ResponseSet(
         respondent_id="sim",
         persona_id=persona.id,
         format=fmt,
         condition=condition,
-        answers=dict(
-            zip(order, simulate_answers(persona, fmt, condition, units, params, spec).tolist())
-        ),
+        answers=dict(zip(order, answers.tolist())),
         presentation_order=order,
         side_assignment={},
     )
@@ -259,14 +245,10 @@ TABLE_PERSONAS = 32
 class SimulatorProvider:
     """In-process respondent provider (provider id ``sim``).
 
-    Answers from the session plan a request carries: the persona's ground
-    truth, the condition, the unit and the displayed side. The prompt text is
-    not read. :meth:`prepare` draws a whole stage's answers at once and holds
-    them, releasing the previous stage's. A request from a plan it does not
-    hold draws that plan's answers alone and holds them, with the plan,
-    until another such plan arrives. Plans are matched by identity, never by
-    value. Concurrent sessions stay correct, each redrawing when the other
-    replaced the plan drawn alone.
+    Answers from the plan (the persona's ground truth and the condition) and
+    the unit (its id and displayed side), never from prompt text. It holds the
+    latest stage: the plans :meth:`prepare` drew, or one plan drawn alone when
+    asked for a plan it did not hold. Plans are matched by identity.
     """
 
     model_id = "sim"
@@ -275,12 +257,11 @@ class SimulatorProvider:
         self.params = params
         self.spec = spec
         self._stage: dict[int, _Drawn] = {}  # id(plan) -> the plan's answers
-        self._drawn: _Drawn | None = None  # the latest plan drawn alone
 
     def prepare(self, plans: Sequence[SessionPlan]) -> None:
         """Draw every plan's answers, a table per format, condition and unit
-        set, and hold them until the next ``prepare``."""
-        self._stage, self._drawn = {}, None  # let the last stage go before drawing
+        set, and hold them as the stage."""
+        self._stage = {}  # let the last stage go before drawing
         groups: dict[tuple, list[SessionPlan]] = {}
         for plan in plans:
             units = frozenset((u.id, u.statements) for u in plan.units)
@@ -303,13 +284,11 @@ class SimulatorProvider:
             drawn += [_Drawn(plan, columns, row) for plan, row in zip(chunk, rows)]
         return drawn
 
-    def complete(self, request: ProviderRequest) -> ProviderReply:
-        plan, unit = request.plan, request.unit
+    def complete(self, plan: SessionPlan, unit: SessionUnit) -> ProviderReply:
         drawn = self._stage.get(id(plan))
-        if drawn is None:
-            drawn = self._drawn
-            if drawn is None or drawn.plan is not plan:
-                drawn = self._drawn = self._draw([plan])[0]
+        if drawn is None:  # answer from the local: a concurrent session may replace the stage
+            drawn = self._draw([plan])[0]
+            self._stage = {id(plan): drawn}
         column = drawn.columns.get(unit.id)
         if column is None:
             raise SdrkitError(f"unit {unit.id!r} is not in its session plan")

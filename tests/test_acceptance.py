@@ -58,7 +58,7 @@ from sdrkit.simulate import (
 
 from conftest import small_instrument
 from test_administer import DESC, GOLDEN, ScriptedProvider, make_persona
-from test_simulate import mirrored, planned_request
+from test_simulate import mirrored
 from test_assemble import random_instance
 
 
@@ -191,8 +191,8 @@ def test_criterion_04_kernel_identities():
     flips_exact = True
     for plan in plans:
         for unit in plan.units:
-            a = int(provider.complete(planned_request(plan, unit)).text)
-            f = int(provider.complete(planned_request(plan, mirrored(unit))).text)
+            a = int(provider.complete(plan, unit).text)
+            f = int(provider.complete(plan, mirrored(unit)).text)
             flips_exact &= f == 8 - a
     ok = sum_err < 1e-12 and surv_err < 1e-12 and flips_exact
     detail = f"sum err {sum_err:.1e}, survivor err {surv_err:.1e}, flip exact {flips_exact}"

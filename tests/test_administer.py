@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 from sdrkit.administer import (
     HttpProvider,
     ProviderReply,
-    ProviderRequest,
     ResponseParseError,
     TransportError,
     _first_uniforms,
     build_rating_plan,
     keyed_rng,
     keyed_uniform_table,
-    keyed_uniforms,
     make_session_plans,
     parse_single_int,
     render_gfc_prompt,
@@ -159,29 +157,17 @@ def test_gfc_flips_display_statement_sides(small_pool_inventory):
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(
-    seed=st.integers(0, 2**63 - 1),
-    key=st.lists(st.text(max_size=8), max_size=3),
-    unit_ids=st.lists(st.text(max_size=12), max_size=40),
-)
-@example(seed=0, key=["p001", "likert"], unit_ids=[])
-@example(seed=2**63 - 1, key=["p001", "gfc"], unit_ids=["n\u00e4\u65e5~\U0001f600"])
-def test_keyed_uniforms_are_each_units_first_keyed_draw(seed, key, unit_ids):
-    got = keyed_uniforms(seed, key, unit_ids)
-    assert got.dtype == np.float64 and got.shape == (len(unit_ids),)
-    assert got.tolist() == [keyed_rng(seed, *key, uid).random() for uid in unit_ids]
-
-
 @settings(max_examples=50, derandomize=True, database=None, deadline=None)
 @given(
     seed=st.integers(0, 2**63 - 1),
     keys=st.lists(st.lists(st.text(max_size=6), max_size=2), max_size=4),
     unit_ids=st.lists(st.text(max_size=8), max_size=10),
 )
+@example(seed=0, keys=[["p001", "likert"]], unit_ids=[])
+@example(seed=2**63 - 1, keys=[["p001", "gfc"]], unit_ids=["n\u00e4\u65e5~\U0001f600"])
 def test_keyed_uniform_table_rows_are_each_keys_uniforms(seed, keys, unit_ids):
     got = keyed_uniform_table(seed, keys, unit_ids)
-    assert got.shape == (len(keys), len(unit_ids))
+    assert got.dtype == np.float64 and got.shape == (len(keys), len(unit_ids))
     for key, row in zip(keys, got):
         assert row.tolist() == [keyed_rng(seed, *key, uid).random() for uid in unit_ids]
 
@@ -217,8 +203,8 @@ class ScriptedProvider:
         self.replies = list(replies)
         self.calls = []
 
-    def complete(self, request: ProviderRequest) -> ProviderReply:
-        self.calls.append(request.message)
+    def complete(self, plan, unit) -> ProviderReply:
+        self.calls.append(render_unit_prompt(plan, unit))
         reply = self.replies.pop(0)
         if isinstance(reply, Exception):
             raise reply
@@ -339,7 +325,7 @@ def test_http_provider_round_trip(monkeypatch, small_pool_inventory):
     monkeypatch.setenv("SDRKIT_API_TOKEN", "secret")
     provider = HttpProvider("https://api.example/v1/chat", "model-x", session=session)
     plan = single_unit_plan(small_pool_inventory)
-    reply = provider.complete(ProviderRequest("model-x", plan, plan.units[0]))
+    reply = provider.complete(plan, plan.units[0])
     assert reply.text == " 6 "
     post = session.posts[0]
     # the planned session and unit stay in process: only the rendered message is sent
@@ -353,14 +339,13 @@ def test_http_provider_round_trip(monkeypatch, small_pool_inventory):
 def test_http_provider_error_paths(monkeypatch, small_pool_inventory):
     monkeypatch.delenv("SDRKIT_API_TOKEN", raising=False)
     plan = single_unit_plan(small_pool_inventory)
-    request = ProviderRequest("m", plan, plan.units[0])
     provider = HttpProvider(
         "https://api.example/v1/chat", "m", session=FakeSession(FakeResponse(status_code=500, text="oops"))
     )
     with pytest.raises(TransportError):
-        provider.complete(request)
+        provider.complete(plan, plan.units[0])
     provider = HttpProvider(
         "https://api.example/v1/chat", "m", session=FakeSession(FakeResponse(payload={"nope": 1}))
     )
     with pytest.raises(TransportError):
-        provider.complete(request)
+        provider.complete(plan, plan.units[0])

@@ -393,3 +393,17 @@ def test_solution_passes_its_own_validation(marker_pool):
     sol = assemble(subset, cfg)
     report = validate_inventory(sol.inventory, subset, cfg, gap_tol=1e-12)
     assert report.ok, report.failed()
+
+
+def test_validation_accepts_a_sign_floor_met_up_to_rounding():
+    # 0.28 * 25 rounds to 7.000000000000001: seven items of a sign meet the
+    # floor for the solver, so they must for the validator too
+    rows = [(f"a{i:02d}", TraitDomain.A, 1 if i < 7 else -1, 1 + 0.1 * i) for i in range(25)]
+    rows += [(f"c{i:02d}", TraitDomain.C, 1 if i % 2 else -1, 1 + 0.1 * i) for i in range(25)]
+    pool = make_pool(rows)
+    cfg = AssemblyConfig(block_count=25, sign_floor=0.28)
+    sol = assemble(pool, cfg)
+    assert sol.proof == "optimal"
+    report = validate_inventory(sol.inventory, pool, cfg)
+    assert report.sign_counts["A"] == (7, 18)
+    assert report.ok, report.failed()

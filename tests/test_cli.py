@@ -792,6 +792,59 @@ def test_fit_names_the_file_holding_an_incomplete_set(instrument_files, tmp_path
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("given", ["file", "directory"])
+def test_fit_refuses_a_file_cut_between_two_sets(instrument_files, tmp_path, capsys, given):
+    personas, runs = tmp_path / "personas.json", tmp_path / "runs"
+    assert main(["personas", "--n", "4", "--seed", "1", "--out", str(personas)]) == EXIT_OK
+    assert main(_argv(instrument_files, tmp_path, "administer", "--out", str(runs))) == EXIT_OK
+    responses = runs / "responses_likert_honest.csv"
+    lines = responses.read_text().splitlines(keepends=True)
+    per_set = (len(lines) - 1) // 4
+    responses.write_text("".join(lines[: 1 + 3 * per_set]))  # cut after the third set
+    capsys.readouterr()
+    rc = main(_argv(instrument_files, tmp_path, "fit", "--starts", "1",
+                    "--responses", str(responses if given == "file" else runs)))
+    assert rc == EXIT_STAGE
+    assert capsys.readouterr().err == (
+        f"stage failure: {responses}: 3 response sets, but manifest_likert_honest.json "
+        "records 4 complete sessions\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fails", ["responses", "manifest"])
+def test_administer_that_fails_writing_leaves_the_previous_files(
+    instrument_files, tmp_path, monkeypatch, fails
+):
+    personas = tmp_path / "personas.json"
+    assert main(["personas", "--n", "3", "--seed", "1", "--out", str(personas)]) == EXIT_OK
+    argv = _argv(instrument_files, tmp_path, "administer")
+    assert main(argv) == EXIT_OK
+    out = tmp_path / "out"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    if fails == "responses":
+        original = cli.write_response_sets
+
+        def cut(sets, path):  # the first set reaches the disk, then the disk is full
+            original(sets[:1], path)
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(cli, "write_response_sets", cut)
+    else:
+        write_text = Path.write_text
+
+        def cut(path, data, **kwargs):  # half the manifest reaches the disk
+            if not path.name.startswith("manifest_"):
+                return write_text(path, data, **kwargs)
+            write_text(path, data[: len(data) // 2], **kwargs)
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_text", cut)
+    with pytest.raises(OSError, match="no space left"):
+        main(argv)
+    # the rewritten responses are byte-identical; no temporary file is left
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_pipeline_fit_stage_names_the_file_holding_an_incomplete_set(
     instrument_files, tmp_path, capsys, monkeypatch
 ):

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from sdrkit import irt, simulate
 from sdrkit.administer import (
-    ProviderRequest,
     keyed_rng,
     make_session_plans,
     run_session,
@@ -41,8 +40,8 @@ from sdrkit.simulate import (
     effective_theta,
     load_sim_params,
     naive_gfc_count_scores,
-    simulate_answers,
     simulate_response_set,
+    simulate_table,
     write_sim_params,
 )
 
@@ -181,18 +180,14 @@ def test_gfc_flip_antisymmetry_is_exact(small_pool_inventory):
     )
     for plan in plans:
         for unit in plan.units:
-            a = int(provider.complete(planned_request(plan, unit)).text)
-            flipped = int(provider.complete(planned_request(plan, mirrored(unit))).text)
+            a = int(provider.complete(plan, unit).text)
+            flipped = int(provider.complete(plan, mirrored(unit)).text)
             assert flipped == 8 - a
 
 
 def mirrored(unit):
     """The same GFC unit with its displayed sides swapped."""
     return replace(unit, texts=unit.texts[::-1], flipped=not unit.flipped)
-
-
-def planned_request(plan, unit):
-    return ProviderRequest("sim", plan, unit)
 
 
 def statement(item):
@@ -246,16 +241,16 @@ def test_answers_do_not_depend_on_unit_order_or_company(small_pool_inventory):
     for fmt in ResponseFormat:
         units = inv.units(fmt)
         cond = InstructionCondition.FAKE_GOOD
-        full = simulate_answers(persona, fmt, cond, units, params, spec)
+        (full,) = simulate_table([persona], fmt, cond, units, params, spec)
         assert full.shape == (len(units),)
-        reverse = simulate_answers(persona, fmt, cond, units[::-1], params, spec)
+        (reverse,) = simulate_table([persona], fmt, cond, units[::-1], params, spec)
         assert reverse.tolist() == full[::-1].tolist()
-        one = simulate_answers(persona, fmt, cond, units[2:3], params, spec)
+        (one,) = simulate_table([persona], fmt, cond, units[2:3], params, spec)
         assert one.tolist() == [full[2]]
-        assert simulate_answers(persona, fmt, cond, [], params, spec).shape == (0,)
+        assert simulate_table([persona], fmt, cond, [], params, spec).shape == (1, 0)
 
 
-def test_simulate_answers_rejects_unknown_or_same_trait_units(small_pool_inventory):
+def test_simulate_table_rejects_unknown_or_same_trait_units(small_pool_inventory):
     pool, inv = small_pool_inventory
     params = default_sim_params(inv, pool, seed=28)
     spec = SimSpec()
@@ -264,20 +259,20 @@ def test_simulate_answers_rejects_unknown_or_same_trait_units(small_pool_invento
     likert, gfc = ResponseFormat.LIKERT, ResponseFormat.GFC
     no_a1 = replace(params, items={k: v for k, v in params.items.items() if k != "a1"})
     with pytest.raises(SdrkitError, match="item parameters"):
-        simulate_answers(persona, likert, honest, [statement("c1"), statement("a1")], no_a1, spec)
+        simulate_table([persona], likert, honest, [statement("c1"), statement("a1")], no_a1, spec)
     with pytest.raises(SdrkitError, match="item parameters"):
-        simulate_answers(persona, gfc, honest, [block("a1", "c1")], no_a1, spec)
+        simulate_table([persona], gfc, honest, [block("a1", "c1")], no_a1, spec)
     with pytest.raises(SdrkitError, match="block thresholds"):
-        simulate_answers(persona, gfc, honest, [block("a1", "e1")], params, spec)
+        simulate_table([persona], gfc, honest, [block("a1", "e1")], params, spec)
     same_trait = replace(params, block_kappa={**params.block_kappa, "a1~a2": KAPPA})
     with pytest.raises(SdrkitError, match="two different traits"):
-        simulate_answers(persona, gfc, honest, [block("a1", "a2")], same_trait, spec)
+        simulate_table([persona], gfc, honest, [block("a1", "a2")], same_trait, spec)
     provider = SimulatorProvider(no_a1, spec)
     (plan,) = make_session_plans(
         [persona], inv, pool, [ResponseFormat.LIKERT], [honest], seed=0, respondent_id="sim"
     )
     with pytest.raises(SdrkitError, match="item parameters"):
-        provider.complete(planned_request(plan, plan.units[0]))
+        provider.complete(plan, plan.units[0])
 
 
 def test_provider_draws_each_plan_once_and_matches_plans_by_identity(
@@ -321,7 +316,7 @@ def test_provider_draws_each_plan_once_and_matches_plans_by_identity(
 
     def answer_sequence():
         for plan, unit in sequence:
-            answer = int(provider.complete(planned_request(plan, unit)).text)
+            answer = int(provider.complete(plan, unit).text)
             canonical = 8 - answer if unit.flipped else answer
             assert canonical == expected[plan.condition][unit.id]
 
@@ -337,19 +332,24 @@ def test_provider_draws_each_plan_once_and_matches_plans_by_identity(
     assert draws == [[persona.id]] * 2
     answer_sequence()
     assert draws == [[persona.id]] * 3
+    # the provider holds one stage: the copy drawn alone replaced the prepared
+    # plans, so the honest plan now draws alone again
+    sequence[:] = [(honest, honest.units[0]), (honest, honest.units[1])]
+    answer_sequence()
+    assert draws == [[persona.id]] * 4
 
     short = replace(honest, units=honest.units[:1])
     with pytest.raises(SdrkitError, match="not in its session plan"):
-        provider.complete(planned_request(short, honest.units[1]))
+        provider.complete(short, honest.units[1])
     provider.prepare([short])
     with pytest.raises(SdrkitError, match="not in its session plan"):
-        provider.complete(planned_request(short, honest.units[1]))
+        provider.complete(short, honest.units[1])
     (likert,) = make_session_plans(
         [persona], inv, pool, [ResponseFormat.LIKERT], [InstructionCondition.HONEST],
         seed=24, respondent_id="sim",
     )
     with pytest.raises(SdrkitError, match="not in its session plan"):
-        provider.complete(ProviderRequest("sim", likert, honest.units[0]))
+        provider.complete(likert, honest.units[0])
 
 
 @cache
@@ -394,7 +394,7 @@ def test_prepared_stage_answers_as_each_plan_drawn_alone(
         for plan, want in zip(plans, expected):
             got = {}
             for unit in plan.units:
-                answer = int(provider.complete(planned_request(plan, unit)).text)
+                answer = int(provider.complete(plan, unit).text)
                 got[unit.id] = 8 - answer if unit.flipped else answer
             assert got == want
         table.assert_not_called()
@@ -412,15 +412,19 @@ def test_prepare_releases_the_previous_stage(small_pool_inventory):
 
     first, alone = stage(InstructionCondition.HONEST), stage(InstructionCondition.HONEST)[0]
     provider.prepare(first)
-    for plan in (first[0], alone):  # a prepared plan, and one drawn alone
-        provider.complete(planned_request(plan, plan.units[0]))
-    held = [weakref.ref(first[0]), weakref.ref(alone)]
-    del first, alone, plan
+    provider.complete(first[0], first[0].units[0])
+    prepared, drawn_alone = weakref.ref(first[0]), weakref.ref(alone)
+    del first
     gc.collect()
-    assert all(ref() is not None for ref in held)
+    assert prepared() is not None
+    # a plan drawn alone is the new stage: the prepared plans are let go
+    provider.complete(alone, alone.units[0])
+    del alone
+    gc.collect()
+    assert prepared() is None and drawn_alone() is not None
     provider.prepare(stage(InstructionCondition.FAKE_GOOD))
     gc.collect()
-    assert all(ref() is None for ref in held)
+    assert drawn_alone() is None
 
 
 def test_provider_shared_by_concurrent_sessions_answers_each_correctly(small_pool_inventory):
@@ -439,7 +443,7 @@ def test_provider_shared_by_concurrent_sessions_answers_each_correctly(small_poo
             for plan in plans_of_worker:
                 for unit in plan.units:
                     try:
-                        answer = int(provider.complete(planned_request(plan, unit)).text)
+                        answer = int(provider.complete(plan, unit).text)
                     except SdrkitError as exc:  # a unit looked up in another plan's table
                         wrong.append((plan.persona.id, unit.id, str(exc)))
                         continue
@@ -545,8 +549,8 @@ def test_answer_stays_on_the_scale_when_the_last_cumulative_probability_is_below
     persona = Persona("p1", (eta, 0.0, 0.0, 0.0, 0.0), (5,) * 5, "")
     u = np.nextafter(1.0, 0.0)  # the largest uniform a stream can return
     monkeypatch.setattr(simulate, "keyed_uniform_table", lambda *key: np.array([[u]]))
-    answers = simulate_answers(
-        persona, ResponseFormat.LIKERT, InstructionCondition.HONEST, [statement("i1")], params,
+    answers = simulate_table(
+        [persona], ResponseFormat.LIKERT, InstructionCondition.HONEST, [statement("i1")], params,
         SimSpec(),
     )
-    assert answers.tolist() == [7]
+    assert answers.tolist() == [[7]]
