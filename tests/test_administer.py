@@ -157,14 +157,26 @@ def test_gfc_flips_display_statement_sides(small_pool_inventory):
 # ---------------------------------------------------------------------------
 
 
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    key=st.lists(st.text(max_size=8), max_size=3),
+    unit_ids=st.lists(st.text(max_size=12), max_size=40),
+)
+@example(seed=0, key=["p001", "likert"], unit_ids=[])
+@example(seed=2**63 - 1, key=["p001", "gfc"], unit_ids=["n\u00e4\u65e5~\U0001f600"])
+def test_keyed_uniforms_are_each_units_first_keyed_draw(seed, key, unit_ids):
+    (got,) = keyed_uniform_table(seed, [key], unit_ids)
+    assert got.dtype == np.float64 and got.shape == (len(unit_ids),)
+    assert got.tolist() == [keyed_rng(seed, *key, uid).random() for uid in unit_ids]
+
+
 @settings(max_examples=50, derandomize=True, database=None, deadline=None)
 @given(
     seed=st.integers(0, 2**63 - 1),
     keys=st.lists(st.lists(st.text(max_size=6), max_size=2), max_size=4),
     unit_ids=st.lists(st.text(max_size=8), max_size=10),
 )
-@example(seed=0, keys=[["p001", "likert"]], unit_ids=[])
-@example(seed=2**63 - 1, keys=[["p001", "gfc"]], unit_ids=["n\u00e4\u65e5~\U0001f600"])
 def test_keyed_uniform_table_rows_are_each_keys_uniforms(seed, keys, unit_ids):
     got = keyed_uniform_table(seed, keys, unit_ids)
     assert got.dtype == np.float64 and got.shape == (len(keys), len(unit_ids))
