@@ -13,7 +13,7 @@ import json
 import os
 import shutil
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from functools import partial
 from importlib import resources
 from pathlib import Path
@@ -133,7 +133,7 @@ def _write_atomically(path: Path, write):
         tmp.unlink(missing_ok=True)
 
 
-#: condition names on the command line and in pipeline configs
+#: condition names on the command line
 CONDITIONS = {"honest": InstructionCondition.HONEST, "fake": InstructionCondition.FAKE_GOOD,
               "fake_good": InstructionCondition.FAKE_GOOD}
 
@@ -182,16 +182,26 @@ def cmd_aggregate(args) -> int:
     return EXIT_OK
 
 
+def _settings(raw, defaults: dict, name: str = "") -> dict:
+    """``defaults`` with ``raw``'s values in their place, and their mappings
+    filled the same way; a key ``defaults`` lacks is refused, not ignored."""
+    if type(raw) is not dict:
+        raise FieldError(f"{name or 'the config'} must be a mapping, got {raw!r}")
+    dotted = f"{name}." if name else ""
+    for key in raw:
+        if key not in defaults:
+            raise FieldError(f"unknown key {dotted + key!r}, not one of "
+                             + ", ".join(map(repr, defaults)))
+    return {key: _settings(raw[key], value, dotted + key) if key in raw and type(value) is dict
+            else raw.get(key, value) for key, value in defaults.items()}
+
+
 def _assembly_config(args) -> AssemblyConfig:
     if not args.config:
-        return AssemblyConfig.standard(args.blocks)
+        return AssemblyConfig.standard(30 if args.blocks is None else args.blocks)
     return read_json(_require(args.config, "assembly config"), lambda raw: AssemblyConfig(
-        block_count=raw["block_count"],
-        per_trait=raw.get("per_trait"),
-        per_trait_pair=raw.get("per_trait_pair"),
-        mixed_key_range=raw.get("mixed_key_range"),
-        sign_floor=raw.get("sign_floor", 0.30),
-        node_budget=raw.get("node_budget"),
+        **_settings(raw, {f.name: f.default for f in fields(AssemblyConfig)}
+                    | {"block_count": raw["block_count"]})  # the one required key
     ), "assembly config", ConfigError)
 
 
@@ -455,36 +465,30 @@ def _write_report(fit_paths: dict[str, Path], sources: dict[str, str], personas,
 # Pipeline
 # ---------------------------------------------------------------------------
 
-_DEFAULT_SEEDS = {"personas": 1, "plan": 2, "sim": 3, "params": 4, "fit": 5}
+#: the pipeline config's data files, which its stages key by content
+_DATA_FILES = ("pool", "inventory")
 
 
 def _pipeline_config(raw: dict) -> dict:
-    """A pipeline config with its defaults filled in, once its values check out."""
-    cfg = {
+    """A pipeline config with its defaults filled in, once its keys and values check out."""
+    cfg = _settings(raw, {
         "pool": str(_packaged("marker_inventory_pool.csv")),
         "inventory": str(_packaged("marker_inventory_blocks.csv")),
-        "n_personas": 50, "backend": "map", "formats": ["likert", "gfc"],
-        "conditions": ["honest", "fake_good"], "out_dir": "run", **raw,
-        "seeds": {**_DEFAULT_SEEDS, **raw.get("seeds", {})},  # ** refuses a non-mapping
-        "provider": {"type": "sim", "fake_good_delta": 1.0, "matched_discrimination": False,
-                     **raw.get("provider", {})},
-    }
+        "n_personas": 50, "backend": "map", "formats": ["likert", "gfc"], "out_dir": "run",
+        "seeds": {"personas": 1, "plan": 2, "sim": 3, "params": 4, "fit": 5},
+        "provider": {"type": "sim", "fake_good_delta": 1.0, "matched_discrimination": False},
+    })
     seeds, provider = cfg["seeds"], cfg["provider"]
     read_member(provider["type"], "provider.type", ("sim",))  # the built-in simulator only
-    for key in ("pool", "inventory"):
+    for key in _DATA_FILES:
         _require(read_text(cfg[key], key), f"pipeline {key}")
-    if cfg.get("ratings"):
-        _require(read_text(cfg["ratings"], "ratings"), "pipeline ratings")
     read_member(cfg["backend"], "backend", ("map", "hmc"))
     read_count(cfg["n_personas"], "n_personas", 1)
     for name, seed in seeds.items():
         read_count(seed, f"seeds.{name}")
-    read_list(cfg["formats"], "formats", read_member, choices=ResponseFormat)
-    conditions = read_list(cfg["conditions"], "conditions", read_member,
-                           choices=tuple(CONDITIONS))
-    # the report pairs each persona's honest and fake-good fits
-    if {CONDITIONS[c] for c in conditions} != set(InstructionCondition):
-        raise FieldError(f"conditions must name both honest and fake_good, got {conditions!r}")
+    formats = read_list(cfg["formats"], "formats", read_member, choices=ResponseFormat)
+    if len(set(formats)) < len(formats):  # a fit would hold each unit twice
+        raise FieldError(f"formats must name each format once, got {cfg['formats']!r}")
     read_text(cfg["out_dir"], "out_dir")
     read_number(provider["fake_good_delta"], "provider.fake_good_delta", 0)
     read_flag(provider["matched_discrimination"], "provider.matched_discrimination")
@@ -547,17 +551,13 @@ class _Stages:
                           lambda tmp: tmp.write_text(self.manifest.to_json(), encoding="utf-8"))
 
 
-_DATA_FILES = ("pool", "inventory", "ratings")
-
-
 def cmd_pipeline(args) -> int:
     cfg = read_json(_require(args.config, "pipeline config"), _pipeline_config,
                     "pipeline config", ConfigError)
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds, sim, backend = cfg["seeds"], cfg["provider"], cfg["backend"]
-    data = [k for k in _DATA_FILES if cfg.get(k)]
-    digests = {k: _sha256(Path(cfg[k])) for k in data}
+    digests = {k: _sha256(Path(cfg[k])) for k in _DATA_FILES}
     # the study is its config and its data's contents, wherever they are stored
     study = {k: v for k, v in cfg.items() if k not in ("out_dir", *_DATA_FILES)}
     manifest = RunManifest(
@@ -568,9 +568,6 @@ def cmd_pipeline(args) -> int:
     fit_opts = (MapOptions if backend == "map" else HmcOptions)(seed=seeds["fit"])
 
     pool = load_item_pool(cfg["pool"])
-    if cfg.get("ratings"):
-        table = aggregate_ratings(load_rating_dataset(cfg["ratings"]))
-        pool = pool.with_desirability(table.scores)
     inventory = load_inventory(cfg["inventory"], pool)
 
     n, seed = cfg["n_personas"], seeds["personas"]
@@ -579,7 +576,7 @@ def cmd_pipeline(args) -> int:
     personas = load_persona_set(out_dir / "personas.json")
 
     seed, matched = seeds["params"], sim["matched_discrimination"]
-    stages.run(["sim_params.json"], {"seed": seed, "matched": matched}, data,
+    stages.run(["sim_params.json"], {"seed": seed, "matched": matched}, _DATA_FILES,
                lambda p: write_sim_params(default_sim_params(
                    inventory, pool, seed=seed, matched_discrimination=matched), p))
     spec = SimSpec(fake_good_delta=sim["fake_good_delta"], seed=seeds["sim"])
@@ -593,17 +590,17 @@ def cmd_pipeline(args) -> int:
             unit = failed[0].failed_unit
             raise SdrkitError(f"administration failed at unit {unit} ({fmt.value}/{cond.value})")
 
-    conditions = [CONDITIONS[c] for c in cfg["conditions"]]
+    conditions = list(InstructionCondition)  # the report pairs honest and fake-good fits
     run_config = {"plan": seeds["plan"], "sim": seeds["sim"], "delta": spec.fake_good_delta}
     fits = {}
     for fmt in [ResponseFormat(f) for f in cfg["formats"]]:
         runs = [f"runs/responses_{fmt.value}_{cond.value}.csv" for cond in conditions]
         for rel, cond in zip(runs, conditions):
-            stages.run([rel], run_config, ["personas.json", "sim_params.json", *data],
+            stages.run([rel], run_config, ["personas.json", "sim_params.json", *_DATA_FILES],
                        lambda p: administer(fmt, cond, p), sessions=(fmt.value, cond.value))
         fits[fmt.value] = f"fits/fit_{fmt.value}.json"
-        stages.run([fits[fmt.value]], {"backend": backend, "seed": seeds["fit"]}, [*runs, *data],
-                   lambda p: _fit_write_gate(
+        stages.run([fits[fmt.value]], {"backend": backend, "seed": seeds["fit"]},
+                   [*runs, *_DATA_FILES], lambda p: _fit_write_gate(
                        [rs for r in runs for rs in load_response_sets(out_dir / r, inventory)],
                        inventory, pool, fmt, fit_opts, p))
 
@@ -689,8 +686,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("assemble", help="assemble a desirability-matched inventory")
     p.add_argument("--pool", required=True)
     p.add_argument("--ratings")
-    p.add_argument("--config", help="assembly constraint JSON")
-    p.add_argument("--blocks", type=int, default=30)
+    size = p.add_mutually_exclusive_group()
+    size.add_argument("--config", help="assembly constraint JSON")
+    # no default: argparse would take "--blocks 30" given with --config for the default
+    size.add_argument("--blocks", type=int, help="standard constraints for this many blocks "
+                      "(default 30)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_assemble)
 

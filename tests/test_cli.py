@@ -191,13 +191,17 @@ def test_pipeline_rejects_external_provider(tmp_path, instrument_files):
     assert main(["pipeline", "--config", str(cfg)]) == EXIT_CONFIG
 
 
+PIPELINE_KEYS = ("'pool', 'inventory', 'n_personas', 'backend', 'formats', 'out_dir', "
+                 "'seeds', 'provider'")
+
+
 @pytest.mark.parametrize("study, message", [
     ({"n_personas": "abc"}, "n_personas must be an integer of at least 1, got 'abc'"),
     ({"seeds": {"plan": "x"}}, "seeds.plan must be an integer of at least 0, got 'x'"),
     ({"formats": ["likert", "essay"]}, "formats[1] must be one of 'likert', 'gfc', got 'essay'"),
-    ({"conditions": "honest"}, "conditions must be a non-empty list, got 'honest'"),
-    ({"conditions": ["honest"]},
-     "conditions must name both honest and fake_good, got ['honest']"),
+    ({"formats": ["likert", "likert"]},
+     "formats must name each format once, got ['likert', 'likert']"),
+    ({"n_persona": 3}, "unknown key 'n_persona', not one of " + PIPELINE_KEYS),
     ({"provider": {"fake_good_delta": "x"}},
      "provider.fake_good_delta must be a finite number of at least 0, got 'x'"),
     ({"provider": {"fake_good_delta": -1}},
@@ -206,6 +210,12 @@ def test_pipeline_rejects_external_provider(tmp_path, instrument_files):
      "provider.fake_good_delta must be a finite number of at least 0, got inf"),
     ({"provider": {"matched_discrimination": "false"}},
      "provider.matched_discrimination must be true or false, got 'false'"),
+    ({"conditions": ["honest"]}, "unknown key 'conditions', not one of " + PIPELINE_KEYS),
+    ({"ratings": "ratings.csv"}, "unknown key 'ratings', not one of " + PIPELINE_KEYS),
+    ({"seeds": {"fitt": 9}},
+     "unknown key 'seeds.fitt', not one of 'personas', 'plan', 'sim', 'params', 'fit'"),
+    ({"provider": {"fake_good_delt": 2.0}}, "unknown key 'provider.fake_good_delt', not one of "
+     "'type', 'fake_good_delta', 'matched_discrimination'"),
 ])
 def test_pipeline_config_value_of_the_wrong_kind_is_a_config_error(tmp_path, capsys, study,
                                                                    message):
@@ -1041,6 +1051,9 @@ def test_assembly_config_missing_a_field_is_a_config_error(instrument_files, tmp
      "node_budget must be an integer of at least 0, got 'x'"),
     ([], {"block_count": 10, "per_trait_pair": -1},
      "per_trait_pair must be an integer of at least 0, got -1"),
+    ([], {"block_count": 10, "per_trait": 4, "per_trait_pairs": 1},
+     "unknown key 'per_trait_pairs', not one of 'block_count', 'per_trait', 'per_trait_pair', "
+     "'mixed_key_range', 'sign_floor', 'node_budget'"),
 ])
 def test_assembly_config_value_out_of_range_is_a_config_error(
     instrument_files, tmp_path, capsys, monkeypatch, args, config, message
@@ -1060,6 +1073,25 @@ def test_assembly_config_value_out_of_range_is_a_config_error(
     ])
     assert rc == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+def test_assemble_refuses_blocks_given_with_a_config(instrument_files, tmp_path, capsys,
+                                                     monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("searched with both --blocks and --config")
+
+    monkeypatch.setattr(cli, "solve_assembly", never)
+    cfg = tmp_path / "assembly.json"
+    cfg.write_text(json.dumps({"block_count": 10}))
+    out = tmp_path / "inventory.csv"
+    for order in (["--config", str(cfg), "--blocks", "30"],
+                  ["--blocks", "30", "--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(["assemble", "--pool", str(instrument_files / "pool.csv"), *order,
+                  "--out", str(out)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--block-size", "--replications"])

@@ -1,11 +1,12 @@
 """Seeded mutation test over the input files of administer, fit, report,
-aggregate and pipeline.
+aggregate, assemble and pipeline.
 
 Each trial deletes a field, retypes it, nulls it or sets it to NaN in one
-input file, then runs the command that reads the file. No trial may end in a
-traceback. A trial whose mutated value is no longer valid must exit 2 or 3
-with a message naming the file; one whose value is still valid, or is not
-read, may also exit 0.
+input file, or misspells a key of a config file, then runs the command that
+reads the file. No trial may end in a traceback. A trial whose mutated value
+is no longer valid must exit 2 or 3 with a message naming the file, and a
+misspelt key must exit 2; one whose value is still valid, or is not read, may
+also exit 0.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from sdrkit.simulate import default_sim_params, write_sim_params
 from conftest import small_instrument
 
 KINDS = ("delete", "retype", "null", "nan")
+CONFIG_KINDS = (*KINDS, "rename")  # a config's keys are names a user types
 
 
 @pytest.fixture(scope="module")
@@ -48,9 +50,13 @@ def study(tmp_path_factory):
     ])
     (d / "pipeline.json").write_text(json.dumps({
         "pool": str(d / "pool.csv"), "inventory": str(d / "inventory.csv"), "n_personas": 4,
-        "backend": "map", "formats": ["likert", "gfc"], "conditions": ["honest", "fake_good"],
-        "out_dir": str(d / "run"), "seeds": {"personas": 1, "plan": 2, "fit": 5},
+        "backend": "map", "formats": ["likert", "gfc"], "out_dir": str(d / "run"),
+        "seeds": {"personas": 1, "plan": 2, "fit": 5},
         "provider": {"type": "sim", "fake_good_delta": 1.0, "matched_discrimination": False},
+    }))
+    (d / "assembly.json").write_text(json.dumps({
+        "block_count": 10, "per_trait": 4, "per_trait_pair": 1, "mixed_key_range": [4, 6],
+        "sign_floor": 0.3, "node_budget": 1000,
     }))
     return d
 
@@ -90,6 +96,8 @@ def _mutate_json(doc, path, kind):
         parent = parent[key]
     if kind == "delete":
         del parent[last]
+    elif kind == "rename":  # a typo: the key loses its last letter
+        parent[last[:-1]] = parent.pop(last)
     else:
         parent[last] = {"retype": _retyped(parent[last]), "null": None, "nan": math.nan}[kind]
     return doc
@@ -109,8 +117,12 @@ def _fit_ok(path, kind):  # report reads the theta table alone
     return path[0] != "theta" or kind == "delete" and len(path) == 2
 
 
-def _pipeline_ok(path, kind):  # every key has a default; both conditions must stay
-    return kind == "delete" and (path[0] != "conditions" or len(path) == 1)
+def _pipeline_ok(path, kind):  # every key has a default
+    return kind == "delete"
+
+
+def _assembly_ok(path, kind):  # every key but block_count has a default; null disables it
+    return kind in ("delete", "null") and path[0] != "block_count" and len(path) == 1
 
 
 # CSV columns: "count", "number" and "member" refuse every mutation (an inventory's
@@ -141,13 +153,14 @@ def _csv_ok(columns, column, kind):
 
 
 class _Accepted(Exception):
-    """Raised where a pipeline goes on past its config."""
+    """Raised where a pipeline or an assembly goes on past its config."""
 
 
-def _json_trials(rng, doc, n, ok):
+def _json_trials(rng, doc, n, ok, kinds):
     paths = list(_paths(doc))
     for _ in range(n):
-        path, kind = rng.choice(paths), rng.choice(KINDS)
+        path = rng.choice(paths)
+        kind = rng.choice(kinds if isinstance(path[-1], str) else KINDS)  # list items have no key
         yield f"{kind} {'.'.join(map(str, path))}", _mutate_json(doc, path, kind), ok(path, kind)
 
 
@@ -180,9 +193,12 @@ CASES = {
         "aggregate", "--ratings", f, "--pool", str(d / "pool.csv")]),
     "pipeline config, pipeline": ("pipeline.json", 25, lambda d, f: [
         "pipeline", "--config", f]),
+    "assembly config, assemble": ("assembly.json", 20, lambda d, f: [
+        "assemble", "--pool", str(d / "pool.csv"), "--config", f]),
 }
 JSON_OK = {"personas.json": _persona_set_ok, "params.json": _sim_params_ok,
-           "fit.json": _fit_ok, "pipeline.json": _pipeline_ok}
+           "fit.json": _fit_ok, "pipeline.json": _pipeline_ok, "assembly.json": _assembly_ok}
+CONFIGS = ("pipeline.json", "assembly.json")
 CSV_COLUMNS = {"runs/responses_likert_honest.csv": RESPONSE_COLUMNS,
                "inventory.csv": INVENTORY_COLUMNS, "ratings.csv": RATING_COLUMNS}
 
@@ -195,14 +211,16 @@ def test_a_mutated_input_is_refused_by_name_and_never_with_a_traceback(
     rng = random.Random(case)
     text = (study / name).read_text()
     if name in JSON_OK:
-        trials = _json_trials(rng, json.loads(text), n, JSON_OK[name])
+        kinds = CONFIG_KINDS if name in CONFIGS else KINDS
+        trials = _json_trials(rng, json.loads(text), n, JSON_OK[name], kinds)
     else:
         trials = _csv_trials(rng, text, n, CSV_COLUMNS[name])
 
     def accepted(*args, **kwargs):
         raise _Accepted
 
-    monkeypatch.setattr(cli, "_Stages", accepted)  # a pipeline stops past its config
+    monkeypatch.setattr(cli, "_Stages", accepted)  # a pipeline stops past its config,
+    monkeypatch.setattr(cli, "solve_assembly", accepted)  # and so does an assembly
     monkeypatch.chdir(tmp_path)  # where a pipeline without out_dir writes
     for i, (trial, mutated, ok) in enumerate(trials):
         f = tmp_path / f"{i}-{name.replace('/', '-')}"
@@ -221,4 +239,5 @@ def test_a_mutated_input_is_refused_by_name_and_never_with_a_traceback(
         if ok:
             assert rc in (0, 2, 3), f"{case}, {trial}: exit {rc}: {err}"
         else:
-            assert rc in (2, 3) and str(f) in err, f"{case}, {trial}: exit {rc}: {err!r}"
+            codes = (2,) if trial.startswith("rename") else (2, 3)
+            assert rc in codes and str(f) in err, f"{case}, {trial}: exit {rc}: {err!r}"
