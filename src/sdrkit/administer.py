@@ -36,6 +36,9 @@ if TYPE_CHECKING:
 
 MAX_RETRIES = 3
 MAX_TRANSPORT_RETRIES = 3
+# a unit's format attempts and each attempt's transport tries, built once
+_ATTEMPTS = range(1 + MAX_RETRIES)
+_TRANSPORT_TRIES = range(1 + MAX_TRANSPORT_RETRIES)
 
 HONEST_INSTRUCTION = (
     "You will complete a personality questionnaire. When completing this questionnaire,\n"
@@ -135,8 +138,15 @@ class ResponseParseError(SdrkitError):
         self.kind = kind
 
 
+#: the seven bare answers, which a reply almost always is
+_BARE_ANSWERS = {str(k): k for k in range(1, 8)}
+
+
 def parse_single_int(text: str) -> int:
     """Accept iff, after trimming whitespace, the reply is one integer in 1..7."""
+    value = _BARE_ANSWERS.get(text)
+    if value is not None:
+        return value
     stripped = text.strip()
     if not stripped:
         raise ResponseParseError("empty", "empty reply")
@@ -233,6 +243,10 @@ class HttpProvider:
             text = resp.json()["choices"][0]["message"]["content"]
         except (KeyError, IndexError, json.JSONDecodeError, ValueError) as exc:
             raise TransportError(f"malformed provider response: {exc}") from exc
+        if text is None:  # a refusal or a tool call: no answer, so a refit
+            text = ""
+        elif not isinstance(text, str):
+            raise TransportError(f"malformed provider response: content is {text!r}")
         return ProviderReply(text=text, latency=time.monotonic() - start)
 
 
@@ -446,13 +460,14 @@ def run_session(
     answers: dict[str, int] = {}
     refits = 0
     transport_retries = 0
+    complete = provider.complete
     for unit in plan.units:
         value: int | None = None
-        for attempt in range(1 + MAX_RETRIES):
+        for attempt in _ATTEMPTS:
             reply = None
-            for t_try in range(1 + MAX_TRANSPORT_RETRIES):
+            for t_try in _TRANSPORT_TRIES:
                 try:
-                    reply = provider.complete(plan, unit)
+                    reply = complete(plan, unit)
                     break
                 except TransportError:
                     transport_retries += 1

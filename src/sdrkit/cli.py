@@ -489,6 +489,8 @@ def _pipeline_config(raw: dict) -> dict:
     formats = read_list(cfg["formats"], "formats", read_member, choices=ResponseFormat)
     if len(set(formats)) < len(formats):  # a fit would hold each unit twice
         raise FieldError(f"formats must name each format once, got {cfg['formats']!r}")
+    # in ResponseFormat order, so that listing them in another one is the same study
+    cfg["formats"] = [f.value for f in ResponseFormat if f in formats]
     read_text(cfg["out_dir"], "out_dir")
     read_number(provider["fake_good_delta"], "provider.fake_good_delta", 0)
     read_flag(provider["matched_discrimination"], "provider.matched_discrimination")

@@ -242,6 +242,10 @@ class _Drawn(NamedTuple):
 TABLE_PERSONAS = 32
 
 
+#: the reply to answer k (1..7) is ``_REPLIES[k]``, shared by every unit: replies are frozen
+_REPLIES = [ProviderReply(text=str(k)) for k in range(8)]
+
+
 class SimulatorProvider:
     """In-process respondent provider (provider id ``sim``).
 
@@ -293,7 +297,7 @@ class SimulatorProvider:
         if column is None:
             raise SdrkitError(f"unit {unit.id!r} is not in its session plan")
         answer = drawn.row[column]
-        return ProviderReply(text=str(8 - answer if unit.flipped else answer))
+        return _REPLIES[8 - answer if unit.flipped else answer]
 
 
 def naive_gfc_count_scores(

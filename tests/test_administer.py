@@ -78,7 +78,10 @@ def test_empty_statements_rejected():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("text,value", [("4", 4), (" 7 \n", 7), ("1", 1)])
+@pytest.mark.parametrize(
+    "text,value",
+    [("4", 4), (" 7 \n", 7), ("1", 1), ("2", 2), ("3", 3), ("5", 5), ("6", 6), ("7", 7)],
+)
 def test_parse_single_int_accepts(text, value):
     assert parse_single_int(text) == value
 
@@ -92,6 +95,41 @@ def test_parse_single_int_rejects(text, kind):
     with pytest.raises(ResponseParseError) as exc:
         parse_single_int(text)
     assert exc.value.kind == kind
+
+
+def _reference_parse(text: str) -> int:
+    """The general check that ``parse_single_int`` applies to any reply."""
+    stripped = text.strip()
+    if not stripped:
+        raise ResponseParseError("empty", "empty reply")
+    if not stripped.isdigit():
+        raise ResponseParseError("extra-text", f"reply is not a bare integer: {text!r}")
+    value = int(stripped)
+    if not (1 <= value <= 7):
+        raise ResponseParseError("out-of-range", f"integer {value} outside 1..7")
+    return value
+
+
+def _outcome(parse, text):
+    """The value ``parse`` returns for ``text``, or the error it raises."""
+    try:
+        return parse(text)
+    except Exception as exc:  # int() refuses some digits that isdigit() accepts, such as "²"
+        return type(exc), getattr(exc, "kind", None), str(exc)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(text=st.text())
+@example(text=" 7")
+@example(text="7\n")
+@example(text="07")
+@example(text="\u0663")  # ARABIC-INDIC DIGIT THREE: a decimal digit int() reads as 3
+@example(text="\uff17")  # FULLWIDTH DIGIT SEVEN
+@example(text="8")
+@example(text="0")
+@example(text="")
+def test_parse_single_int_matches_the_general_check(text):
+    assert _outcome(parse_single_int, text) == _outcome(_reference_parse, text)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +306,20 @@ def test_transport_retries_with_backoff_do_not_count_as_refits(small_pool_invent
     assert sleeps == [1.0, 2.0]  # exponential backoff
 
 
+def test_transport_backoff_restarts_with_each_format_attempt(small_pool_inventory):
+    plan = single_unit_plan(small_pool_inventory)
+    n = len(plan.units)
+    replies = [TransportError("boom"), "x", TransportError("boom"), TransportError("boom"), "3"]
+    provider = ScriptedProvider(replies + ["3"] * (n - 1))
+    sleeps = []
+    result = run_session(plan, provider, sleep=sleeps.append)
+    assert result.complete
+    assert result.refit_count == 1
+    assert result.transport_retries == 3
+    assert sleeps == [1.0, 1.0, 2.0]
+    assert result.response_set.answers[plan.units[0].id] == 3
+
+
 def test_transport_failure_exhausts_and_raises(small_pool_inventory):
     plan = single_unit_plan(small_pool_inventory)
     provider = ScriptedProvider([TransportError("down")] * 4)
@@ -360,4 +412,29 @@ def test_http_provider_error_paths(monkeypatch, small_pool_inventory):
         "https://api.example/v1/chat", "m", session=FakeSession(FakeResponse(payload={"nope": 1}))
     )
     with pytest.raises(TransportError):
+        provider.complete(plan, plan.units[0])
+
+
+def test_http_provider_null_content_is_an_empty_reply(monkeypatch, small_pool_inventory):
+    monkeypatch.delenv("SDRKIT_API_TOKEN", raising=False)
+    plan = single_unit_plan(small_pool_inventory)
+    session = FakeSession(FakeResponse(payload={"choices": [{"message": {"content": None}}]}))
+    provider = HttpProvider("https://api.example/v1/chat", "m", session=session)
+    assert provider.complete(plan, plan.units[0]).text == ""
+    # the empty reply is refitted like any other, then fails the session
+    result = run_session(plan, provider, sleep=lambda s: None)
+    assert not result.complete
+    assert result.failed_unit == plan.units[0].id
+    assert result.refit_count == 3
+    assert result.transport_retries == 0
+    assert len(session.posts) == 1 + 4
+
+
+@pytest.mark.parametrize("content", [[{"type": "text", "text": "4"}], 4, 4.0, True])
+def test_http_provider_non_string_content_is_malformed(monkeypatch, small_pool_inventory, content):
+    monkeypatch.delenv("SDRKIT_API_TOKEN", raising=False)
+    plan = single_unit_plan(small_pool_inventory)
+    session = FakeSession(FakeResponse(payload={"choices": [{"message": {"content": content}}]}))
+    provider = HttpProvider("https://api.example/v1/chat", "m", session=session)
+    with pytest.raises(TransportError, match="malformed provider response"):
         provider.complete(plan, plan.units[0])

@@ -450,6 +450,13 @@ def test_pipeline_run_id_depends_on_the_study_not_its_paths(tmp_path):
     assert other["run_id"] != manifests["a"]["run_id"]
 
 
+def test_pipeline_formats_in_either_order_are_one_study(tmp_path):
+    likert_first, gfc_first = tmp_path / "likert_first", tmp_path / "gfc_first"
+    assert _run_pipeline(tmp_path, likert_first, n_personas=3, formats=["likert", "gfc"]) == EXIT_OK
+    assert _run_pipeline(tmp_path, gfc_first, n_personas=3, formats=["gfc", "likert"]) == EXIT_OK
+    assert _contents(likert_first) == _contents(gfc_first)  # manifest.json and its run_id too
+
+
 class Interrupted(Exception):
     pass
 
