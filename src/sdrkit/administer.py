@@ -150,7 +150,7 @@ def parse_single_int(text: str) -> int:
     stripped = text.strip()
     if not stripped:
         raise ResponseParseError("empty", "empty reply")
-    if not stripped.isdigit():
+    if not stripped.isdecimal():  # int() reads every decimal digit, but not "²"
         raise ResponseParseError("extra-text", f"reply is not a bare integer: {text!r}")
     value = int(stripped)
     if not (1 <= value <= 7):
@@ -182,11 +182,28 @@ class Provider(Protocol):
 
 
 class TransportError(SdrkitError):
-    pass
+    """A request that got no usable reply. ``retry_after`` is the wait in
+    seconds that a 429 or 503 reply asked for, if it gave one."""
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 #: seconds an ``HttpProvider`` request may take before it is a transport error
 HTTP_TIMEOUT_S = 120.0
+#: the longest wait between transport tries, whatever ``Retry-After`` asks
+MAX_RETRY_WAIT_S = 60.0
+
+
+def _retry_after(resp) -> float | None:
+    """The seconds a 429 or 503 reply's ``Retry-After`` asks to wait, if it
+    is given in delta-seconds; an HTTP-date is not read."""
+    if resp.status_code in (429, 503):
+        value = resp.headers.get("Retry-After", "").strip()
+        if value.isascii() and value.isdigit():
+            return float(value)  # inf for an absurd count of digits, so the cap applies
+    return None
 
 
 class HttpProvider:
@@ -238,7 +255,7 @@ class HttpProvider:
         except requests.RequestException as exc:
             raise TransportError(str(exc)) from exc
         if resp.status_code != 200:
-            raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+            raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}", _retry_after(resp))
         try:
             text = resp.json()["choices"][0]["message"]["content"]
         except (KeyError, IndexError, json.JSONDecodeError, ValueError) as exc:
@@ -456,6 +473,9 @@ def run_session(
     A unit that still fails the format check after 1 + ``MAX_RETRIES``
     attempts aborts the session; the result is marked incomplete and carries
     no :class:`ResponseSet` (incomplete sessions are excluded from fitting).
+    A transport error is tried again up to ``MAX_TRANSPORT_RETRIES`` times,
+    after ``sleep``-ing 1, 2 and 4 s, or the reply's ``retry_after`` if that
+    is longer, but never more than ``MAX_RETRY_WAIT_S``.
     """
     answers: dict[str, int] = {}
     refits = 0
@@ -469,11 +489,11 @@ def run_session(
                 try:
                     reply = complete(plan, unit)
                     break
-                except TransportError:
+                except TransportError as exc:
                     transport_retries += 1
                     if t_try == MAX_TRANSPORT_RETRIES:
                         raise
-                    sleep(2.0**t_try)
+                    sleep(min(max(2.0**t_try, exc.retry_after or 0.0), MAX_RETRY_WAIT_S))
             try:
                 value = parse_single_int(reply.text)
                 break

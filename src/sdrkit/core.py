@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import json
 import math
 import numbers
@@ -313,7 +314,8 @@ class ResponseSet:
 
     def __post_init__(self) -> None:
         for unit, ans in self.answers.items():
-            read_count(ans, f"answer to {unit!r}", 1, N_CATEGORIES)
+            if type(ans) is not int or not 1 <= ans <= N_CATEGORIES:  # else read_count passes it
+                read_count(ans, f"answer to {unit!r}", 1, N_CATEGORIES)
         if set(self.presentation_order) != set(self.answers):
             raise SdrkitError("presentation order does not cover exactly the answered units")
 
@@ -546,41 +548,58 @@ def write_csv_rows(path: str | Path, header: Sequence[str], rows: Iterable[Seque
         w.writerows(rows)
 
 
+def _csv_line(fields: Sequence) -> str:
+    """``fields`` joined as ``csv.writer`` writes them, without the line end."""
+    line = io.StringIO()
+    csv.writer(line).writerow(fields)
+    return line.getvalue()[:-2]
+
+
 def read_csv_rows(
     path: str | Path,
-    parse: Callable[[dict], object],
+    parse: Callable[[list[str], dict[str, int]], object],
     what: str,
     error: type[SdrkitError] = SdrkitError,
     header: Sequence[str] = (),
 ) -> Iterator:
-    """Yield ``parse(row)`` for each row of a CSV file.
+    """Yield ``parse(fields, column)`` for each row of a CSV file: ``fields``
+    is the row's list of fields, and ``column`` maps each header name to its
+    field's index (the last, for a name the header repeats).
 
-    A file without the ``header`` columns raises ``error``, and so does a row
-    with a missing or malformed field, as in a file cut mid-row, or one that
-    ``parse`` refuses with ``error``, naming the file and the line.
+    Blank lines are skipped. A file without the ``header`` columns raises
+    ``error``, and so does a row with a missing or malformed field, as in a
+    file cut mid-row, or one that ``parse`` refuses with ``error``, naming the
+    file and the line: the physical line the row ends on, as a field may
+    hold a line break.
     """
     with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if not set(header) <= set(reader.fieldnames or ()):
+        rows = csv.reader(fh)
+        names = next(rows, None) or ()
+        if not set(header) <= set(names):
             raise error(f"{path}: expected header columns {list(header)}")
-        for row in reader:
+        column = {name: i for i, name in enumerate(names)}
+        width = len(names)
+        for fields in rows:
+            if not fields:  # a blank line
+                continue
             try:
-                if None in row or None in row.values():  # extra fields, or missing ones
+                if len(fields) != width:  # extra fields, or missing ones
                     raise ValueError("a row must have one field per header column")
-                yield parse(row)
+                yield parse(fields, column)
             except (KeyError, ValueError, error) as exc:
                 raise error(
-                    f"{path}: malformed {what} at line {reader.line_num}: {exc}"
+                    f"{path}: malformed {what} at line {rows.line_num}: {exc}"
                 ) from None
 
 
-def _pool_item(row: dict) -> Item:
-    des = row.get("desirability")
+def _pool_item(fields: list[str], column: dict[str, int]) -> Item:
+    des = fields[column["desirability"]] if "desirability" in column else None
     return Item(
-        id=row["id"],
-        text=row["text"],
-        domain=TraitDomain[read_member(row["domain"].strip().upper(), "domain", TRAIT_LABELS)],
-        keying=cell(row["keying"]),
+        id=fields[column["id"]],
+        text=fields[column["text"]],
+        domain=TraitDomain[read_member(
+            fields[column["domain"]].strip().upper(), "domain", TRAIT_LABELS)],
+        keying=cell(fields[column["keying"]]),
         desirability=cell(des) if des else None,
     )
 
@@ -612,7 +631,8 @@ def load_inventory(path: str | Path, pool: ItemPool | None = None) -> Inventory:
     :class:`InventoryError`."""
     blocks = tuple(read_csv_rows(
         path,
-        lambda row: GfcBlock(row["left_id"], row["right_id"], cell(row["desirability_gap"])),
+        lambda fields, column: GfcBlock(fields[column["left_id"]], fields[column["right_id"]],
+                                        cell(fields[column["desirability_gap"]])),
         "block row",
         InventoryError,
     ))
@@ -639,14 +659,32 @@ def write_inventory(inv: Inventory, path: str | Path) -> None:
     ))
 
 
+class _QuotedIds(dict):
+    """Each unit id as ``csv.writer`` writes it in a row, quoted on first use."""
+
+    def __missing__(self, unit) -> str:
+        self[unit] = quoted = _csv_line((unit, ""))[:-1]  # a lone empty field would be quoted
+        return quoted
+
+
 def write_response_sets(sets: Sequence[ResponseSet], path: str | Path) -> None:
-    write_csv_rows(path, RESPONSE_HEADER, (
-        [*fixed, unit, rs.answers[unit], pos, int(bool(rs.side_assignment.get(unit, False)))]
-        for rs in sets
-        # the fields every row of a set shares, built once per set
-        for fixed in [(rs.respondent_id, rs.persona_id, rs.format.value, rs.condition.value)]
-        for pos, unit in enumerate(rs.presentation_order)
-    ))
+    """Write one row per answered unit, in each set's presentation order.
+
+    The file is what ``write_csv_rows`` would write, byte for byte: csv's
+    "excel" dialect, fields quoted only where they must be and CRLF line
+    ends. ``csv`` quotes each set's four shared fields and each unit id
+    once, and each set's lines are written in one call.
+    """
+    quoted = _QuotedIds()
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(RESPONSE_HEADER)
+        for rs in sets:
+            head = _csv_line((rs.respondent_id, rs.persona_id, rs.format.value, rs.condition.value))
+            answers, flipped = rs.answers, rs.side_assignment.get
+            fh.write("".join([
+                f"{head},{quoted[unit]},{answers[unit]!s},{pos},{1 if flipped(unit) else 0}\r\n"
+                for pos, unit in enumerate(rs.presentation_order)
+            ]))
 
 
 def load_response_sets(path: str | Path, inventory: Inventory | None = None) -> list[ResponseSet]:
@@ -655,30 +693,59 @@ def load_response_sets(path: str | Path, inventory: Inventory | None = None) -> 
     raises ``SdrkitError`` naming the file and the line. Given ``inventory``,
     so does a set that leaves a unit of its format unanswered, as when a
     row's persona or respondent id is changed, naming the file."""
-    groups: dict[tuple, dict[str, tuple[int, int, bool]]] = {}
+    # each set's four shared fields as spelt -> (the set's key, its unit -> fields)
+    sets: dict[tuple[str, ...], tuple[tuple, dict[str, tuple[int, int, bool]]]] = {}
+    # the spellings of each count field accepted so far -> their values
+    positions: dict[str, int] = {}
+    answer_of: dict[str, int] = {}
+    flipped_of: dict[str, bool] = {}
+    head = key = answers = ()  # the previous row's set
 
-    def row(raw: dict) -> None:  # checks while parsing, so an error names the line
-        key = (
-            read_text(raw["respondent_id"], "respondent_id"),
-            read_text(raw["persona_id"], "persona_id"),
-            read_member(raw["format"], "format", ResponseFormat),
-            read_member(raw["condition"], "condition", InstructionCondition),
-        )
-        unit = read_text(raw["unit_id"], "unit_id")
-        answers = groups.setdefault(key, {})
+    def row(fields: list[str], column: dict[str, int]) -> None:
+        # checks each field as it reads it, in a fixed order, so that an error
+        # names the line and the first bad field; a set's shared fields are
+        # checked once, and a count spelt as an earlier row spelt it is looked up
+        nonlocal head, key, answers
+        try:
+            spelt = (fields[column["respondent_id"]], fields[column["persona_id"]],
+                     fields[column["format"]], fields[column["condition"]])
+        except KeyError:  # a column is missing: the checks below refuse the row
+            spelt = None
+        if spelt != head:
+            found = sets.get(spelt)
+            if found is None:
+                key = (
+                    read_text(fields[column["respondent_id"]], "respondent_id"),
+                    read_text(fields[column["persona_id"]], "persona_id"),
+                    read_member(fields[column["format"]], "format", ResponseFormat),
+                    read_member(fields[column["condition"]], "condition", InstructionCondition),
+                )
+                found = sets[spelt] = (key, {})
+            head, (key, answers) = spelt, found
+        unit = fields[column["unit_id"]]
+        if not unit:
+            read_text(unit, "unit_id")  # refuses the empty id
         if unit in answers:
             raise ValueError(f"a second answer to unit {unit!r} of {key[0]!r}, "
                              f"{key[1]!r}, {key[2].value}, {key[3].value}")
-        answers[unit] = (
-            read_count(cell(raw["position"]), "position"),
-            read_count(cell(raw["answer"]), "answer", 1, N_CATEGORIES),
-            read_count(cell(raw["side_flipped"]), "side_flipped", 0, 1) == 1,
-        )
+        text = fields[column["position"]]
+        position = positions.get(text)
+        if position is None:
+            position = positions[text] = read_count(cell(text), "position")
+        text = fields[column["answer"]]
+        answer = answer_of.get(text)
+        if answer is None:
+            answer = answer_of[text] = read_count(cell(text), "answer", 1, N_CATEGORIES)
+        text = fields[column["side_flipped"]]
+        flipped = flipped_of.get(text)
+        if flipped is None:
+            flipped = flipped_of[text] = read_count(cell(text), "side_flipped", 0, 1) == 1
+        answers[unit] = (position, answer, flipped)
 
     for _ in read_csv_rows(path, row, "response row"):
         pass
     out: list[ResponseSet] = []
-    for (resp, persona, fmt, cond), by_unit in groups.items():
+    for (resp, persona, fmt, cond), by_unit in sets.values():
         order = sorted(by_unit, key=lambda unit: by_unit[unit][0])  # by position
         out.append(
             ResponseSet(

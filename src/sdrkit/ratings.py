@@ -184,10 +184,11 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
 # File I/O: one row per (item, rater, replication, value)
 # ---------------------------------------------------------------------------
 
-def _rating_row(row: dict) -> tuple[tuple[str, str, int], int]:
-    key = (read_text(row["item_id"], "item_id"), read_text(row["rater"], "rater"),
-           read_count(cell(row["replication"]), "replication"))
-    return key, read_count(cell(row["value"]), "value", 1, 9)
+def _rating_row(fields: list[str], column: dict[str, int]) -> tuple[tuple[str, str, int], int]:
+    key = (read_text(fields[column["item_id"]], "item_id"),
+           read_text(fields[column["rater"]], "rater"),
+           read_count(cell(fields[column["replication"]]), "replication"))
+    return key, read_count(cell(fields[column["value"]]), "value", 1, 9)
 
 
 def load_rating_dataset(path: str | Path) -> RatingDataset:

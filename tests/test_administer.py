@@ -1,5 +1,6 @@
 """Prompt templates (golden files), session retry semantics, and planning."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdrkit.administer import (
+    MAX_RETRY_WAIT_S,
     HttpProvider,
     ProviderReply,
     ResponseParseError,
@@ -97,12 +99,22 @@ def test_parse_single_int_rejects(text, kind):
     assert exc.value.kind == kind
 
 
+@pytest.mark.parametrize("text", ["\u00b2", "\u00b9", " \u00b3\n", "1\u00b2"])
+def test_parse_single_int_refits_a_digit_int_cannot_read(text):
+    # superscripts are digits to str.isdigit, but int() refuses them
+    with pytest.raises(ResponseParseError) as exc:
+        parse_single_int(text)
+    assert exc.value.kind == "extra-text"
+
+
 def _reference_parse(text: str) -> int:
     """The general check that ``parse_single_int`` applies to any reply."""
     stripped = text.strip()
     if not stripped:
         raise ResponseParseError("empty", "empty reply")
     if not stripped.isdigit():
+        raise ResponseParseError("extra-text", f"reply is not a bare integer: {text!r}")
+    if not stripped.isdecimal():  # a digit that int() cannot read, such as "²", is text too
         raise ResponseParseError("extra-text", f"reply is not a bare integer: {text!r}")
     value = int(stripped)
     if not (1 <= value <= 7):
@@ -114,7 +126,7 @@ def _outcome(parse, text):
     """The value ``parse`` returns for ``text``, or the error it raises."""
     try:
         return parse(text)
-    except Exception as exc:  # int() refuses some digits that isdigit() accepts, such as "²"
+    except Exception as exc:  # any error, so that one of the wrong type shows
         return type(exc), getattr(exc, "kind", None), str(exc)
 
 
@@ -125,6 +137,8 @@ def _outcome(parse, text):
 @example(text="07")
 @example(text="\u0663")  # ARABIC-INDIC DIGIT THREE: a decimal digit int() reads as 3
 @example(text="\uff17")  # FULLWIDTH DIGIT SEVEN
+@example(text="\u00b2")  # SUPERSCRIPT TWO: a digit, but not a decimal one
+@example(text=" \u00b9 ")  # SUPERSCRIPT ONE
 @example(text="8")
 @example(text="0")
 @example(text="")
@@ -320,6 +334,33 @@ def test_transport_backoff_restarts_with_each_format_attempt(small_pool_inventor
     assert result.response_set.answers[plan.units[0].id] == 3
 
 
+def test_superscript_reply_is_refitted_not_fatal(small_pool_inventory):
+    plan = single_unit_plan(small_pool_inventory)
+    provider = ScriptedProvider(["\u00b2", "2"] + ["2"] * (len(plan.units) - 1))
+    result = run_session(plan, provider)
+    assert result.complete
+    assert result.refit_count == 1
+    assert result.response_set.answers[plan.units[0].id] == 2
+
+
+@pytest.mark.parametrize("retry_after, sleeps", [
+    (None, [1.0, 2.0]),
+    (0.5, [1.0, 2.0]),  # never shorter than the back-off
+    (3.0, [3.0, 3.0]),
+    (1e9, [MAX_RETRY_WAIT_S] * 2),
+    (math.inf, [MAX_RETRY_WAIT_S] * 2),
+])
+def test_transport_wait_honours_retry_after_up_to_the_cap(small_pool_inventory, retry_after, sleeps):
+    plan = single_unit_plan(small_pool_inventory)
+    busy = TransportError("HTTP 429: slow down", retry_after)
+    provider = ScriptedProvider([busy, busy, "5"] + ["5"] * (len(plan.units) - 1))
+    waited = []
+    result = run_session(plan, provider, sleep=waited.append)
+    assert result.complete
+    assert result.transport_retries == 2
+    assert waited == sleeps
+
+
 def test_transport_failure_exhausts_and_raises(small_pool_inventory):
     plan = single_unit_plan(small_pool_inventory)
     provider = ScriptedProvider([TransportError("down")] * 4)
@@ -363,10 +404,11 @@ def test_rating_plan_partitions_pool(small_pool_inventory):
 
 
 class FakeResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
+    def __init__(self, status_code=200, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload
         self.text = text
+        self.headers = headers or {}
 
     def json(self):
         return self._payload
@@ -438,3 +480,50 @@ def test_http_provider_non_string_content_is_malformed(monkeypatch, small_pool_i
     provider = HttpProvider("https://api.example/v1/chat", "m", session=session)
     with pytest.raises(TransportError, match="malformed provider response"):
         provider.complete(plan, plan.units[0])
+
+
+@pytest.mark.parametrize("status, header, retry_after", [
+    (429, "7", 7.0),
+    (503, " 120 ", 120.0),
+    (429, "0", 0.0),
+    (429, "9" * 400, math.inf),  # capped where it is used
+    (429, "Wed, 21 Oct 2026 07:28:00 GMT", None),  # an HTTP-date keeps the back-off
+    (429, "-3", None),
+    (429, "1.5", None),
+    (429, "\u0663", None),  # delta-seconds are ASCII digits
+    (429, None, None),
+    (500, "7", None),  # only 429 and 503 ask for a wait
+], ids=["429", "503-spaced", "zero", "huge", "http-date", "negative", "fraction", "non-ascii",
+        "absent", "500"])
+def test_http_provider_reads_a_delta_seconds_retry_after(
+    monkeypatch, small_pool_inventory, status, header, retry_after
+):
+    monkeypatch.delenv("SDRKIT_API_TOKEN", raising=False)
+    plan = single_unit_plan(small_pool_inventory)
+    headers = {} if header is None else {"Retry-After": header}
+    session = FakeSession(FakeResponse(status_code=status, text="busy", headers=headers))
+    provider = HttpProvider("https://api.example/v1/chat", "m", session=session)
+    with pytest.raises(TransportError, match=f"^HTTP {status}: busy$") as exc:
+        provider.complete(plan, plan.units[0])
+    assert exc.value.retry_after == retry_after
+
+
+def test_http_retry_after_sets_the_session_wait(monkeypatch, small_pool_inventory):
+    monkeypatch.delenv("SDRKIT_API_TOKEN", raising=False)
+    plan = single_unit_plan(small_pool_inventory)
+    busy = FakeResponse(status_code=503, text="busy", headers={"Retry-After": "10"})
+    ok = FakeResponse(payload={"choices": [{"message": {"content": "4"}}]})
+
+    class Session:  # 503 twice, then answers
+        posts = 0
+
+        def post(self, url, json=None, headers=None, timeout=None):
+            self.posts += 1
+            return busy if self.posts <= 2 else ok
+
+    provider = HttpProvider("https://api.example/v1/chat", "m", session=Session())
+    waited = []
+    result = run_session(plan, provider, sleep=waited.append)
+    assert result.complete
+    assert result.transport_retries == 2
+    assert waited == [10.0, 10.0]

@@ -1,10 +1,14 @@
 """Domain types, constraint validation, and CSV round-trips."""
 
+import csv
+import io
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sdrkit.core import (
     AssemblyConfig,
@@ -21,9 +25,13 @@ from sdrkit.core import (
     TraitDomain,
     Unit,
     block_id,
+    cell,
     load_inventory,
     load_item_pool,
     load_response_sets,
+    read_count,
+    read_member,
+    read_text,
     validate_inventory,
     write_csv_rows,
     write_inventory,
@@ -281,6 +289,174 @@ def test_response_file_row_with_an_extra_field_names_the_file_and_line(tmp_path)
     message = f"{f}: malformed response row at line 3: a row must have one field per header column"
     with pytest.raises(SdrkitError, match=f"^{re.escape(message)}$"):
         load_response_sets(f)
+
+
+# ---------------------------------------------------------------------------
+# The response file's writer and reader against plain csv references
+# ---------------------------------------------------------------------------
+
+_ID_TEXT = st.text(st.sampled_from(["a", "7", " ", ",", '"', "\r", "\n", "é", "☃", "~"]),
+                   max_size=6)
+
+
+@st.composite
+def _response_sets(draw):
+    """Sets with ids that csv must quote, or not, each set's key its own."""
+    personas = draw(st.lists(_ID_TEXT, max_size=4, unique=True))
+    sets = []
+    for persona in personas:
+        units = draw(st.lists(_ID_TEXT, max_size=5, unique=True))
+        sets.append(ResponseSet(
+            respondent_id=draw(_ID_TEXT), persona_id=persona,
+            format=draw(st.sampled_from(ResponseFormat)),
+            condition=draw(st.sampled_from(InstructionCondition)),
+            answers={u: draw(st.integers(1, 7)) for u in units},
+            presentation_order=tuple(draw(st.permutations(units))),
+            side_assignment={u: draw(st.booleans()) for u in units},
+        ))
+    return sets
+
+
+def _csv_writer_bytes(sets) -> bytes:
+    """The response file as one ``csv.writer`` writes it row by row."""
+    out = io.StringIO(newline="")
+    w = csv.writer(out)
+    w.writerow(["respondent_id", "persona_id", "format", "condition",
+                "unit_id", "answer", "position", "side_flipped"])
+    for rs in sets:
+        for pos, unit in enumerate(rs.presentation_order):
+            w.writerow([rs.respondent_id, rs.persona_id, rs.format.value, rs.condition.value,
+                        unit, rs.answers[unit], pos, int(bool(rs.side_assignment.get(unit)))])
+    return out.getvalue().encode("utf-8")
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(sets=_response_sets())
+@example(sets=[ResponseSet(" r ", "p,1", ResponseFormat.GFC, InstructionCondition.HONEST,
+                           {'a"b\r\nc': 4, "é ": 1, "x\ry": 7}, ("é ", 'a"b\r\nc', "x\ry"),
+                           {'a"b\r\nc': True, "é ": False, "x\ry": True})])
+@example(sets=[ResponseSet("", "", ResponseFormat.LIKERT, InstructionCondition.FAKE_GOOD,
+                           {"": 2}, ("",))])  # empty fields, which csv leaves bare
+def test_response_writer_matches_csv_writer_and_round_trips(tmp_path_factory, sets):
+    f = tmp_path_factory.mktemp("resp") / "resp.csv"
+    write_response_sets(sets, f)
+    assert f.read_bytes() == _csv_writer_bytes(sets)
+    ids = [i for rs in sets for i in (rs.respondent_id, rs.persona_id, *rs.answers)]
+    if all(ids):  # the reader refuses an empty id
+        assert load_response_sets(f) == [rs for rs in sets if rs.answers]
+
+
+def _reference_read_csv_rows(path, parse, what, error=SdrkitError, header=()):
+    """The reader as it was with ``csv.DictReader``, one dict per row."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if not set(header) <= set(reader.fieldnames or ()):
+            raise error(f"{path}: expected header columns {list(header)}")
+        for row in reader:
+            try:
+                if None in row or None in row.values():
+                    raise ValueError("a row must have one field per header column")
+                yield parse(row)
+            except (KeyError, ValueError, error) as exc:
+                raise error(f"{path}: malformed {what} at line {reader.line_num}: {exc}") from None
+
+
+def _reference_load(path):
+    """``load_response_sets`` as it was: every field of every row read alone."""
+    groups = {}
+
+    def row(raw):
+        key = (
+            read_text(raw["respondent_id"], "respondent_id"),
+            read_text(raw["persona_id"], "persona_id"),
+            read_member(raw["format"], "format", ResponseFormat),
+            read_member(raw["condition"], "condition", InstructionCondition),
+        )
+        unit = read_text(raw["unit_id"], "unit_id")
+        answers = groups.setdefault(key, {})
+        if unit in answers:
+            raise ValueError(f"a second answer to unit {unit!r} of {key[0]!r}, "
+                             f"{key[1]!r}, {key[2].value}, {key[3].value}")
+        answers[unit] = (
+            read_count(cell(raw["position"]), "position"),
+            read_count(cell(raw["answer"]), "answer", 1, 7),
+            read_count(cell(raw["side_flipped"]), "side_flipped", 0, 1) == 1,
+        )
+
+    for _ in _reference_read_csv_rows(path, row, "response row"):
+        pass
+    out = []
+    for (resp, persona, fmt, cond), by_unit in groups.items():
+        order = sorted(by_unit, key=lambda unit: by_unit[unit][0])
+        out.append(ResponseSet(resp, persona, fmt, cond, {u: by_unit[u][1] for u in order},
+                               tuple(order), {u: by_unit[u][2] for u in order}))
+    return out
+
+
+def _loaded(load, path):
+    """The sets ``load`` reads from ``path``, or the error it raises."""
+    try:
+        return load(path)
+    except Exception as exc:  # any error, so that one of the wrong type shows
+        return type(exc), str(exc)
+
+
+_HEAD = "respondent_id,persona_id,format,condition,unit_id,answer,position,side_flipped\r\n"
+_ROWS = ["m,p1,gfc,honest,a~b,3,0,1\r\n", "m,p1,gfc,honest,c~d,5,1,0\r\n",
+         "m,p2,likert,fake_good,a,7,0,0\r\n"]
+_SPELLINGS = ["07", " 3", "3.0", "+3", "3_0", "٣", "8", "", "1", "0", "-0", "1e0", "true"]
+
+
+def _spelt(column, text):
+    """The whole file with ``text`` in ``column`` of every row."""
+    at = _HEAD.rstrip("\r\n").split(",").index(column)
+    rows = [row.rstrip("\r\n").split(",") for row in _ROWS]
+    return _HEAD + "".join(",".join([*r[:at], text, *r[at + 1:]]) + "\r\n" for r in rows)
+
+
+_FILES = {
+    "whole": _HEAD + "".join(_ROWS),
+    "no line end": _HEAD + "".join(_ROWS).rstrip("\r\n"),
+    "header only": _HEAD,
+    "empty": "",
+    "blank lines": _HEAD + "\r\n" + _ROWS[0] + "\r\n\n" + "".join(_ROWS[1:]) + "\r\n\r\n",
+    "a blank first line": "\r\n" + _HEAD + "".join(_ROWS),
+    "blank lines before a bad row": _HEAD + _ROWS[0] + "\n\r\n\n" + "m,p1,gfc,honest,e~f,9,2,0\n",
+    "a missing field": _HEAD + _ROWS[0] + "m,p1,gfc,honest,c~d,5,1\r\n",
+    "an extra field": _HEAD + _ROWS[0] + "m,p1,gfc,honest,c~d,5,1,0,\r\n",
+    "one field": _HEAD + _ROWS[0] + "m\r\n",
+    "a field over two lines, then a bad row":
+        _HEAD + 'm,p1,gfc,honest,"a~\r\nb",3,0,1\r\n' + "m,p1,gfc,honest,c~d,5,x,0\r\n",
+    "a field over two lines, then a second answer":
+        _HEAD + 'm,"p\n1",gfc,honest,a~b,3,0,1\r\n' + 'm,"p\n1",gfc,honest,a~b,4,1,0\r\n',
+    "a second answer after another set":
+        _HEAD + "".join(_ROWS) + "m,p1,gfc,honest,a~b,3,9,1\r\n",
+    "sets interleaved": _HEAD + _ROWS[0] + _ROWS[2] + _ROWS[1],
+    "positions out of order": _HEAD + _ROWS[1] + _ROWS[0],
+    "an empty respondent": _HEAD + _ROWS[0] + ",p1,gfc,honest,c~d,5,1,0\r\n",
+    "an empty unit": _HEAD + _ROWS[0] + "m,p1,gfc,honest,,5,1,0\r\n",
+    "an unknown format": _HEAD + _ROWS[0] + "m,p1,GFC,honest,c~d,5,1,0\r\n",
+    "columns reordered": "answer,unit_id,side_flipped,position,condition,format,persona_id,"
+                         "respondent_id\r\n3,a~b,1,0,honest,gfc,p1,m\r\n",
+    "a repeated column, the last wins": _HEAD.replace("\r\n", ",answer\r\n")
+                                        + _ROWS[0].replace("\r\n", ",6\r\n"),
+    "a missing column": _HEAD.replace(",answer", "") + "m,p1,gfc,honest,a~b,0,1\r\n",
+    "a missing column after a bad field": _HEAD.replace(",answer", "")
+                                          + "m,p1,gfc,honest,a~b,x,1\r\n",
+    "a missing shared column": _HEAD.replace(",condition", "") + "m,p1,gfc,a~b,3,0,1\r\n",
+    "a missing shared column after a bad one": _HEAD.replace(",condition", "")
+                                               + ",p1,gfc,a~b,3,0,1\r\n",
+    "a missing column, no rows": _HEAD.replace(",answer", ""),
+    **{f"{column} {text!r}": _spelt(column, text)
+       for column in ("answer", "position", "side_flipped") for text in _SPELLINGS},
+}
+
+
+@pytest.mark.parametrize("text", _FILES.values(), ids=_FILES.keys())
+def test_response_reader_matches_the_dict_reader(tmp_path, text):
+    f = tmp_path / "resp.csv"
+    f.write_bytes(text.encode("utf-8"))
+    assert _loaded(load_response_sets, f) == _loaded(_reference_load, f)
 
 
 def test_inventory_file_with_a_nan_gap_names_the_file_line_and_field(tmp_path, small_pool_inventory):

@@ -119,7 +119,7 @@ def test_category_split_with_shared_gaps_matches_threshold_path():
         assert np.allclose(a, b, rtol=1e-15, atol=0)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(
     eta=st.floats(-20, 20),
     shift=st.floats(-2, 2),
@@ -181,7 +181,7 @@ def _four_pass_kernel(eta, kappa_lo, kappa_hi, split=None):
 _GAP = st.one_of(st.just(0.0), st.floats(1e-300, 1e-12), st.floats(1e-12, 45.0))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(
     c1=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=3),
     gaps=st.lists(st.lists(_GAP, min_size=5, max_size=5), min_size=3, max_size=3),
