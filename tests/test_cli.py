@@ -1224,6 +1224,20 @@ def test_hmc_fit_artifact_holds_the_posterior_mean_traits(instrument_files, tmp_
     assert np.array_equal(np.array([frame[u] for u in data.units]), expected)
 
 
+#: SHA-256 of the fit artifact below, recorded while the diagnostics' normal
+#: scores still came from ``scipy.special.ndtri``; its R-hat and ESS summaries
+#: must not change.
+HMC_FIT_SHA256 = "1e7af4107cb18b2e3a3b08c264ada76dc1be998f026f067e971eb45cf12a7c53"
+
+
+def test_hmc_fit_artifact_matches_the_recorded_digest(instrument_files, tmp_path):
+    _likert_runs(instrument_files, tmp_path)
+    argv = _argv(instrument_files, tmp_path, "fit", "--backend", "hmc", "--chains", "2",
+                 "--warmup", "20", "--samples", "20", "--seed", "3")
+    assert main(argv) == EXIT_DIAGNOSTICS  # 20 draws fail the R-hat gate; the fit is kept
+    assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == HMC_FIT_SHA256
+
+
 def test_pipeline_rerun_over_a_manifest_without_artifacts_rebuilds(
     instrument_files, tmp_path, monkeypatch
 ):

@@ -639,6 +639,28 @@ def test_hmc_diagnostics_match_the_recorded_digest(hmc_posterior):
         assert hashlib.sha256(diag[name].tobytes()).hexdigest() == digest
 
 
+#: SHA-256 of the R-hat and ESS bytes of the edge-case posterior below, recorded
+#: while the normal scores still came from ``scipy.special.ndtri``. The NaN
+#: draw's parameter reads NaN with its sign bit set, as ndtri(nan) returns it.
+EDGE_DIAGNOSTICS_SHA256 = {
+    "rhat": "3d653a19da4c8cbefa9f102852996cf7cae25961c762fc2b02fd15e802ec69d1",
+    "ess": "4aece0befa2d8b23285b7f60062ee0ae0084224f82e13ef01a324758fa707da0",
+}
+
+
+def test_diagnostics_of_ties_a_constant_and_a_nan_match_the_recorded_digest():
+    rng = np.random.default_rng(41)
+    draws = rng.standard_normal((4, 60, 6))
+    for t in range(1, 60):
+        draws[:, t] += 0.6 * draws[:, t - 1]  # autocorrelated
+    draws = np.round(draws, 1)  # many ties
+    draws[:, :, 2] = 0.7  # constant
+    draws[2, 11, 4] = np.nan  # one NaN draw
+    diag = diagnostics(Posterior(draws=draws, units=()))
+    for name, digest in EDGE_DIAGNOSTICS_SHA256.items():
+        assert hashlib.sha256(diag[name].tobytes()).hexdigest() == digest
+
+
 def test_hmc_agrees_with_map_direction(hmc_posterior, small_pool_inventory):
     data, opts, post = hmc_posterior
     fit = fit_map(data, MapOptions(n_starts=2, seed=0))
