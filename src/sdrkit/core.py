@@ -755,7 +755,10 @@ def load_response_sets(path: str | Path, inventory: Inventory | None = None) -> 
                 condition=cond,
                 answers={unit: by_unit[unit][1] for unit in order},
                 presentation_order=tuple(order),
-                side_assignment={unit: by_unit[unit][2] for unit in order},
+                side_assignment=(  # only GFC blocks have sides
+                    {unit: by_unit[unit][2] for unit in order}
+                    if fmt is ResponseFormat.GFC else {}
+                ),
             )
         )
     if inventory is not None:

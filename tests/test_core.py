@@ -306,13 +306,14 @@ def _response_sets(draw):
     sets = []
     for persona in personas:
         units = draw(st.lists(_ID_TEXT, max_size=5, unique=True))
+        fmt = draw(st.sampled_from(ResponseFormat))
         sets.append(ResponseSet(
-            respondent_id=draw(_ID_TEXT), persona_id=persona,
-            format=draw(st.sampled_from(ResponseFormat)),
+            respondent_id=draw(_ID_TEXT), persona_id=persona, format=fmt,
             condition=draw(st.sampled_from(InstructionCondition)),
             answers={u: draw(st.integers(1, 7)) for u in units},
             presentation_order=tuple(draw(st.permutations(units))),
-            side_assignment={u: draw(st.booleans()) for u in units},
+            side_assignment=({u: draw(st.booleans()) for u in units}
+                             if fmt is ResponseFormat.GFC else {}),  # only GFC has sides
         ))
     return sets
 
@@ -388,8 +389,9 @@ def _reference_load(path):
     out = []
     for (resp, persona, fmt, cond), by_unit in groups.items():
         order = sorted(by_unit, key=lambda unit: by_unit[unit][0])
+        sides = {u: by_unit[u][2] for u in order} if fmt is ResponseFormat.GFC else {}
         out.append(ResponseSet(resp, persona, fmt, cond, {u: by_unit[u][1] for u in order},
-                               tuple(order), {u: by_unit[u][2] for u in order}))
+                               tuple(order), sides))
     return out
 
 

@@ -568,6 +568,28 @@ def test_average_ranks_equal_scipy_bit_for_bit(rows):
     assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
 
 
+def test_normal_scores_equal_scipy_ndtri_bit_for_bit():
+    """Every table entry, for each m of 4..256 and a spread of m up to 16,000,
+    equals scipy's ndtri of the same p, the NaN entry's sign bit included."""
+    for m in [*range(4, 257), 300, 499, 1000, 2000, 4001, 8000, 12345, 16000]:
+        p = (np.arange(2, 2 * m + 1) / 2 - 0.375) / (m + 0.25)
+        theirs = np.append(special.ndtri(p), special.ndtri(np.nan))
+        assert irt._normal_scores(m).tobytes() == theirs.tobytes(), m
+
+
+def test_ndtri_port_equals_scipy_bit_for_bit():
+    rng = np.random.default_rng(42)
+    p = np.concatenate([
+        [0.0, 1.0, np.nan, 5e-324, 1.0 - 2.0**-53, 0.5, math.exp(-2), 1.0 - math.exp(-2)],
+        rng.random(20_000),
+        rng.random(5_000) * 1e-12,  # lower tail, x < 8
+        1.0 - rng.random(5_000) * 1e-12,  # upper tail
+        10.0 ** -rng.uniform(14.0, 323.0, 5_000),  # far lower tail, x >= 8
+    ])
+    ours = np.array([irt._ndtri(v) for v in p.tolist()])
+    assert ours.tobytes() == special.ndtri(p).tobytes()
+
+
 @pytest.mark.parametrize("shape", [(4, 20, 150), (4, 301, 12), (2, 9, 6)])
 def test_diagnostics_match_per_parameter_formulas(shape):
     rng = np.random.default_rng(35)

@@ -91,6 +91,48 @@ print("after diagnostics:", "scipy.special" in sys.modules, "scipy.stats" in sys
     ]
 
 
+def test_hmc_fit_and_diagnostics_load_no_scipy():
+    code = """
+import sys
+import numpy as np
+sys.path.insert(0, {tests!r})
+from conftest import small_instrument
+from sdrkit import irt
+from sdrkit.core import ResponseFormat
+
+pool, inv = small_instrument()
+y = np.random.default_rng(0).integers(1, 8, (3, 10))
+units = tuple(("r", f"p{{i}}", "honest") for i in range(3))
+data = irt.ModelData(irt.design_for(inv, pool, ResponseFormat.LIKERT), y, units)
+irt.diagnostics(irt.fit_hmc(data, irt.HmcOptions(chains=2, warmup=10, samples=8, seed=0)))
+{loaded}
+""".format(tests=str(Path(__file__).resolve().parent), loaded=_loaded(("scipy",)))
+    assert _run_python("-c", code).strip() == "[]"
+
+
+def test_sdrkit_fit_with_hmc_loads_no_scipy(tmp_path):
+    from conftest import small_instrument
+    from sdrkit.cli import main
+    from sdrkit.core import write_inventory, write_item_pool
+
+    pool, inv = small_instrument()
+    write_item_pool(pool, tmp_path / "pool.csv")
+    write_inventory(inv, tmp_path / "inventory.csv")
+    files = ["--inventory", str(tmp_path / "inventory.csv"), "--pool", str(tmp_path / "pool.csv")]
+    assert main(["personas", "--n", "3", "--seed", "1", "--out", str(tmp_path / "p.json")]) == 0
+    assert main(["administer", *files, "--personas", str(tmp_path / "p.json"),
+                 "--format", "likert", "--condition", "honest", "--out", str(tmp_path)]) == 0
+    argv = ["sdrkit", "fit", "--format", "likert", "--responses", str(tmp_path), *files,
+            "--backend", "hmc", "--chains", "2", "--warmup", "10", "--samples", "8",
+            "--out", str(tmp_path / "fit.json")]
+    code = ("import runpy, sys\n"
+            f"sys.argv = {argv!r}\n"
+            "try:\n    runpy.run_module('sdrkit', run_name='__main__')\n"
+            "except SystemExit:\n    pass\n" + _loaded(("scipy",)))
+    assert _run_python("-c", code).splitlines()[-1] == "[]"
+    assert (tmp_path / "fit.json").is_file()
+
+
 def test_cohens_dz_hand_example():
     # diffs (1, 2, 3): mean 2, sd 1 -> d_z = 2
     assert cohens_dz(np.array([1.0, 2.0, 3.0])) == pytest.approx(2.0)
