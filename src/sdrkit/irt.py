@@ -98,9 +98,7 @@ class ResponseLayout:
     k = 7, then the interior categories. ``order`` lists flat answer
     positions in that order and ``restore`` is its inverse. ``lo``/``hi``
     index kappa_{k-1}/kappa_k of each answer, in that order, in the
-    thresholds extended to (G, 8) by a -inf and a +inf column. ``scatter``
-    is the GFC block incidence (P, J), +-1/sqrt(2) at the right/left
-    statement, and ``traits`` the (J, 5) statement-trait incidence.
+    thresholds extended to (G, 8) by a -inf and a +inf column.
     """
 
     order: np.ndarray
@@ -108,11 +106,9 @@ class ResponseLayout:
     lo: np.ndarray
     hi: np.ndarray
     split: CategorySplit
-    traits: np.ndarray
-    scatter: np.ndarray
 
 
-def _response_layout(design: Design, y: np.ndarray) -> ResponseLayout:
+def _response_layout(y: np.ndarray) -> ResponseLayout:
     c = y.shape[1]
     flat = y.ravel()
     first = np.flatnonzero(flat == 1)
@@ -124,13 +120,6 @@ def _response_layout(design: Design, y: np.ndarray) -> ResponseLayout:
     n_open = len(first) + len(last)
     gap = col[n_open:] * (N_CATEGORIES - 2) + k[n_open:] - 2
     _, gap_rep, gap_of = np.unique(gap, return_index=True, return_inverse=True)
-    j = design.n_items
-    traits = np.zeros((j, N_TRAITS))
-    traits[np.arange(j), design.trait_idx] = 1.0
-    blocks = np.arange(design.n_threshold_groups if design.paired else 0)
-    scatter = np.zeros((len(blocks), j))
-    scatter[blocks, 2 * blocks + 1] = INV_SQRT2
-    scatter[blocks, 2 * blocks] = -INV_SQRT2
     return ResponseLayout(
         order=order,
         restore=np.argsort(order),
@@ -143,8 +132,6 @@ def _response_layout(design: Design, y: np.ndarray) -> ResponseLayout:
             gap_rep=gap_rep,
             gap_of=gap_of,
         ),
-        traits=traits,
-        scatter=scatter,
     )
 
 
@@ -174,7 +161,7 @@ class ModelData:
         y = y.astype(int, copy=False)
         y.setflags(write=False)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "layout", _response_layout(self.design, y))
+        object.__setattr__(self, "layout", _response_layout(y))
 
     @property
     def n_units(self) -> int:
@@ -256,10 +243,21 @@ def _split(data: ModelData, x: np.ndarray):
     return theta, alpha, c1, gamma
 
 
+def _thresholds(c1: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """Thresholds (G, 8) from first cutpoints and gaps, extended by
+    kappa_0 = -inf and kappa_7 = +inf; columns 1..6 are kappa_1..kappa_6."""
+    kappa_ext = np.empty((len(c1), N_CATEGORIES + 1))
+    kappa_ext[:, 0] = -np.inf
+    kappa_ext[:, 1] = c1
+    np.cumsum(gaps, axis=1, out=kappa_ext[:, 2:N_CATEGORIES])
+    kappa_ext[:, 2:N_CATEGORIES] += c1[:, None]
+    kappa_ext[:, N_CATEGORIES] = np.inf
+    return kappa_ext
+
+
 def unpack(data: ModelData, x: np.ndarray) -> ParamVector:
     theta, alpha, c1, gamma = _split(data, np.asarray(x, dtype=float))
-    gaps = np.exp(gamma)
-    kappa = np.concatenate([c1[:, None], c1[:, None] + np.cumsum(gaps, axis=1)], axis=1)
+    kappa = _thresholds(c1, np.exp(gamma))[:, 1:N_CATEGORIES]
     return ParamVector(theta=theta.copy(), a_plus=np.exp(alpha), kappa=kappa, x=np.asarray(x))
 
 
@@ -268,22 +266,31 @@ def unpack(data: ModelData, x: np.ndarray) -> ParamVector:
 # ---------------------------------------------------------------------------
 
 
-def utilities(
-    theta: np.ndarray, trait_idx: np.ndarray, a_signed: np.ndarray, paired: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Statement utilities ``mu`` (N, J) and linear predictors ``eta`` of the
-    item model for the (N, 5) trait rows ``theta``.
-
-    Likert: eta is mu. GFC (``paired``, statements in block order): eta is
-    each block's scaled right-minus-left utility difference, (N, J / 2).
-    """
-    mu = theta[:, trait_idx] * a_signed
+@cache
+def _slots(n_statements: int, paired: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Each statement's column and scale in the loading matrix: statement j
+    is column j with scale 1, or (``paired``, statements in block order) the
+    block's column with -1/sqrt(2) (left) or +1/sqrt(2) (right)."""
     if not paired:
-        return mu, mu
-    return mu, (mu[:, 1::2] - mu[:, 0::2]) * INV_SQRT2
+        return np.arange(n_statements), np.ones(n_statements)
+    return np.arange(n_statements) // 2, np.tile([-INV_SQRT2, INV_SQRT2], n_statements // 2)
 
 
-def _posterior_core(data: ModelData, x: np.ndarray, need_grad: bool):
+def loading_matrix(trait_idx: np.ndarray, strength: np.ndarray, paired: bool) -> np.ndarray:
+    """The (C, 5) loading matrix of the item model eta = theta @ Lambda.T.
+
+    Statement j adds scale_j * strength_j at (column_j, trait_idx_j): Likert
+    columns are the statements; GFC (``paired``) columns are the blocks, each
+    its scaled right-minus-left difference. ``strength`` is the signed
+    discrimination (keying times a+).
+    """
+    column, scale = _slots(len(trait_idx), paired)
+    n_columns = len(trait_idx) // 2 if paired else len(trait_idx)
+    flat = np.bincount(column * N_TRAITS + trait_idx, scale * strength, n_columns * N_TRAITS)
+    return flat.reshape(n_columns, N_TRAITS)
+
+
+def log_posterior_and_grad(data: ModelData, x: np.ndarray) -> tuple[float, np.ndarray]:
     if not np.isfinite(x).all():
         raise SdrkitError("non-finite parameter value")
     design = data.design
@@ -292,16 +299,10 @@ def _posterior_core(data: ModelData, x: np.ndarray, need_grad: bool):
     a_plus = np.exp(alpha)
     a_signed = design.keying * a_plus
     gaps = np.exp(gamma)
-    # thresholds extended by kappa_0 = -inf and kappa_7 = +inf
-    kappa_ext = np.empty((len(c1), N_CATEGORIES + 1))
-    kappa_ext[:, 0] = -np.inf
-    kappa_ext[:, 1] = c1
-    np.cumsum(gaps, axis=1, out=kappa_ext[:, 2:N_CATEGORIES])
-    kappa_ext[:, 2:N_CATEGORIES] += c1[:, None]
-    kappa_ext[:, N_CATEGORIES] = np.inf
+    kappa_ext = _thresholds(c1, gaps)
     kappa = kappa_ext[:, 1:N_CATEGORIES]
-
-    mu, eta = utilities(theta, design.trait_idx, a_signed, design.paired)
+    loadings = loading_matrix(design.trait_idx, a_signed, design.paired)
+    eta = theta @ loadings.T
 
     k_flat = kappa_ext.ravel()
     logp, g_lo, g_hi = log_prob_and_grads(
@@ -311,7 +312,7 @@ def _posterior_core(data: ModelData, x: np.ndarray, need_grad: bool):
     if not math.isfinite(lp):
         # zero-probability state (threshold gaps underflowed); signal to the
         # optimizer/sampler as an infinitely bad point with a null gradient
-        return -np.inf, (np.zeros_like(x) if need_grad else None)
+        return -np.inf, np.zeros_like(x)
 
     # priors (log densities up to constants) + reparameterization Jacobians
     lp += -0.5 * float((theta**2).sum()) / THETA_PRIOR_SD**2
@@ -319,13 +320,11 @@ def _posterior_core(data: ModelData, x: np.ndarray, need_grad: bool):
     lp += -float((kappa**2).sum()) / (2 * KAPPA_PRIOR_SD**2)
     lp += float(gamma.sum())
 
-    if not need_grad:
-        return lp, None
-
     geta = (g_lo + g_hi)[layout.restore].reshape(eta.shape)
-    gmu = geta @ layout.scatter if design.paired else geta
-    gtheta = (gmu * a_signed) @ layout.traits
-    galpha = (gmu * mu).sum(axis=0)
+    gtheta = geta @ loadings
+    column, scale = _slots(design.n_items, design.paired)
+    # d eta / d alpha_j is the statement's own entry of the loading matrix
+    galpha = (geta.T @ theta)[column, design.trait_idx] * scale * a_signed
 
     size = k_flat.size
     gkappa_ext = np.bincount(layout.lo, g_lo, size) + np.bincount(layout.hi, g_hi, size)
@@ -344,18 +343,11 @@ def _posterior_core(data: ModelData, x: np.ndarray, need_grad: bool):
 
 
 def log_posterior(data: ModelData, x: np.ndarray) -> float:
-    lp, _ = _posterior_core(data, x, need_grad=False)
-    return lp
+    return log_posterior_and_grad(data, x)[0]
 
 
 def grad_log_posterior(data: ModelData, x: np.ndarray) -> np.ndarray:
-    _, grad = _posterior_core(data, x, need_grad=True)
-    return grad
-
-
-def log_posterior_and_grad(data: ModelData, x: np.ndarray) -> tuple[float, np.ndarray]:
-    lp, grad = _posterior_core(data, x, need_grad=True)
-    return lp, grad
+    return log_posterior_and_grad(data, x)[1]
 
 
 # ---------------------------------------------------------------------------

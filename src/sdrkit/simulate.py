@@ -1,8 +1,9 @@
 """Generative IRT simulator: offline respondent provider and scoring oracle.
 
 The simulator is conjugate to the scorer by construction: it computes its
-linear predictors with the scorer's own item model (:func:`sdrkit.irt.utilities`)
-and draws answers from the same ordered-logistic kernel the estimator fits.
+linear predictors eta = theta @ Lambda.T with the scorer's own loading matrix
+(:func:`sdrkit.irt.loading_matrix`) and draws answers from the same
+ordered-logistic kernel the estimator fits.
 It answers the units of ``Inventory.units(fmt)``, the ones the scorer fits.
 The fake-good condition is modeled as a uniform latent shift of ``delta``
 per trait toward the socially desirable pole.
@@ -35,7 +36,7 @@ from .core import (
     read_member,
     read_number,
 )
-from .irt import N_TRAITS, UnitKey, build_model_data, utilities
+from .irt import N_TRAITS, UnitKey, build_model_data, loading_matrix
 from .ordinal import _category_probs
 from .personas import Persona
 
@@ -162,8 +163,8 @@ def simulate_table(
             raise SdrkitError("GFC pair must span two different traits")
     else:
         kappa = [item.kappa for item in items]
-    _, eta = utilities(theta, np.array([it.trait for it in items], dtype=int),
-                       np.array([it.a_signed for it in items]), paired)
+    eta = theta @ loading_matrix(np.array([it.trait for it in items], dtype=int),
+                                 np.array([it.a_signed for it in items]), paired).T
     u = keyed_uniform_table(
         spec.seed, [(p.id, fmt.value) for p in personas], [unit.id for unit in units]
     )
@@ -314,9 +315,11 @@ def naive_gfc_count_scores(
     if any(rs.format is not ResponseFormat.GFC for rs in response_sets):
         raise SdrkitError("count scoring applies to GFC response sets")
     data = build_model_data(response_sets, inventory, pool, ResponseFormat.GFC)
-    y, traits = data.y, data.layout.traits  # statements in block order
+    y, trait_idx = data.y, data.design.trait_idx  # statements in block order
+    ones = np.ones(y.shape[1])
+    left, right = (loading_matrix(trait_idx[side::2], ones, paired=False) for side in (0, 1))
     tie = 0.5 * (y == 4)
-    scores = ((y < 4) + tie) @ traits[0::2] + ((y > 4) + tie) @ traits[1::2]
+    scores = ((y < 4) + tie) @ left + ((y > 4) + tie) @ right
     return dict(zip(data.units, scores))
 
 

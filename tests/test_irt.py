@@ -40,7 +40,7 @@ from sdrkit.irt import (
     write_fit_artifact,
 )
 from sdrkit.personas import sample_personas
-from sdrkit.ordinal import category_probs
+from sdrkit.ordinal import category_probs, log_prob_and_grads
 from sdrkit.simulate import SimSpec, default_sim_params, effective_theta, simulate_response_set
 
 
@@ -331,12 +331,15 @@ def test_zero_probability_point_reports_neg_inf(small_pool_inventory):
     assert np.all(grad == 0.0)
 
 
-#: SHA-256 of (log posterior, gradient) at the points below, recorded before
-#: the ordinal kernel's four sigmoid/softplus passes became one; a faster
-#: kernel or posterior must keep every bit.
+#: SHA-256 of (log posterior, gradient) at the points below. First recorded
+#: before the ordinal kernel's four sigmoid/softplus passes became one, which
+#: kept every bit; re-recorded when the posterior moved to one loading matrix,
+#: whose eta = theta Lambda^T and chain rule sum in another order and so move
+#: the last bits (the statement-level reference below agrees to 1e-12). A
+#: change that moves a bit re-records these only with such agreement shown.
 GRADIENT_SHA256 = {
-    ResponseFormat.LIKERT: "dd571f13f5d16609b890926d07f5c75a8ad6bf8f7b54a258873e936460033556",
-    ResponseFormat.GFC: "a5ce63e994c2d8694eae74ba2fe929892e9fc08236823c420f0576d660f091e7",
+    ResponseFormat.LIKERT: "49f3a34d5818258a43a5b1f5e6edcbcc30738459ffe5aa65c898c20d4f07268f",
+    ResponseFormat.GFC: "98c8b5452b1f3d7cff2c230fd28bcf3b73c1984236d9a2aab3b7d55da481c108",
 }
 
 
@@ -353,6 +356,91 @@ def test_gradient_matches_the_recorded_digest(small_pool_inventory, fmt):
         h.update(np.float64(lp).tobytes())
         h.update(grad.tobytes())
     assert h.hexdigest() == GRADIENT_SHA256[fmt]
+
+
+def _statement_level_posterior(data, x):
+    """The log posterior and gradient as computed before the loading matrix:
+    statement utilities mu (N, J), GFC eta as the right-minus-left difference
+    over sqrt(2), and the chain rule back through the (P, J) block incidence
+    and the (J, 5) statement-trait incidence."""
+    design, layout = data.design, data.layout
+    theta, alpha, c1, gamma = irt._split(data, x)
+    a_plus = np.exp(alpha)
+    a_signed = design.keying * a_plus
+    gaps = np.exp(gamma)
+    kappa = np.concatenate([c1[:, None], c1[:, None] + np.cumsum(gaps, axis=1)], axis=1)
+    edge = np.full((len(c1), 1), np.inf)
+    kappa_ext = np.concatenate([-edge, kappa, edge], axis=1)
+    mu = theta[:, design.trait_idx] * a_signed
+    eta = (mu[:, 1::2] - mu[:, 0::2]) * irt.INV_SQRT2 if design.paired else mu
+    k_flat = kappa_ext.ravel()
+    logp, g_lo, g_hi = log_prob_and_grads(
+        eta.ravel()[layout.order], k_flat[layout.lo], k_flat[layout.hi], layout.split
+    )
+    lp = float(logp.sum())
+    if not math.isfinite(lp):
+        return -np.inf, np.zeros_like(x)
+    lp += -0.5 * float((theta**2).sum()) / irt.THETA_PRIOR_SD**2
+    lp += float((-(a_plus**2) / (2 * irt.A_PLUS_PRIOR_SD**2) + alpha).sum())
+    lp += -float((kappa**2).sum()) / (2 * irt.KAPPA_PRIOR_SD**2)
+    lp += float(gamma.sum())
+
+    geta = (g_lo + g_hi)[layout.restore].reshape(eta.shape)
+    j = design.n_items
+    traits = np.zeros((j, 5))
+    traits[np.arange(j), design.trait_idx] = 1.0
+    gmu = geta
+    if design.paired:
+        blocks = np.arange(design.n_threshold_groups)
+        scatter = np.zeros((len(blocks), j))
+        scatter[blocks, 2 * blocks + 1] = irt.INV_SQRT2
+        scatter[blocks, 2 * blocks] = -irt.INV_SQRT2
+        gmu = geta @ scatter
+    gtheta = (gmu * a_signed) @ traits - theta / irt.THETA_PRIOR_SD**2
+    galpha = (gmu * mu).sum(axis=0) + (1.0 - a_plus**2 / irt.A_PLUS_PRIOR_SD**2)
+    size = k_flat.size
+    gkappa_ext = np.bincount(layout.lo, g_lo, size) + np.bincount(layout.hi, g_hi, size)
+    gkappa = -gkappa_ext.reshape(kappa_ext.shape)[:, 1:-1] - kappa / irt.KAPPA_PRIOR_SD**2
+    tail = np.cumsum(gkappa[:, ::-1], axis=1)[:, ::-1]
+    ggamma = tail[:, 1:] * gaps + 1.0
+    return lp, np.concatenate([gtheta.ravel(), galpha, gkappa.sum(axis=1), ggamma.ravel()])
+
+
+@pytest.mark.parametrize("fmt", [ResponseFormat.LIKERT, ResponseFormat.GFC])
+def test_loading_matrix_posterior_equals_the_statement_level_posterior(
+    small_pool_inventory, fmt
+):
+    """At the recorded digest's points, eta = theta Lambda^T and its chain rule
+    agree with the statement-level formula to 1e-12, relative to the largest
+    gradient entry; the x40 point is -inf with a zero gradient in both."""
+    data = make_data(small_pool_inventory, fmt, n_personas=8, seed=60,
+                     conditions=list(InstructionCondition))
+    rng = np.random.default_rng(61)
+    for scale in (0.1, 0.5, 2.0, 8.0, 40.0):
+        x = scale * rng.standard_normal(param_dim(data))
+        lp, grad = log_posterior_and_grad(data, x)
+        lp_ref, grad_ref = _statement_level_posterior(data, x)
+        if scale == 40.0:
+            assert lp == lp_ref == -np.inf
+            assert not grad.any() and not grad_ref.any()
+            continue
+        assert abs(lp - lp_ref) <= 1e-12 * abs(lp_ref)
+        assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
+
+
+@pytest.mark.parametrize("fmt", list(ResponseFormat))
+def test_unpacked_thresholds_keep_their_bits(small_pool_inventory, fmt):
+    """``unpack`` shares the posterior's threshold transform and still gives
+    the bytes of c1 followed by c1 plus the cumulative gaps."""
+    data = make_data(small_pool_inventory, fmt, n_personas=3, seed=62)
+    rng = np.random.default_rng(63)
+    for scale in (0.1, 2.0, 8.0):
+        x = scale * rng.standard_normal(param_dim(data))
+        _, _, c1, gamma = irt._split(data, x)
+        expected = np.concatenate(
+            [c1[:, None], c1[:, None] + np.cumsum(np.exp(gamma), axis=1)], axis=1
+        )
+        assert unpack(data, x).kappa.tobytes() == expected.tobytes()
 
 
 def test_non_finite_input_rejected(small_pool_inventory):
@@ -418,11 +506,13 @@ def _map_digest(fit) -> str:
 
 
 #: SHA-256 of theta, a+, kappa, log posterior and projected gradient norm of
-#: the fits below, recorded when the starts still ran one after another in
-#: one process; however the starts are scheduled, the fit must not change.
+#: the fits below, first recorded when the starts still ran one after another
+#: in one process; however the starts are scheduled, the fit must not change.
+#: Re-recorded when the posterior moved to one loading matrix, whose gradient
+#: differs from the statement-level one in the last bits.
 MAP_FIT_SHA256 = {
-    ResponseFormat.LIKERT: "1a7dfaa960331cce4a50ba85d8254a6c8501b56152a0ef89015c76aba1f562f3",
-    ResponseFormat.GFC: "15303afdfa5eb091073ae291fd5468152d143a89063a5211be0b1cd9c6fed375",
+    ResponseFormat.LIKERT: "dd2f2d77f750b6037701843ded1398d7222f2619e4bb0de81e81b5733193292a",
+    ResponseFormat.GFC: "97c97bf604ba41f229c6e7dd551fdf153ca455a7b10df88421007e2562f0f112",
 }
 SMALL_MAP = MapOptions(n_starts=4, seed=3)  # the digests' fits
 
@@ -645,12 +735,14 @@ def test_hmc_diagnostics_vector_lengths(hmc_posterior):
     assert np.all(diag["ess"] > 0)
 
 
-#: SHA-256 of the R-hat and ESS bytes of the posterior above, recorded while
-#: the ranks still came from ``scipy.stats.rankdata``: however the ranks are
-#: computed, the diagnostics must not change.
+#: SHA-256 of the R-hat and ESS bytes of the posterior above, first recorded
+#: while the ranks still came from ``scipy.stats.rankdata``: however the ranks
+#: are computed, the diagnostics must not change. Re-recorded when the
+#: posterior moved to one loading matrix: its gradient's last bits moved, so
+#: HMC's accept decisions and draws did.
 DIAGNOSTICS_SHA256 = {
-    "rhat": "71409fd4ff143b865b1e43c4e75c65e5908bc52e88cf6b51f2dd25a0790e260b",
-    "ess": "f0dd2535a72551ae29a48bc885be5503bd2b6072b4f906746343f2e4ede39ea3",
+    "rhat": "e1604c9f9227807c9431baef6328ec6a44828299b79d5ff823580a7c4e5e6567",
+    "ess": "178b2c8b7fcd32906dbfcb1fba710e4e9f6bbe297e7c0786e3d5f4e1473ead0d",
 }
 
 
@@ -691,10 +783,12 @@ def test_hmc_agrees_with_map_direction(hmc_posterior, small_pool_inventory):
     assert np.corrcoef(a, b)[0, 1] > 0.8
 
 
-#: SHA-256 of the draws below, recorded when the chains still ran one after
-#: another in one process; however the chains are scheduled, the draws must
-#: not change.
-HMC_DRAWS_SHA256 = "ccd8e21c960be224d443f389ff1aac02bae3027e10b0f5cdbaa121b29f0f0054"
+#: SHA-256 of the draws below, first recorded when the chains still ran one
+#: after another in one process; however the chains are scheduled, the draws
+#: must not change. Re-recorded when the posterior moved to one loading
+#: matrix, whose gradient differs from the statement-level one in the last
+#: bits.
+HMC_DRAWS_SHA256 = "dfd2df32a879550e1f9fcf4031883fd7612e21d13824cf07e68d23b83eeb6dc2"
 
 
 def test_hmc_draws_match_the_recorded_digest(small_pool_inventory):

@@ -59,17 +59,19 @@ def test_item_params_validation():
 
 def test_likert_utilities_use_keyed_loadings():
     theta = np.array([[0.0, 0.0, 2.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.0, 0.0]])
-    mu, eta = irt.utilities(theta, np.array([2, 2]), np.array([1.2, -1.2]), paired=False)
+    loadings = irt.loading_matrix(np.array([2, 2]), np.array([1.2, -1.2]), paired=False)
+    assert np.array_equal(loadings, [[0.0, 0.0, 1.2, 0.0, 0.0], [0.0, 0.0, -1.2, 0.0, 0.0]])
+    eta = theta @ loadings.T
     assert np.allclose(eta, [[2.4, -2.4], [-1.2, 1.2]])
-    assert np.array_equal(mu, eta)
 
 
 def test_gfc_utilities_are_scaled_right_minus_left_differences():
     theta = np.array([[1.0, -1.0, 0.0, 0.0, 0.0]])
     # blocks (left A, right C) and (left E keyed -, right A)
-    mu, eta = irt.utilities(theta, np.array([0, 1, 2, 0]), np.array([1.0, 2.0, -1.5, 0.5]),
-                            paired=True)
-    assert np.allclose(mu, [[1.0, -2.0, 0.0, 0.5]])
+    loadings = irt.loading_matrix(np.array([0, 1, 2, 0]), np.array([1.0, 2.0, -1.5, 0.5]),
+                                  paired=True)
+    assert loadings.shape == (2, 5)
+    eta = theta @ loadings.T
     assert np.allclose(eta, [[(-2.0 - 1.0) / np.sqrt(2), (0.5 - 0.0) / np.sqrt(2)]])
 
 
