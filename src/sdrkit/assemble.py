@@ -1,11 +1,14 @@
 """Two-stage lexicographic assembly of desirability-matched GFC inventories.
 
-Stage 1 minimizes the worst within-pair desirability gap: a bisection over
-the sorted candidate gap values, where each step asks whether a selection
-exists under that cap. The question is answered by a depth-first search that
-branches on items, taking the free item with the fewest partners left, so a
-cap below the optimum is proven infeasible as soon as some item can neither
-be paired nor left out. Stage 2 minimizes total squared desirability mismatch
+Stage 1 minimizes the worst within-pair desirability gap by one search
+asked again under a falling cap: each selection it finds lowers the cap to
+strictly below that selection's largest gap, until no selection remains under
+the cap, so the last one found holds the optimum (the threshold method for
+bottleneck problems). The search is depth first and branches on items, taking
+the free item with the fewest partners left, so a cap below the optimum is
+proven infeasible as soon as some item can neither be paired nor left out.
+Its node count carries over between calls, so ``node_budget`` bounds stage 1
+as a whole. Stage 2 minimizes total squared desirability mismatch
 among selections whose maximum gap stays within ``m* + epsilon``, via branch
 and bound over candidates in id order. Both stages are exact; stage 2 breaks
 ties by lexicographic candidate id order so results are reproducible without
@@ -182,10 +185,10 @@ class _ItemSearch:
     """Stage 1's feasibility search: depth first, branching on items.
 
     A node takes the free item with the fewest options. Its options are its
-    free eligible partners that the trait-pair and trait caps still allow,
-    tried in increasing squared gap and then candidate index, and, last,
-    leaving it out while its trait has items to spare. A free item with no
-    option ends the node, which is what proves a cap below m* infeasible
+    free partners below the gap cap that the trait-pair and trait caps still
+    allow, tried in increasing squared gap and then candidate index, and,
+    last, leaving it out while its trait has items to spare. A free item with
+    no option ends the node, which is what proves a cap below m* infeasible
     within a few nodes. So do per-trait counts that can no longer be reached,
     a sign floor the free items of a trait can no longer meet and a mixed-key
     count outside what the remaining blocks can reach.
@@ -199,23 +202,25 @@ class _ItemSearch:
         self.trait = [0] * len(items)
         self.positive = [0] * len(items)
         # per item: (squared gap, candidate index, partner, pair group,
-        # mixed-key flag), in the order the item's partners are tried
+        # mixed-key flag, gap), in the order the item's partners are tried
         self.options: list[list[tuple]] = [[] for _ in items]
         for k, c in enumerate(cands):
             a, b = index[c.left], index[c.right]
             self.trait[a], self.positive[a] = c.left_trait, int(c.left_key > 0)
             self.trait[b], self.positive[b] = c.right_trait, int(c.right_key > 0)
-            self.options[a].append((c.sq, k, b, c.pair_group, int(c.mixed_key)))
-            self.options[b].append((c.sq, k, a, c.pair_group, int(c.mixed_key)))
+            self.options[a].append((c.sq, k, b, c.pair_group, int(c.mixed_key), c.gap))
+            self.options[b].append((c.sq, k, a, c.pair_group, int(c.mixed_key), c.gap))
         for opts in self.options:
             opts.sort()
         self.nodes = 0
         self.budget_hit = False
 
-    def search(self) -> list[CandidatePair] | None:
-        """The first selection found that meets every constraint, or None."""
+    def search(self, cap: float = math.inf) -> list[CandidatePair] | None:
+        """The first selection found that meets every constraint with every
+        gap strictly below ``cap``, or None."""
         cfg = self.cfg
-        trait, positive, options = self.trait, self.positive, self.options
+        trait, positive = self.trait, self.positive
+        options = [[o for o in opts if o[5] < cap] for opts in self.options]
         n_items = len(trait)
         p = cfg.block_count
         per_trait = cfg.per_trait
@@ -300,7 +305,7 @@ class _ItemSearch:
             free_n[t] -= 1
             free_plus[t] -= pos_i
             stop = False
-            for _, k, j, g, mk in partners:
+            for _, k, j, g, mk, _ in partners:
                 u, pos_j = trait[j], positive[j]
                 free[j] = False
                 free_n[u] -= 1
@@ -530,34 +535,19 @@ def solve_stage1(
     """Minimal feasible maximum desirability gap, with a feasible witness."""
     if not cands:
         raise InfeasibleError("no candidate pairs", "count")
-    gaps = sorted({c.gap for c in cands})
-
-    def feasible(m: float):
-        eligible = [c for c in cands if c.gap <= m]
-        search = _ItemSearch(eligible, cfg)
-        witness = search.search()
-        if search.budget_hit:
-            raise BudgetExhaustedError("node budget exhausted during stage-1 feasibility")
-        return witness
-
-    best = feasible(gaps[-1])
+    search = _ItemSearch(cands, cfg)
+    best, witness = None, search.search()
+    while witness is not None:
+        best = witness
+        # the next selection must beat this one's largest gap
+        witness = search.search(max(c.gap for c in best))
+    if search.budget_hit:
+        raise BudgetExhaustedError("node budget exhausted during stage-1 feasibility")
     if best is None:
         raise InfeasibleError(
             "no selection satisfies the constraint set", _diagnose_root(cands, cfg)
         )
-    best_m = max(c.gap for c in best)
-    lo, hi = 0, len(gaps) - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        # the held witness is feasible under every cap from its own largest gap
-        # up, so only smaller caps are searched
-        witness = best if gaps[mid] >= best_m else feasible(gaps[mid])
-        if witness is not None:
-            best, best_m = witness, max(c.gap for c in witness)
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    return best_m, best
+    return max(c.gap for c in best), best
 
 
 def solve_stage2(

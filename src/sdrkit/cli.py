@@ -299,6 +299,7 @@ def cmd_administer(args) -> int:
     n_written, failed = _write_atomically(out_file, partial(
         _administer, personas, inventory, pool, fmt, cond, args.seed, provider, manifest
     ))
+    manifest.artifacts[out_file.name] = _sha256(out_file)
     _write_atomically(out_dir / f"manifest_{fmt.value}_{cond.value}.json",
                       lambda tmp: tmp.write_text(manifest.to_json(), encoding="utf-8"))
     print(f"wrote {n_written} response sets ({len(failed)} failed sessions) -> {out_file}")
@@ -339,23 +340,22 @@ def _load_response_files(path: Path, inventory):
     sets = []
     for f in files:
         loaded = load_response_sets(f, inventory)
-        _check_set_count(f, len(loaded))
+        _check_digest(f)
         sets.extend(loaded)
     return sets
 
 
-def _check_set_count(path: Path, count: int) -> None:
-    """Raise unless ``path`` holds one response set per complete session of
-    the ``sdrkit administer`` manifest beside it, if there is one: a file cut
-    between two sets has only whole sets, which ``load_response_sets`` accepts."""
+def _check_digest(path: Path) -> None:
+    """Raise unless ``path`` is the file that the ``sdrkit administer``
+    manifest beside it, if there is one, records by SHA-256: a file cut
+    between two sets, or one written by a run whose manifest was not, has
+    only whole sets, which ``load_response_sets`` accepts."""
     manifest = path.with_name(f"manifest_{path.stem.removeprefix('responses_')}.json")
     if not path.name.startswith("responses_") or not manifest.is_file():
         return
-    ok = read_json(manifest, lambda raw: sum(s["outcome"] == "ok" for s in raw["sessions"]),
-                   "manifest")
-    if count != ok:
-        raise SdrkitError(f"{path}: {count} response sets, but {manifest.name} "
-                          f"records {ok} complete sessions")
+    digest = read_json(manifest, lambda raw: raw["artifacts"][path.name], "manifest")
+    if _sha256(path) != digest:
+        raise SdrkitError(f"{path}: its SHA-256 is not the one {manifest.name} records")
 
 
 def cmd_fit(args) -> int:
@@ -476,10 +476,9 @@ def _pipeline_config(raw: dict) -> dict:
         "inventory": str(_packaged("marker_inventory_blocks.csv")),
         "n_personas": 50, "backend": "map", "formats": ["likert", "gfc"], "out_dir": "run",
         "seeds": {"personas": 1, "plan": 2, "sim": 3, "params": 4, "fit": 5},
-        "provider": {"type": "sim", "fake_good_delta": 1.0, "matched_discrimination": False},
+        "provider": {"fake_good_delta": 1.0, "matched_discrimination": False},
     })
     seeds, provider = cfg["seeds"], cfg["provider"]
-    read_member(provider["type"], "provider.type", ("sim",))  # the built-in simulator only
     for key in _DATA_FILES:
         _require(read_text(cfg[key], key), f"pipeline {key}")
     read_member(cfg["backend"], "backend", ("map", "hmc"))

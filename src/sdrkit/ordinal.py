@@ -62,11 +62,6 @@ def category_probs(eta: float | np.ndarray, kappa: np.ndarray) -> np.ndarray:
     against it. Returns shape (..., 7) summing to 1 along the last axis.
     """
     check_thresholds(kappa)
-    return _category_probs(eta, kappa)
-
-
-def _category_probs(eta: float | np.ndarray, kappa: np.ndarray) -> np.ndarray:
-    """:func:`category_probs` for thresholds the caller has already checked."""
     eta = np.asarray(eta, dtype=float)
     surv = sigmoid(eta[..., None] - kappa)  # P(Y >= k) for k = 2..7
     ones = np.ones(surv.shape[:-1] + (1,))

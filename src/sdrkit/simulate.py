@@ -37,7 +37,7 @@ from .core import (
     read_number,
 )
 from .irt import N_TRAITS, UnitKey, build_model_data, loading_matrix
-from .ordinal import _category_probs
+from .ordinal import sigmoid
 from .personas import Persona
 
 
@@ -168,11 +168,10 @@ def simulate_table(
     u = keyed_uniform_table(
         spec.seed, [(p.id, fmt.value) for p in personas], [unit.id for unit in units]
     )
-    # ItemParams and SimParams checked the thresholds at construction
-    cdf = np.cumsum(_category_probs(eta, np.array(kappa).reshape(-1, 6)), axis=-1)
-    # searchsorted(cdf, u, side="right") over the first six entries: the last
-    # may round below 1.0, and a u above it must still answer 7, not 8
-    return (cdf[..., :-1] <= u[..., None]).sum(axis=-1) + 1
+    # P(Y <= k) for k = 1..6; ItemParams and SimParams checked the thresholds
+    # at construction
+    cdf = sigmoid(np.array(kappa).reshape(-1, 6) - eta[..., None])
+    return (cdf <= u[..., None]).sum(axis=-1) + 1
 
 
 def simulate_response_set(

@@ -250,22 +250,24 @@ def test_stage1_never_searches_a_cap_its_witness_already_answers(marker_pool, mo
     searches = []  # (cap, largest gap of the witness found or None), in order
     real = asm._ItemSearch.search
 
-    def recording(self):
-        witness = real(self)
+    def recording(self, cap=np.inf):
+        witness = real(self, cap)
         found = None if witness is None else max(c.gap for c in witness)
-        searches.append((max(c.gap for c in self.cands), found))
+        searches.append((cap, found))
         return witness
 
     monkeypatch.setattr(asm._ItemSearch, "search", recording)
     cands = enumerate_candidates(standard_10_subset(marker_pool))
     m_star, witness = solve_stage1(cands, AssemblyConfig.standard(10))
     assert m_star == STANDARD_10_M_STAR == max(c.gap for c in witness)
-    held = np.inf
-    for cap, found in searches:
-        assert cap < held
-        if found is not None:
-            held = min(held, found)
-    assert held == m_star
+    caps, found = zip(*searches)
+    assert caps[0] == np.inf
+    assert found[-1] is None and None not in found[:-1]
+    # each later search asks only for gaps strictly below the last witness's
+    # largest gap, which no witness found so far meets
+    assert caps[1:] == found[:-1]
+    assert all(gap < cap for cap, gap in searches[:-1])
+    assert found[-2] == m_star
 
 
 def test_stage1_proves_recorded_instance_within_a_small_budget(marker_pool):
@@ -316,6 +318,27 @@ def test_stage1_gap_is_the_least_feasible_one(make, examples):
         if below:
             eligible = [c for c in cands if c.gap <= max(below)]
             assert asm._ItemSearch(eligible, cfg).search() is None
+
+    check()
+
+
+# each draw searches twice at every distinct gap; these counts keep it under
+# a second
+@pytest.mark.parametrize(
+    "make, examples", [(random_instance, 50), (random_per_trait_instance, 30)]
+)
+def test_capped_search_matches_a_search_over_the_gaps_below_the_cap(make, examples):
+    @settings(max_examples=examples, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def check(seed):
+        pool, cfg = make(np.random.default_rng(seed))
+        cands = enumerate_candidates(pool)
+        for cap in sorted({c.gap for c in cands}):
+            capped = asm._ItemSearch(cands, cfg).search(cap)
+            below = asm._ItemSearch([c for c in cands if c.gap < cap], cfg).search()
+            assert (capped is None) == (below is None)
+            if capped is not None:
+                assert all(c.gap < cap for c in capped)
 
     check()
 

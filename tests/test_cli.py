@@ -181,7 +181,8 @@ def test_pipeline_missing_config_is_config_error(tmp_path):
     assert main(["pipeline", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 
 
-def test_pipeline_rejects_external_provider(tmp_path, instrument_files):
+def test_pipeline_rejects_external_provider(tmp_path, instrument_files, capsys):
+    # the pipeline runs the built-in simulator only, so it has no provider type
     cfg = tmp_path / "pipeline.json"
     cfg.write_text(json.dumps({
         "pool": str(instrument_files / "pool.csv"),
@@ -189,6 +190,9 @@ def test_pipeline_rejects_external_provider(tmp_path, instrument_files):
         "provider": {"type": "http"},
     }))
     assert main(["pipeline", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {cfg}: malformed pipeline config: unknown key 'provider.type', "
+        "not one of 'fake_good_delta', 'matched_discrimination'\n")
 
 
 PIPELINE_KEYS = ("'pool', 'inventory', 'n_personas', 'backend', 'formats', 'out_dir', "
@@ -215,7 +219,7 @@ PIPELINE_KEYS = ("'pool', 'inventory', 'n_personas', 'backend', 'formats', 'out_
     ({"seeds": {"fitt": 9}},
      "unknown key 'seeds.fitt', not one of 'personas', 'plan', 'sim', 'params', 'fit'"),
     ({"provider": {"fake_good_delt": 2.0}}, "unknown key 'provider.fake_good_delt', not one of "
-     "'type', 'fake_good_delta', 'matched_discrimination'"),
+     "'fake_good_delta', 'matched_discrimination'"),
 ])
 def test_pipeline_config_value_of_the_wrong_kind_is_a_config_error(tmp_path, capsys, study,
                                                                    message):
@@ -259,10 +263,10 @@ DATA = Path(__file__).resolve().parents[1] / "src" / "sdrkit" / "data"
 # the recorded 12-persona set on the packaged marker instrument. A change here
 # changes the data of every simulated study, so update it only on purpose.
 SIM_ADMINISTER_DIGESTS = {
-    "manifest_gfc_fake_good.json": "087ec36dbe4bb62f4330b3106f14360544263649eaa3b1193c10418851003418",
-    "manifest_gfc_honest.json": "83c31673701d7fb5707c79f100a893b76013d8432f5d452b39c3a4c4a3fd1ddc",
-    "manifest_likert_fake_good.json": "e37ab9c931c9dcb7836a4d2f0713ea385848b0999ced24eb0942e2b4b647f012",
-    "manifest_likert_honest.json": "418d4c6105b0ac5a17ecd7b6c8778d7765d269e9dc3d4b02db549bc4fd0a9657",
+    "manifest_gfc_fake_good.json": "aadc8683a6ca49421a200de60acd561efc2f7ba64d96698bd2b58a09b34dd608",
+    "manifest_gfc_honest.json": "782cd3ec30c7d7bbb56d9099b29621662802cfb4f2a2a4ed962a95087cac3562",
+    "manifest_likert_fake_good.json": "8c7cb4ca67d62d34b2abc25885dfbde50ec1ace83c3a5810a12d756a0c884862",
+    "manifest_likert_honest.json": "a3889ba7db1d71e523769c3cd941525f193657814f2e52bdd97ed79ecb96a71a",
     "responses_gfc_fake_good.csv": "90ae5bf09361c2b1a1e895f61d623950a1317328ced279067fe673dd66b3e911",
     "responses_gfc_honest.csv": "8f02bce7869babef9c1bab273cb8af2b7ec74878502d58d5ca995a3b2d3790f8",
     "responses_likert_fake_good.csv": "9b648415bb796c8df781356fab278ff9a85a7167ff02059f0043d20b352cd2e9",
@@ -826,9 +830,58 @@ def test_fit_refuses_a_file_cut_between_two_sets(instrument_files, tmp_path, cap
                     "--responses", str(responses if given == "file" else runs)))
     assert rc == EXIT_STAGE
     assert capsys.readouterr().err == (
-        f"stage failure: {responses}: 3 response sets, but manifest_likert_honest.json "
-        "records 4 complete sessions\n")
+        f"stage failure: {responses}: its SHA-256 is not the one "
+        "manifest_likert_honest.json records\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_fit_refuses_responses_newer_than_the_manifest_beside_them(
+    instrument_files, tmp_path, capsys, monkeypatch
+):
+    # a rerun that dies between replacing the responses and replacing the
+    # manifest: the new file holds as many whole sets as the old manifest records
+    personas, runs = tmp_path / "personas.json", tmp_path / "runs"
+    assert main(["personas", "--n", "3", "--seed", "1", "--out", str(personas)]) == EXIT_OK
+    administer = _argv(instrument_files, tmp_path, "administer", "--out", str(runs))
+    assert main(administer) == EXIT_OK
+    responses = runs / "responses_likert_honest.csv"
+    before = responses.read_bytes()
+    write_text = Path.write_text
+
+    def fail_manifest(path, data, **kwargs):
+        if path.name.startswith("manifest_"):
+            raise OSError("no space left on device")
+        return write_text(path, data, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", fail_manifest)
+    with pytest.raises(OSError, match="no space left"):
+        main(administer + ["--seed", "5"])
+    monkeypatch.undo()
+    assert responses.read_bytes() != before
+    capsys.readouterr()
+    rc = main(_argv(instrument_files, tmp_path, "fit", "--starts", "1",
+                    "--responses", str(runs)))
+    assert rc == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert str(responses) in err and "manifest_likert_honest.json" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fit_refuses_a_manifest_that_records_no_digest(instrument_files, tmp_path, capsys):
+    personas, runs = tmp_path / "personas.json", tmp_path / "runs"
+    assert main(["personas", "--n", "3", "--seed", "1", "--out", str(personas)]) == EXIT_OK
+    assert main(_argv(instrument_files, tmp_path, "administer", "--out", str(runs))) == EXIT_OK
+    manifest = runs / "manifest_likert_honest.json"
+    raw = json.loads(manifest.read_text())
+    raw["artifacts"] = {}  # as an sdrkit that recorded only the sessions wrote it
+    manifest.write_text(json.dumps(raw))
+    capsys.readouterr()
+    rc = main(_argv(instrument_files, tmp_path, "fit", "--starts", "1",
+                    "--responses", str(runs)))
+    assert rc == EXIT_STAGE
+    assert capsys.readouterr().err == (
+        f"stage failure: {manifest}: malformed manifest: missing field "
+        "'responses_likert_honest.csv'\n")
 
 
 @pytest.mark.parametrize("fails", ["responses", "manifest"])

@@ -52,7 +52,7 @@ def study(tmp_path_factory):
         "pool": str(d / "pool.csv"), "inventory": str(d / "inventory.csv"), "n_personas": 4,
         "backend": "map", "formats": ["likert", "gfc"], "out_dir": str(d / "run"),
         "seeds": {"personas": 1, "plan": 2, "fit": 5},
-        "provider": {"type": "sim", "fake_good_delta": 1.0, "matched_discrimination": False},
+        "provider": {"fake_good_delta": 1.0, "matched_discrimination": False},
     }))
     (d / "assembly.json").write_text(json.dumps({
         "block_count": 10, "per_trait": 4, "per_trait_pair": 1, "mixed_key_range": [4, 6],

@@ -29,7 +29,7 @@ from sdrkit.core import (
     Unit,
     block_id,
 )
-from sdrkit.ordinal import _category_probs, category_probs
+from sdrkit.ordinal import category_probs
 from sdrkit.personas import Persona, sample_personas
 from sdrkit.simulate import (
     TABLE_PERSONAS,
@@ -541,7 +541,7 @@ def test_answer_stays_on_the_scale_when_the_last_cumulative_probability_is_below
     rng = np.random.default_rng(0)
     while True:  # about one random unit in eight sums its seven probabilities below 1.0
         eta, kappa = rng.normal(), np.sort(rng.uniform(-2.0, 2.0, size=6))
-        cdf = np.cumsum(_category_probs(np.array([eta]), kappa[None, :]), axis=-1)
+        cdf = np.cumsum(category_probs(np.array([eta]), kappa[None, :]), axis=-1)
         if cdf[0, -1] < 1.0 and np.all(np.diff(kappa) > 1e-3):
             break
     params = simulate.SimParams(
