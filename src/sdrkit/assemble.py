@@ -17,7 +17,6 @@ an external MIP solver.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +26,7 @@ from .core import (
     Inventory,
     ItemPool,
     SdrkitError,
+    validate_inventory,
 )
 
 
@@ -102,45 +102,6 @@ def enumerate_candidates(pool: ItemPool) -> list[CandidatePair]:
                 )
             )
     return out
-
-
-def _check_selection(sel: tuple[CandidatePair, ...], cfg: AssemblyConfig) -> bool:
-    if len(sel) != cfg.block_count:
-        return False
-    used: set[str] = set()
-    trait_counts = [0] * 5
-    pair_counts = [0] * 10
-    plus = [0] * 5
-    minus = [0] * 5
-    mixed = 0
-    for c in sel:
-        if c.left in used or c.right in used:
-            return False
-        used.add(c.left)
-        used.add(c.right)
-        trait_counts[c.left_trait] += 1
-        trait_counts[c.right_trait] += 1
-        pair_counts[c.pair_group] += 1
-        mixed += c.mixed_key
-        for t, k in ((c.left_trait, c.left_key), (c.right_trait, c.right_key)):
-            (plus if k > 0 else minus)[t] += 1
-    if cfg.per_trait is not None and any(n != cfg.per_trait for n in trait_counts):
-        return False
-    if cfg.per_trait_pair is not None and any(n != cfg.per_trait_pair for n in pair_counts):
-        return False
-    if cfg.mixed_key_range is not None:
-        lo, hi = cfg.mixed_key_range
-        if not (lo <= mixed <= hi):
-            return False
-    if cfg.sign_floor is not None:
-        for t in range(5):
-            total = plus[t] + minus[t]
-            if total and (
-                plus[t] < cfg.sign_floor * total - 1e-12
-                or minus[t] < cfg.sign_floor * total - 1e-12
-            ):
-                return False
-    return True
 
 
 def _sign_range(cfg: AssemblyConfig) -> tuple[int, int] | None:
@@ -576,13 +537,16 @@ def assemble(pool: ItemPool, cfg: AssemblyConfig) -> AssemblySolution:
     return solve_stage2(cands, cfg, m_star)
 
 
-def brute_force_assemble(
-    cands: list[CandidatePair], cfg: AssemblyConfig
-) -> AssemblySolution:
+def brute_force_assemble(pool: ItemPool, cfg: AssemblyConfig) -> AssemblySolution:
     """Exact lexicographic optimum by exhaustive enumeration (test oracle).
 
-    Refuses instances beyond a hard cap rather than running unboundedly.
+    Walks every selection of ``block_count`` candidates that uses no item
+    twice, in ``itertools.combinations`` order, and accepts a selection through
+    ``validate_inventory`` only when its (max gap, total squared gap) beats the
+    best so far: the first feasible optimum in that order wins a tie. Refuses
+    instances beyond a hard cap rather than running unboundedly.
     """
+    cands = enumerate_candidates(pool)
     n_items = len({i for c in cands for i in (c.left, c.right)})
     n_nodes = math.comb(len(cands), cfg.block_count) if cands else 0
     if len(cands) > 40 or n_items > 14 or n_nodes > 5_000_000:
@@ -598,19 +562,28 @@ def brute_force_assemble(
             return False
         return key[1] < ref[1] - 1e-15
 
-    best: tuple[CandidatePair, ...] | None = None
+    def disjoint(start: int, used: frozenset[str], sel: tuple[CandidatePair, ...]):
+        if len(sel) == cfg.block_count:
+            yield sel
+            return
+        for k in range(start, len(cands)):
+            c = cands[k]
+            if c.left not in used and c.right not in used:
+                yield from disjoint(k + 1, used | {c.left, c.right}, sel + (c,))
+
+    best: tuple[GfcBlock, ...] | None = None
     best_key: tuple[float, float] | None = None
-    for sel in itertools.combinations(cands, cfg.block_count):
-        if not _check_selection(sel, cfg):
-            continue
+    for sel in disjoint(0, frozenset(), ()):
         key = (max(c.gap for c in sel), sum(c.sq for c in sel))
-        if better(key, best_key):
-            best, best_key = sel, key
+        if not better(key, best_key):
+            continue
+        blocks = tuple(GfcBlock(c.left, c.right, c.gap) for c in sel)
+        if validate_inventory(Inventory(blocks), pool, cfg).ok:
+            best, best_key = blocks, key
     if best is None:
         raise InfeasibleError(
             "no feasible selection exists", _diagnose_root(cands, cfg)
         )
-    blocks = tuple(GfcBlock(c.left, c.right, c.gap) for c in best)
     return AssemblySolution(
-        inventory=Inventory(blocks), m_star=best_key[0], sse=best_key[1], proof="optimal"
+        inventory=Inventory(best), m_star=best_key[0], sse=best_key[1], proof="optimal"
     )

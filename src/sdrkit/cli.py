@@ -275,11 +275,10 @@ def _build_provider(args, inventory, pool, fmt):
             params = default_sim_params(inventory, pool, seed=args.seed)
         spec = SimSpec(fake_good_delta=args.delta, seed=args.seed)
         return SimulatorProvider(params, spec)
-    if args.provider == "http":
-        if not args.base_url or not args.model:
-            raise ConfigError("http provider needs --base-url and --model")
-        return HttpProvider(args.base_url, args.model, token_env=args.token_env)
-    raise ConfigError(f"unknown provider: {args.provider!r}")
+    # argparse's choices leave only "http"
+    if not args.base_url or not args.model:
+        raise ConfigError("http provider needs --base-url and --model")
+    return HttpProvider(args.base_url, args.model, token_env=args.token_env)
 
 
 def cmd_administer(args) -> int:

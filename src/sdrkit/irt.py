@@ -765,13 +765,12 @@ def _chain(data: ModelData, dim: int, opts: HmcOptions, chain: int):
             eta = m ** (-kappa_da)
             da["log_eps_bar"] = eta * log_eps + (1 - eta) * da["log_eps_bar"]
             step = math.exp(log_eps)
-            if it >= metric_at // 2:
+            if metric_at // 2 <= it < metric_at:
                 window.append(x.copy())
             if it == metric_at - 1 and len(window) >= 10:
                 var = np.var(np.asarray(window), axis=0, ddof=1)
                 k = len(window)
                 inv_mass = (k / (k + 5.0)) * var + (5.0 / (k + 5.0)) * 1e-3
-                window.clear()
                 step = math.exp(da["log_eps_bar"])
                 da = fresh_da(step)
             if it == warmup - 1:

@@ -111,7 +111,7 @@ def test_criterion_02_optimizer_matches_oracle():
         if len(cands) > 40:
             continue
         try:
-            oracle = brute_force_assemble(cands, cfg)
+            oracle = brute_force_assemble(pool, cfg)
         except InfeasibleError:
             try:
                 m_star, _ = solve_stage1(cands, cfg)

@@ -294,10 +294,10 @@ def test_stage1_solves_the_paper_instance(marker_pool, marker_inventory):
     assert report.ok, report.failed()
 
 
-# brute force takes about 1.5 s on a per-trait instance and milliseconds on the
-# others, so the example counts keep this under 2 s
+# the oracle walks only selections that use no item twice, so a draw of either
+# generator takes milliseconds and these counts keep the test near a second
 @pytest.mark.parametrize(
-    "make, examples", [(random_instance, 30), (random_per_trait_instance, 1)]
+    "make, examples", [(random_instance, 30), (random_per_trait_instance, 30)]
 )
 def test_stage1_gap_is_the_least_feasible_one(make, examples):
     @settings(max_examples=examples, derandomize=True, database=None, deadline=None)
@@ -307,7 +307,7 @@ def test_stage1_gap_is_the_least_feasible_one(make, examples):
         cands = enumerate_candidates(pool)
         assume(len(cands) <= 40)
         try:
-            oracle = brute_force_assemble(cands, cfg)
+            oracle = brute_force_assemble(pool, cfg)
         except InfeasibleError:
             with pytest.raises(InfeasibleError):
                 solve_stage1(cands, cfg)
@@ -360,9 +360,8 @@ def test_brute_force_refuses_large_instances():
     rows = [
         (f"x{i:02d}", TRAITS[i % 5], 1, 5.0 + 0.01 * i) for i in range(20)
     ]
-    cands = enumerate_candidates(make_pool(rows))
     with pytest.raises(InstanceTooLargeError):
-        brute_force_assemble(cands, AssemblyConfig(block_count=3, mixed_key_range=None, sign_floor=None))
+        brute_force_assemble(make_pool(rows), AssemblyConfig(block_count=3, mixed_key_range=None, sign_floor=None))
 
 
 def test_solver_matches_brute_force_on_random_instances():
@@ -374,7 +373,7 @@ def test_solver_matches_brute_force_on_random_instances():
         if len(cands) > 40:
             continue
         try:
-            oracle = brute_force_assemble(cands, cfg)
+            oracle = brute_force_assemble(pool, cfg)
         except InfeasibleError:
             with pytest.raises(InfeasibleError):
                 m_star, _ = solve_stage1(cands, cfg)
@@ -392,11 +391,11 @@ def test_solver_matches_brute_force_with_per_trait_counts():
     # per_trait turns on the per-trait and sign-floor prunes of the search
     rng = np.random.default_rng(2024)
     feasible = 0
-    for _ in range(5):
+    for _ in range(40):
         pool, cfg = random_per_trait_instance(rng)
         cands = enumerate_candidates(pool)
         try:
-            oracle = brute_force_assemble(cands, cfg)
+            oracle = brute_force_assemble(pool, cfg)
         except InfeasibleError:
             with pytest.raises(InfeasibleError):
                 solve_stage1(cands, cfg)
@@ -406,7 +405,7 @@ def test_solver_matches_brute_force_with_per_trait_counts():
         assert sol.m_star == oracle.m_star
         assert sol.sse == pytest.approx(oracle.sse, abs=1e-9)
         feasible += 1
-    assert feasible >= 3
+    assert feasible >= 19
 
 
 def test_solution_passes_its_own_validation(marker_pool):

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdrkit import cli
+from sdrkit import cli, irt
+from sdrkit.administer import ProviderReply
 from sdrkit.cli import (
     EXIT_CONFIG,
     EXIT_DIAGNOSTICS,
@@ -1323,3 +1324,158 @@ def test_every_name_the_benchmark_tracer_wraps_resolves(monkeypatch):
             getattr(owner, attr)
 
     layers.install(Probe())
+
+
+# ---------------------------------------------------------------------------
+# Exit codes of the paths a study does not take
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flags", [["--model", "m"], ["--base-url", "http://localhost:9"]],
+                         ids=["no-base-url", "no-model"])
+def test_http_administer_without_a_base_url_or_model_is_a_config_error(
+    instrument_files, tmp_path, capsys, flags
+):
+    personas = tmp_path / "personas.json"
+    assert main(["personas", "--n", "2", "--seed", "1", "--out", str(personas)]) == EXIT_OK
+    capsys.readouterr()
+    argv = _argv(instrument_files, tmp_path, "administer", "--provider", "http", *flags)
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: http provider needs --base-url and --model\n"
+    assert not (tmp_path / "out").exists()
+
+
+class _Refusing:
+    """A provider that answers the personas in ``refuse`` with no number."""
+
+    model_id = "refusing"
+
+    def __init__(self, refuse):
+        self.refuse = set(refuse)
+
+    def prepare(self, plans):
+        pass
+
+    def complete(self, plan, unit):
+        return ProviderReply("no" if plan.persona.id in self.refuse else "4")
+
+
+@pytest.mark.parametrize("refused, written, rc", [(1, 2, EXIT_OK), (3, 0, EXIT_STAGE)])
+def test_administer_counts_failed_sessions_and_fails_when_none_is_written(
+    instrument_files, tmp_path, capsys, monkeypatch, refused, written, rc
+):
+    personas = tmp_path / "personas.json"
+    assert main(["personas", "--n", "3", "--seed", "1", "--out", str(personas)]) == EXIT_OK
+    ids = [p["id"] for p in json.loads(personas.read_text())["personas"]]
+    monkeypatch.setattr(cli, "_build_provider", lambda *args: _Refusing(ids[:refused]))
+    capsys.readouterr()
+    runs = tmp_path / "out"
+    assert main(_argv(instrument_files, tmp_path, "administer")) == rc
+    responses = runs / "responses_likert_honest.csv"
+    assert capsys.readouterr().out == (
+        f"wrote {written} response sets ({refused} failed sessions) -> {responses}\n"
+    )
+    assert len(load_response_sets(responses)) == written
+    manifest = json.loads((runs / "manifest_likert_honest.json").read_text())
+    assert len(manifest["sessions"]) == 3
+
+
+def test_pipeline_fails_the_stage_of_a_failed_session(instrument_files, tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.setattr(SimulatorProvider, "complete", lambda self, plan, unit: ProviderReply("no"))
+    out_dir = tmp_path / "run"
+    assert _run_pipeline(tmp_path, out_dir, **_small_study(instrument_files)) == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert err.startswith("stage failure: administration failed at unit ")
+    assert err.endswith(" (likert/honest)\n")
+    assert not list(out_dir.rglob("responses_*.csv"))
+
+
+def test_lint_exit_codes(instrument_files, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    assert main(["lint", "--run-dir", str(out_dir)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: no manifest.json under {out_dir}\n"
+
+    assert _run_pipeline(tmp_path, out_dir, **_small_study(instrument_files)) == EXIT_OK
+    (out_dir / "personas.json").unlink()
+    capsys.readouterr()
+    assert main(["lint", "--run-dir", str(out_dir)]) == EXIT_STAGE
+    assert capsys.readouterr().err == "missing artifact: personas.json\n"
+
+    (out_dir / "fits" / "fit_gfc.json").unlink()
+    assert main(["lint", "--run-dir", str(out_dir)]) == EXIT_STAGE
+    assert capsys.readouterr().err == (
+        "missing artifact: fits/fit_gfc.json\n"
+        "missing artifact: personas.json\n"
+        "report gfc cites missing fit artifact: fits/fit_gfc.json\n"
+    )
+
+
+def test_fit_on_a_directory_without_response_files_is_a_config_error(
+    instrument_files, tmp_path, capsys
+):
+    (tmp_path / "runs").mkdir()
+    assert main(_argv(instrument_files, tmp_path, "fit")) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: no response files under {tmp_path / 'runs'}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_fit_reads_a_response_file_without_a_manifest_beside_it(instrument_files, tmp_path):
+    runs = _likert_runs(instrument_files, tmp_path)
+    alone = tmp_path / "alone" / "responses_likert_honest.csv"
+    alone.parent.mkdir()
+    alone.write_bytes((runs / alone.name).read_bytes())
+    argv = _argv(instrument_files, tmp_path, "fit", "--responses", str(alone), "--starts", "1")
+    assert main(argv) == EXIT_OK
+    assert len(json.loads((tmp_path / "out").read_text())["theta"]) == 4
+
+
+def test_report_on_a_gfc_fit_alone_and_on_no_fit(instrument_files, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    study = _small_study(instrument_files)
+    assert _run_pipeline(tmp_path, out_dir, **study, formats=["gfc"]) == EXIT_OK
+    personas = str(out_dir / "personas.json")
+    report = tmp_path / "report"
+    assert main(["report", "--fit-gfc", str(out_dir / "fits" / "fit_gfc.json"),
+                 "--personas", personas, "--out", str(report)]) == EXIT_OK
+    bundle = json.loads((report / "report.json").read_text())
+    assert list(bundle["metadata"]["sources"]) == ["gfc"]
+    capsys.readouterr()
+    assert main(["report", "--personas", personas, "--out", str(tmp_path / "none")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: no fit artifacts given\n"
+    assert not (tmp_path / "none").exists()
+
+
+def test_assemble_scores_the_pool_from_ratings(instrument_files, tmp_path, capsys):
+    # one rating per item: five cross-domain pairs of equal scores, each trait twice
+    scores = {"a1": 3, "c1": 3, "c2": 5, "e2": 5, "e1": 7, "n1": 7, "n2": 4, "o1": 4,
+              "o2": 6, "a2": 6}
+    ratings = tmp_path / "ratings.csv"
+    ratings.write_text("item_id,rater,replication,value\n"
+                       + "".join(f"{i},r1,1,{v}\n" for i, v in scores.items()))
+    cfg = tmp_path / "assembly.json"
+    cfg.write_text(json.dumps({"block_count": 5, "per_trait": 2, "per_trait_pair": None,
+                               "mixed_key_range": None, "sign_floor": None}))
+    out = tmp_path / "inventory.csv"
+    assert main(["assemble", "--pool", str(instrument_files / "pool.csv"),
+                 "--ratings", str(ratings), "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == f"assembled 5 blocks (max gap 0, sse 0) -> {out}\n"
+    rows = out.read_text().splitlines()[1:]
+    assert sorted(tuple(sorted(r.split(",")[1:3])) for r in rows) == [
+        ("a1", "c1"), ("a2", "o2"), ("c2", "e2"), ("e1", "n1"), ("n2", "o1")]
+
+
+def test_pervasive_divergences_fail_an_hmc_fit_with_exit_4(
+    instrument_files, tmp_path, capsys, monkeypatch
+):
+    _likert_runs(instrument_files, tmp_path)
+    # every transition meets a log posterior of -inf; the forked chains inherit the patch
+    monkeypatch.setattr(irt, "log_posterior_and_grad",
+                        lambda data, x: (-np.inf, np.zeros_like(x)))
+    capsys.readouterr()
+    argv = _argv(instrument_files, tmp_path, "fit", "--backend", "hmc", "--chains", "2",
+                 "--warmup", "20", "--samples", "8")
+    assert main(argv) == EXIT_DIAGNOSTICS
+    assert capsys.readouterr().err == "diagnostics failure: pervasive divergences: 16 of 16 draws\n"
+    assert not (tmp_path / "out").exists()

@@ -1,6 +1,7 @@
 """Domain types, constraint validation, and CSV round-trips."""
 
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -142,6 +143,43 @@ def test_validate_inventory_flags_reuse_and_gap_mismatch(small_pool_inventory):
     reused = Inventory((inv.blocks[0], GfcBlock("a1", "e2", 2.0)) + inv.blocks[2:])
     rep = validate_inventory(reused, pool, AssemblyConfig(block_count=5))
     assert "item-uniqueness" in rep.failed()
+
+
+def _detail(report, name):
+    return next(c.detail for c in report.checks if c.name == name)
+
+
+def test_validate_inventory_names_a_same_domain_block(small_pool_inventory):
+    pool, inv = small_pool_inventory
+    cfg = AssemblyConfig(block_count=5, mixed_key_range=None, sign_floor=None)
+    # swap partners between blocks 1 (a1, c1) and 5 (o1, a2)
+    pairs = [("a1", "a2")] + [(b.left, b.right) for b in inv.blocks[1:4]] + [("o1", "c1")]
+    gap = lambda l, r: abs(pool.get(l).desirability - pool.get(r).desirability)
+    same = Inventory(tuple(GfcBlock(l, r, gap(l, r)) for l, r in pairs))
+    rep = validate_inventory(same, pool, cfg)
+    assert rep.failed() == ["cross-domain"]
+    assert _detail(rep, "cross-domain") == "same-domain blocks: [1]"
+
+
+def test_validate_inventory_lists_off_target_trait_pairs(small_pool_inventory):
+    pool, inv = small_pool_inventory
+    # the five blocks pair A-C, C-E, E-N, N-O and A-O once each
+    cfg = AssemblyConfig(block_count=5, per_trait_pair=1, mixed_key_range=None, sign_floor=None)
+    rep = validate_inventory(inv, pool, cfg)
+    assert rep.failed() == ["trait-pair-counts"]
+    assert _detail(rep, "trait-pair-counts") == (
+        "off-target pairs: {('A', 'E'): 0, ('A', 'N'): 0, ('C', 'N'): 0, "
+        "('C', 'O'): 0, ('E', 'O'): 0}"
+    )
+
+
+def test_validate_inventory_refuses_a_block_item_without_desirability(small_pool_inventory):
+    pool, inv = small_pool_inventory
+    unrated = ItemPool(
+        tuple(dataclasses.replace(it, desirability=None) if it.id == "e2" else it for it in pool)
+    )
+    with pytest.raises(InventoryError, match=r"^block 2: item without desirability score$"):
+        validate_inventory(inv, unrated, AssemblyConfig(block_count=5))
 
 
 def test_pool_and_inventory_round_trip(tmp_path, small_pool_inventory):
