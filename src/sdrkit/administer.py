@@ -258,7 +258,7 @@ class HttpProvider:
             raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}", _retry_after(resp))
         try:
             text = resp.json()["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, json.JSONDecodeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, json.JSONDecodeError, ValueError) as exc:
             raise TransportError(f"malformed provider response: {exc}") from exc
         if text is None:  # a refusal or a tool call: no answer, so a refit
             text = ""

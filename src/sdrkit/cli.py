@@ -295,14 +295,21 @@ def cmd_administer(args) -> int:
         seeds={"plan": args.seed}, created_at="",
     )
     out_file = out_dir / f"responses_{fmt.value}_{cond.value}.csv"
-    n_written, failed = _write_atomically(out_file, partial(
-        _administer, personas, inventory, pool, fmt, cond, args.seed, provider, manifest
-    ))
+
+    def administer(path):  # with no set complete, the files of an earlier run are kept
+        n_written, failed = _administer(
+            personas, inventory, pool, fmt, cond, args.seed, provider, manifest, path
+        )
+        if failed and not n_written:
+            raise SdrkitError(f"all {len(failed)} sessions failed; no response sets written")
+        return n_written, failed
+
+    n_written, failed = _write_atomically(out_file, administer)
     manifest.artifacts[out_file.name] = _sha256(out_file)
     _write_atomically(out_dir / f"manifest_{fmt.value}_{cond.value}.json",
                       lambda tmp: tmp.write_text(manifest.to_json(), encoding="utf-8"))
     print(f"wrote {n_written} response sets ({len(failed)} failed sessions) -> {out_file}")
-    return EXIT_STAGE if failed and not n_written else EXIT_OK
+    return EXIT_OK
 
 
 def _administer(personas, inventory, pool, fmt, cond, seed, provider, manifest, path):

@@ -643,36 +643,44 @@ def _fan_out(fn, tasks) -> list:
     return [fn(t) for t in tasks]
 
 
-@cache
-def _openblas_threads() -> tuple:
-    """(get, set) thread-count functions of every OpenBLAS mapped into this
-    process, found once: numpy's exports ``scipy_openblas_*64_``, scipy's
-    ``scipy_openblas_*``. Empty without ``/proc/self/maps`` or OpenBLAS."""
+def _openblas_libraries() -> list:
+    """(path, library, symbol template) of every OpenBLAS mapped into this
+    process, such as numpy's ``"scipy_openblas_{}64_"`` and scipy's
+    ``"scipy_openblas_{}"``; empty without ``/proc/self/maps``. Scanned on
+    every call (about 1 ms), since importing scipy maps a second OpenBLAS."""
     import ctypes
 
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()})
     except OSError:
-        return ()
+        return []
     found = []
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
-                               ("openblas", "64_"), ("openblas", "")):
-            try:
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
-                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
-            except AttributeError:
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            found.append((get, set_))
-            break
-    return tuple(found)
+        for template in ("scipy_openblas_{}64_", "scipy_openblas_{}",
+                         "openblas_{}64_", "openblas_{}"):
+            if hasattr(lib, template.format("get_num_threads")):
+                found.append((path, lib, template))
+                break
+    return found
+
+
+def _openblas_threads() -> list:
+    """(get, set) thread-count functions of every OpenBLAS mapped into this process."""
+    import ctypes
+
+    found = []
+    for _, lib, template in _openblas_libraries():
+        get = getattr(lib, template.format("get_num_threads"))
+        set_ = getattr(lib, template.format("set_num_threads"))
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        found.append((get, set_))
+    return found
 
 
 @contextmanager
@@ -823,82 +831,14 @@ def _average_ranks(a: np.ndarray) -> np.ndarray:
     return ranks
 
 
-#: Cephes ``ndtri``'s rational coefficients, highest power first: P0/Q0 for
-#: exp(-2) < y < 1 - exp(-2) in (y - 1/2)^2, P1/Q1 for x = sqrt(-2 ln y) below
-#: 8 and P2/Q2 above, both in 1/x.
-_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
-             -5.66762857469070293439e1, 1.39312609387279679503e1,
-             -1.23916583867381258016e0)
-_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
-             8.63602421390890590575e1, -2.25462687854119370527e2,
-             2.00260212380060660359e2, -8.20372256168333339912e1,
-             1.59056225126211695515e1, -1.18331621121330003142e0)
-_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
-             5.71628192246421288162e1, 4.40805073893200834700e1,
-             1.46849561928858024014e1, 2.18663306850790267539e0,
-             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
-             -8.57456785154685413611e-4)
-_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
-             4.13172038254672030440e1, 1.50425385692907503408e1,
-             2.50464946208309415979e0, -1.42182922854787788574e-1,
-             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
-             3.93881025292474443415e0, 1.33303460815807542389e0,
-             2.01485389549179081538e-1, 1.23716634817820021358e-2,
-             3.01581553508235416007e-4, 2.65806974686737550832e-6,
-             6.23974539184983293730e-9)
-_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
-             1.37702099489081330271e0, 2.16236993594496635890e-1,
-             1.34204006088543189037e-2, 3.28014464682127739104e-4,
-             2.89247864745380683936e-6, 6.79019408009981274425e-9)
-_EXP_M2 = 0.13533528323661269189  # exp(-2)
-_SQRT_2PI = 2.50662827463100050242
-
-
-def _polevl(x: float, coef: tuple) -> float:
-    """Horner's rule, one multiply and one add per coefficient, as Cephes'
-    ``polevl`` computes it; with a leading 1.0, 1.0 * x is exact, so the
-    sums are those of Cephes' ``p1evl``."""
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _ndtri(y: float) -> float:
-    """The standard normal quantile of y, as ``scipy.special.ndtri`` computes it
-    (Cephes ``ndtri``), bit for bit: the same operations in the same order,
-    with ``math``'s libm ``log`` and ``sqrt``. NaN gives NaN with its sign bit
-    set, as scipy's does; outside [0, 1] it gives NaN."""
-    if y == 0.0:
-        return -math.inf
-    if y == 1.0:
-        return math.inf
-    if y < 0.0 or y > 1.0:
-        return math.nan
-    negate = True
-    if y > 1.0 - _EXP_M2:
-        y = 1.0 - y
-        negate = False
-    if y > _EXP_M2:
-        y = y - 0.5
-        y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
-        return x * _SQRT_2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    p, q = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
-    x = x0 - z * _polevl(z, p) / _polevl(z, q)
-    return -x if negate else x
-
-
 def _normal_scores(m: int) -> np.ndarray:
-    """ndtri((r - 0.375) / (m + 0.25)) for every average rank r = 1, 1.5, ...,
-    m of m values, at index 2r - 2, and ndtri(nan) at index 2m - 1, the entry
-    of a row that holds a NaN."""
+    """The standard normal quantile of (r - 0.375) / (m + 0.25) for every
+    average rank r = 1, 1.5, ..., m of m values, at index 2r - 2, and NaN at
+    index 2m - 1, the entry of a row that holds a NaN."""
+    from statistics import NormalDist
+
     p = (np.arange(2, 2 * m + 1) / 2 - 0.375) / (m + 0.25)
-    return np.array([_ndtri(v) for v in p.tolist()] + [_ndtri(math.nan)])
+    return np.array(list(map(NormalDist().inv_cdf, p.tolist())) + [math.nan])
 
 
 def _split_ranked(draws: np.ndarray, scores: np.ndarray) -> np.ndarray:

@@ -25,24 +25,13 @@ def _openblas_configs() -> list[str]:
     core it dispatched to. Empty without ``/proc/self/maps``."""
     import ctypes
 
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()})
-    except OSError:
-        return []
+    from sdrkit.irt import _openblas_libraries
+
     configs = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in ("scipy_openblas_get_config64_", "scipy_openblas_get_config",
-                     "openblas_get_config64_", "openblas_get_config"):
-            get = getattr(lib, name, None)
-            if get is not None:
-                get.restype = ctypes.c_char_p
-                configs.append(f"{Path(path).name}: {get().decode()}")
-                break
+    for path, lib, template in _openblas_libraries():
+        get = getattr(lib, template.format("get_config"))
+        get.argtypes, get.restype = [], ctypes.c_char_p
+        configs.append(f"{Path(path).name}: {get().decode()}")
     return configs
 
 

@@ -482,6 +482,21 @@ def test_http_provider_non_string_content_is_malformed(monkeypatch, small_pool_i
         provider.complete(plan, plan.units[0])
 
 
+@pytest.mark.parametrize(
+    "body", [[], None, "x", {"choices": [None]}, {"choices": [{"message": "4"}]}],
+    ids=["list", "null", "string", "null-choice", "string-message"],
+)
+def test_http_provider_body_of_the_wrong_shape_is_malformed(
+    monkeypatch, small_pool_inventory, body
+):
+    monkeypatch.delenv("SDRKIT_API_TOKEN", raising=False)
+    plan = single_unit_plan(small_pool_inventory)
+    session = FakeSession(FakeResponse(payload=body))
+    provider = HttpProvider("https://api.example/v1/chat", "m", session=session)
+    with pytest.raises(TransportError, match="malformed provider response"):
+        provider.complete(plan, plan.units[0])
+
+
 @pytest.mark.parametrize("status, header, retry_after", [
     (429, "7", 7.0),
     (503, " 120 ", 120.0),

@@ -1281,11 +1281,12 @@ def test_hmc_fit_artifact_holds_the_posterior_mean_traits(instrument_files, tmp_
     assert np.array_equal(np.array([frame[u] for u in data.units]), expected)
 
 
-#: SHA-256 of the fit artifact below, first recorded while the diagnostics'
-#: normal scores still came from ``scipy.special.ndtri``; its R-hat and ESS
-#: summaries must not change. Re-recorded when the posterior moved to one
-#: loading matrix, whose gradient's last bits moved HMC's draws.
-HMC_FIT_SHA256 = "9922f0f97613973127c0c97a98b48a0224b997cb81713273a772693b66f98d2f"
+#: SHA-256 of the fit artifact below. Re-recorded when the posterior moved to
+#: one loading matrix, whose gradient's last bits moved HMC's draws, and when
+#: the diagnostics' normal scores moved from a port of scipy's ndtri to the
+#: standard library's ``NormalDist().inv_cdf``, which moved the last bits of
+#: ``rhat_max`` and ``ess_min`` but no draw.
+HMC_FIT_SHA256 = "f29bbcc23f94fe1e63041fa24621908846acd6437ab20efc9d3e73f9f7c7e878"
 
 
 def test_hmc_fit_artifact_matches_the_recorded_digest(instrument_files, tmp_path):
@@ -1372,12 +1373,34 @@ def test_administer_counts_failed_sessions_and_fails_when_none_is_written(
     runs = tmp_path / "out"
     assert main(_argv(instrument_files, tmp_path, "administer")) == rc
     responses = runs / "responses_likert_honest.csv"
-    assert capsys.readouterr().out == (
-        f"wrote {written} response sets ({refused} failed sessions) -> {responses}\n"
-    )
+    out, err = capsys.readouterr()
+    if not written:  # no set is complete: neither file is written
+        assert err == "stage failure: all 3 sessions failed; no response sets written\n"
+        assert list(runs.iterdir()) == []
+        return
+    assert out == f"wrote {written} response sets ({refused} failed sessions) -> {responses}\n"
     assert len(load_response_sets(responses)) == written
     manifest = json.loads((runs / "manifest_likert_honest.json").read_text())
     assert len(manifest["sessions"]) == 3
+
+
+def test_administer_keeps_an_earlier_run_when_every_session_fails(
+    instrument_files, tmp_path, capsys, monkeypatch
+):
+    personas = tmp_path / "personas.json"
+    assert main(["personas", "--n", "3", "--seed", "1", "--out", str(personas)]) == EXIT_OK
+    ids = [p["id"] for p in json.loads(personas.read_text())["personas"]]
+    runs = tmp_path / "out"
+    assert main(_argv(instrument_files, tmp_path, "administer")) == EXIT_OK
+    files = sorted(runs.iterdir())
+    assert [f.name for f in files] == ["manifest_likert_honest.json", "responses_likert_honest.csv"]
+    before = [f.read_bytes() for f in files]
+    monkeypatch.setattr(cli, "_build_provider", lambda *args: _Refusing(ids))
+    capsys.readouterr()
+    assert main(_argv(instrument_files, tmp_path, "administer")) == EXIT_STAGE
+    assert "all 3 sessions failed" in capsys.readouterr().err
+    assert sorted(runs.iterdir()) == files
+    assert [f.read_bytes() for f in files] == before
 
 
 def test_pipeline_fails_the_stage_of_a_failed_session(instrument_files, tmp_path, capsys,

@@ -110,6 +110,43 @@ irt.diagnostics(irt.fit_hmc(data, irt.HmcOptions(chains=2, warmup=10, samples=8,
     assert _run_python("-c", code).strip() == "[]"
 
 
+def test_a_fan_out_after_an_hmc_fit_pins_scipys_openblas_too():
+    """An HMC fit loads no scipy, so only numpy's OpenBLAS is mapped while its
+    chains fan out. A later fan-out, as a MAP fit's after it loads
+    ``scipy.optimize``, must still hold every OpenBLAS mapped by then to one
+    thread, and give each its count back afterwards."""
+    code = """
+import sys
+import numpy as np
+sys.path.insert(0, {tests!r})
+from conftest import small_instrument
+from sdrkit import irt
+from sdrkit.core import ResponseFormat
+
+pool, inv = small_instrument()
+y = np.random.default_rng(0).integers(1, 8, (3, 10))
+units = tuple(("r", f"p{{i}}", "honest") for i in range(3))
+data = irt.ModelData(irt.design_for(inv, pool, ResponseFormat.LIKERT), y, units)
+irt.fit_hmc(data, irt.HmcOptions(chains=2, warmup=10, samples=8, seed=0))
+with irt._one_blas_thread():  # what the chains' fan-out does on more than one CPU
+    pass
+import scipy.optimize
+with open("/proc/self/maps", encoding="utf-8") as fh:
+    print(len({{ln.split()[-1] for ln in fh if "openblas" in ln.lower()}}))
+threads = irt._openblas_threads()
+for _, set_ in threads:
+    set_(2)  # more than one, whatever this host's CPU count
+print([get() for get, _ in threads])
+with irt._one_blas_thread():
+    print([get() for get, _ in threads])
+print([get() for get, _ in threads])
+""".format(tests=str(Path(__file__).resolve().parent))
+    mapped, before, inside, after = _run_python("-c", code).splitlines()
+    assert int(mapped) >= 1
+    assert inside == str([1] * int(mapped))
+    assert after == before
+
+
 def test_sdrkit_fit_with_hmc_loads_no_scipy(tmp_path):
     from conftest import small_instrument
     from sdrkit.cli import main
