@@ -580,6 +580,7 @@ class RunManifest:
     sessions: list[dict] = field(default_factory=list)
     artifacts: dict[str, str] = field(default_factory=dict)  # path -> sha256
     inputs: dict[str, str] = field(default_factory=dict)  # path -> key of its inputs
+    code_digest: str = ""  # of the code that built the artifacts its inputs key
 
     def record_session(self, result: SessionResult) -> None:
         self.sessions.append(
@@ -595,7 +596,7 @@ class RunManifest:
         )
 
     def to_json(self) -> str:
-        fields = dict(self.__dict__)
-        if not self.inputs:  # only pipeline runs key their artifacts on inputs
-            del fields["inputs"]
+        # only pipeline runs key their artifacts on inputs and code
+        fields = {k: v for k, v in self.__dict__.items()
+                  if v or k not in ("inputs", "code_digest")}
         return json.dumps(fields, indent=2, sort_keys=True)

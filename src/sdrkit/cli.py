@@ -14,7 +14,7 @@ import os
 import shutil
 import sys
 from dataclasses import asdict, fields
-from functools import partial
+from functools import cache, partial
 from importlib import resources
 from pathlib import Path
 
@@ -121,16 +121,35 @@ def _digest(value) -> str:
     return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
 
 
-def _write_atomically(path: Path, write):
-    """``write(tmp)`` to a temporary file beside ``path``, then ``os.replace``
-    it into place, so a write that fails leaves the previous file as it was."""
-    tmp = path.with_name(path.name + ".tmp")
+@cache
+def _code_digest() -> str:
+    """SHA-256 of sdrkit's modules and packaged data and of the numpy and scipy
+    versions: what a pipeline stage's key holds of the code that builds it."""
+    from importlib import metadata  # here: importing sdrkit.cli needs none of it
+
+    package = Path(__file__).parent
+    h = hashlib.sha256(json.dumps([metadata.version(d) for d in ("numpy", "scipy")]).encode())
+    for path in sorted([*package.glob("*.py"), *package.glob("data/*")]):
+        h.update(f"{path.relative_to(package).as_posix()}\0".encode() + path.read_bytes())
+    return h.hexdigest()
+
+
+def _write_atomically(paths: list[Path], write):
+    """``write(*staged)``, one staged file per path under the path's own name in
+    a staging directory beside the first, then rename each into place: a write
+    that fails leaves every previous file as it was.  The staging directory is
+    named after the first path, so the next write of the same files also clears
+    what a killed run left there."""
+    staging = paths[0].with_name(f".{paths[0].name}.tmp")
+    staging.mkdir(parents=True, exist_ok=True)
     try:
-        result = write(tmp)
-        os.replace(tmp, path)
+        staged = [staging / p.name for p in paths]
+        result = write(*staged)
+        for s, p in zip(staged, paths):
+            os.replace(s, p)
         return result
     finally:
-        tmp.unlink(missing_ok=True)
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 #: condition names on the command line
@@ -288,26 +307,24 @@ def cmd_administer(args) -> int:
     fmt = ResponseFormat(args.format)
     cond = CONDITIONS[args.condition]
     provider = _build_provider(args, inventory, pool, fmt)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         run_id=f"{fmt.value}-{cond.value}", model_id=provider.model_id,
         seeds={"plan": args.seed}, created_at="",
     )
-    out_file = out_dir / f"responses_{fmt.value}_{cond.value}.csv"
+    out_file = Path(args.out) / f"responses_{fmt.value}_{cond.value}.csv"
 
-    def administer(path):  # with no set complete, the files of an earlier run are kept
+    def administer(path, manifest_path):  # unless both are written, both earlier files stay
         n_written, failed = _administer(
             personas, inventory, pool, fmt, cond, args.seed, provider, manifest, path
         )
         if failed and not n_written:
             raise SdrkitError(f"all {len(failed)} sessions failed; no response sets written")
+        manifest.artifacts[path.name] = _sha256(path)
+        manifest_path.write_text(manifest.to_json(), encoding="utf-8")
         return n_written, failed
 
-    n_written, failed = _write_atomically(out_file, administer)
-    manifest.artifacts[out_file.name] = _sha256(out_file)
-    _write_atomically(out_dir / f"manifest_{fmt.value}_{cond.value}.json",
-                      lambda tmp: tmp.write_text(manifest.to_json(), encoding="utf-8"))
+    n_written, failed = _write_atomically(
+        [out_file, out_file.with_name(f"manifest_{fmt.value}_{cond.value}.json")], administer)
     print(f"wrote {n_written} response sets ({len(failed)} failed sessions) -> {out_file}")
     return EXIT_OK
 
@@ -488,7 +505,7 @@ def _pipeline_config(raw: dict) -> dict:
     for key in _DATA_FILES:
         _require(read_text(cfg[key], key), f"pipeline {key}")
     read_member(cfg["backend"], "backend", ("map", "hmc"))
-    read_count(cfg["n_personas"], "n_personas", 1)
+    read_count(cfg["n_personas"], "n_personas", 3)  # the report's recovery needs 3
     for name, seed in seeds.items():
         read_count(seed, f"seeds.{name}")
     formats = read_list(cfg["formats"], "formats", read_member, choices=ResponseFormat)
@@ -514,11 +531,11 @@ def _reusable(raw: dict) -> tuple[dict, dict, dict]:
 class _Stages:
     """One reuse rule for every pipeline artifact.
 
-    A stage's input key hashes the version, its config slice and its upstream
-    digests (data files by content).  Its files are reused only if the previous
-    manifest holds that key and their current digests; otherwise they are built
-    under ``.tmp/`` and ``os.replace``d into place.  The manifest is rewritten
-    atomically after every stage, so a rerun resumes after the last finished one.
+    A stage's input key hashes the manifest's code digest, its config slice and
+    its upstream digests (data files by content).  Its files are reused only if
+    the previous manifest holds that key and their current digests; otherwise
+    they are built through ``_write_atomically``, as is the manifest after every
+    stage, so a rerun resumes after the last finished one.
     """
 
     def __init__(self, out_dir: Path, manifest: RunManifest, digests: dict[str, str]):
@@ -531,7 +548,8 @@ class _Stages:
     def run(self, names, config: dict, upstream, build, sessions=None) -> None:
         """Reuse or build ``names`` (``build`` gets one path per name); reused
         runs keep the previous entries for their ``sessions`` (format, condition)."""
-        key = _digest([__version__, config, {n: self.digests[n] for n in upstream}])
+        key = _digest([self.manifest.code_digest, config,
+                       {n: self.digests[n] for n in upstream}])
         paths = [self.out_dir / n for n in names]
         inputs, artifacts, old_sessions = self.previous
         if all(
@@ -540,21 +558,11 @@ class _Stages:
         ):
             self.manifest.sessions += old_sessions.get(sessions, [])
         else:
-            staging = self.out_dir / ".tmp"
-            staged = [staging / n for n in names]
-            try:
-                for s, p in zip(staged, paths):
-                    s.parent.mkdir(parents=True, exist_ok=True)
-                    p.parent.mkdir(exist_ok=True)
-                build(*staged)
-                for s, p in zip(staged, paths):
-                    os.replace(s, p)
-            finally:
-                shutil.rmtree(staging, ignore_errors=True)
+            _write_atomically(paths, build)
         for n, p in zip(names, paths):
             self.digests[n] = self.manifest.artifacts[n] = _sha256(p)
             self.manifest.inputs[n] = key
-        _write_atomically(self.out_dir / "manifest.json",
+        _write_atomically([self.out_dir / "manifest.json"],
                           lambda tmp: tmp.write_text(self.manifest.to_json(), encoding="utf-8"))
 
 
@@ -562,7 +570,6 @@ def cmd_pipeline(args) -> int:
     cfg = read_json(_require(args.config, "pipeline config"), _pipeline_config,
                     "pipeline config", ConfigError)
     out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     seeds, sim, backend = cfg["seeds"], cfg["provider"], cfg["backend"]
     digests = {k: _sha256(Path(cfg[k])) for k in _DATA_FILES}
     # the study is its config and its data's contents, wherever they are stored
@@ -570,6 +577,7 @@ def cmd_pipeline(args) -> int:
     manifest = RunManifest(
         run_id=_digest([__version__, study, digests])[:16],
         model_id=SimulatorProvider.model_id, seeds=seeds, created_at="",
+        code_digest=_code_digest(),
     )
     stages = _Stages(out_dir, manifest, digests)
     fit_opts = (MapOptions if backend == "map" else HmcOptions)(seed=seeds["fit"])

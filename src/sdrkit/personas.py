@@ -10,7 +10,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import SdrkitError, TRAIT_LABELS, read_count, read_json, read_list, read_number, read_text
+from .core import (
+    FieldError, SdrkitError, TRAIT_LABELS, read_count, read_json, read_list, read_number,
+    read_text,
+)
 
 #: Meta-analytic Big Five intercorrelations in (A, C, E, N, O) order.
 _DEFAULT_SIGMA = (
@@ -210,6 +213,11 @@ def _persona(p: dict) -> Persona:
 
 def _persona_set(raw: dict) -> PersonaSet:
     personas = tuple(_persona(p) for p in read_list(raw["personas"], "personas"))
+    seen = set()
+    for p in personas:  # a repeated id's sessions would be answered from two trait vectors
+        if p.id in seen:
+            raise FieldError(f"persona id {p.id!r} is given twice")
+        seen.add(p.id)
     return PersonaSet(personas, seed=read_count(raw.get("seed", 0), "seed"))
 
 

@@ -201,7 +201,7 @@ PIPELINE_KEYS = ("'pool', 'inventory', 'n_personas', 'backend', 'formats', 'out_
 
 
 @pytest.mark.parametrize("study, message", [
-    ({"n_personas": "abc"}, "n_personas must be an integer of at least 1, got 'abc'"),
+    ({"n_personas": "abc"}, "n_personas must be an integer of at least 3, got 'abc'"),
     ({"seeds": {"plan": "x"}}, "seeds.plan must be an integer of at least 0, got 'x'"),
     ({"formats": ["likert", "essay"]}, "formats[1] must be one of 'likert', 'gfc', got 'essay'"),
     ({"formats": ["likert", "likert"]},
@@ -221,6 +221,7 @@ PIPELINE_KEYS = ("'pool', 'inventory', 'n_personas', 'backend', 'formats', 'out_
      "unknown key 'seeds.fitt', not one of 'personas', 'plan', 'sim', 'params', 'fit'"),
     ({"provider": {"fake_good_delt": 2.0}}, "unknown key 'provider.fake_good_delt', not one of "
      "'fake_good_delta', 'matched_discrimination'"),
+    ({"n_personas": 2}, "n_personas must be an integer of at least 3, got 2"),
 ])
 def test_pipeline_config_value_of_the_wrong_kind_is_a_config_error(tmp_path, capsys, study,
                                                                    message):
@@ -432,6 +433,26 @@ def test_pipeline_rerun_leaves_manifest_byte_identical(instrument_files, tmp_pat
     assert _run_pipeline(tmp_path, out_dir, **_small_study(instrument_files)) == EXIT_OK
     assert _contents(out_dir) == before
     assert calls == {"sample_personas": 0, "run_session": 0, "_fit_format": 0}
+
+
+def test_pipeline_rebuilds_every_stage_built_by_other_code(
+    instrument_files, tmp_path, monkeypatch
+):
+    out_dir = tmp_path / "run"
+    calls = _count_calls(monkeypatch, "sample_personas", "_fit_format")
+    assert _run_pipeline(tmp_path, out_dir, **_small_study(instrument_files)) == EXIT_OK
+    assert calls == {"sample_personas": 1, "_fit_format": 2}
+    assert _run_pipeline(tmp_path, out_dir, **_small_study(instrument_files)) == EXIT_OK
+    assert calls == {"sample_personas": 1, "_fit_format": 2}
+    before = json.loads((out_dir / "manifest.json").read_text())
+    assert before["code_digest"] == cli._code_digest()
+
+    monkeypatch.setattr(cli, "_code_digest", lambda: "other code")
+    assert _run_pipeline(tmp_path, out_dir, **_small_study(instrument_files)) == EXIT_OK
+    assert calls == {"sample_personas": 2, "_fit_format": 4}
+    after = json.loads((out_dir / "manifest.json").read_text())
+    assert after["code_digest"] == "other code"
+    assert after["run_id"] == before["run_id"] and after["artifacts"] == before["artifacts"]
 
 
 def test_pipeline_run_id_depends_on_the_study_not_its_paths(tmp_path):
@@ -839,7 +860,7 @@ def test_fit_refuses_a_file_cut_between_two_sets(instrument_files, tmp_path, cap
 def test_fit_refuses_responses_newer_than_the_manifest_beside_them(
     instrument_files, tmp_path, capsys, monkeypatch
 ):
-    # a rerun that dies between replacing the responses and replacing the
+    # a rerun that dies between renaming the responses and renaming the
     # manifest: the new file holds as many whole sets as the old manifest records
     personas, runs = tmp_path / "personas.json", tmp_path / "runs"
     assert main(["personas", "--n", "3", "--seed", "1", "--out", str(personas)]) == EXIT_OK
@@ -847,15 +868,15 @@ def test_fit_refuses_responses_newer_than_the_manifest_beside_them(
     assert main(administer) == EXIT_OK
     responses = runs / "responses_likert_honest.csv"
     before = responses.read_bytes()
-    write_text = Path.write_text
+    replace = os.replace
 
-    def fail_manifest(path, data, **kwargs):
-        if path.name.startswith("manifest_"):
-            raise OSError("no space left on device")
-        return write_text(path, data, **kwargs)
+    def fail_manifest(src, dst):
+        if Path(dst).name.startswith("manifest_"):
+            raise OSError("killed")
+        return replace(src, dst)
 
-    monkeypatch.setattr(Path, "write_text", fail_manifest)
-    with pytest.raises(OSError, match="no space left"):
+    monkeypatch.setattr(os, "replace", fail_manifest)
+    with pytest.raises(OSError, match="killed"):
         main(administer + ["--seed", "5"])
     monkeypatch.undo()
     assert responses.read_bytes() != before
@@ -866,6 +887,29 @@ def test_fit_refuses_responses_newer_than_the_manifest_beside_them(
     err = capsys.readouterr().err
     assert str(responses) in err and "manifest_likert_honest.json" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_administer_whose_manifest_fails_to_write_keeps_both_earlier_files(
+    instrument_files, tmp_path, monkeypatch
+):
+    # the responses and the manifest are staged together: neither is renamed
+    # into place until both are written
+    personas, runs = tmp_path / "personas.json", tmp_path / "runs"
+    assert main(["personas", "--n", "3", "--seed", "1", "--out", str(personas)]) == EXIT_OK
+    administer = _argv(instrument_files, tmp_path, "administer", "--out", str(runs))
+    assert main(administer) == EXIT_OK
+    before = _contents(runs)
+    write_text = Path.write_text
+
+    def fail_manifest(path, data, **kwargs):
+        if path.name.startswith("manifest_"):
+            raise OSError("no space left on device")
+        return write_text(path, data, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", fail_manifest)
+    with pytest.raises(OSError, match="no space left"):
+        main(administer + ["--seed", "5"])
+    assert _contents(runs) == before and not list(runs.glob(".*"))
 
 
 def test_fit_refuses_a_manifest_that_records_no_digest(instrument_files, tmp_path, capsys):
@@ -1028,6 +1072,21 @@ def test_administer_refuses_a_persona_whose_trait_is_not_finite(instrument_files
                "z[1] must be a finite number, got nan")
     assert capsys.readouterr().err.startswith(message)
     assert not (tmp_path / "runs").exists()
+
+
+def test_administer_refuses_a_persona_set_that_repeats_an_id(instrument_files, tmp_path, capsys):
+    # two sets under one id would be answered from two personas' traits
+    personas, runs = tmp_path / "personas.json", tmp_path / "runs"
+    assert main(["personas", "--n", "3", "--seed", "1", "--out", str(personas)]) == EXIT_OK
+    raw = json.loads(personas.read_text())
+    raw["personas"][2]["id"] = raw["personas"][0]["id"]
+    personas.write_text(json.dumps(raw))
+    capsys.readouterr()
+    rc = main(_argv(instrument_files, tmp_path, "administer", "--out", str(runs)))
+    assert rc == EXIT_STAGE
+    assert capsys.readouterr().err == (
+        f"stage failure: {personas}: malformed persona set: persona id 'p001' is given twice\n")
+    assert not runs.exists()
 
 
 @pytest.mark.parametrize("field, value", [

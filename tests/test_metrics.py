@@ -44,7 +44,8 @@ def _loaded(names) -> str:
 @pytest.mark.parametrize("modules, absent", [
     ("sdrkit.metrics, sdrkit.report", ("sdrkit.simulate",)),
     ("sdrkit.irt", ("sdrkit.administer", *HEAVY)),  # the scorer needs no HTTP client
-    ("sdrkit.cli", HEAVY),  # each command loads scipy or requests only where it calls them
+    # each command loads scipy, requests or importlib.metadata only where it calls them
+    ("sdrkit.cli", (*HEAVY, "importlib.metadata")),
 ], ids=["metrics-report", "irt", "cli"])
 def test_importing_a_layer_leaves_out_what_it_does_not_use(modules, absent):
     assert _run_python("-c", f"import sys, {modules}; {_loaded(absent)}").strip() == "[]"
