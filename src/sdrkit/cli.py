@@ -777,7 +777,7 @@ def main(argv: list[str] | None = None) -> int:
     except DiagnosticsError as exc:
         print(f"diagnostics failure: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
-    except SdrkitError as exc:
+    except (SdrkitError, OSError) as exc:  # an OSError names the path it could not use
         print(f"stage failure: {exc}", file=sys.stderr)
         return EXIT_STAGE
 

@@ -320,11 +320,13 @@ def log_posterior_and_grad(data: ModelData, x: np.ndarray) -> tuple[float, np.nd
     lp += -float((kappa**2).sum()) / (2 * KAPPA_PRIOR_SD**2)
     lp += float(gamma.sum())
 
+    grad = np.empty_like(x)
+    gtheta, galpha, gc1, ggamma = _split(data, grad)
     geta = (g_lo + g_hi)[layout.restore].reshape(eta.shape)
-    gtheta = geta @ loadings
+    np.matmul(geta, loadings, out=gtheta)
     column, scale = _slots(design.n_items, design.paired)
     # d eta / d alpha_j is the statement's own entry of the loading matrix
-    galpha = (geta.T @ theta)[column, design.trait_idx] * scale * a_signed
+    galpha[:] = (geta.T @ theta)[column, design.trait_idx] * scale * a_signed
 
     size = k_flat.size
     gkappa_ext = np.bincount(layout.lo, g_lo, size) + np.bincount(layout.hi, g_hi, size)
@@ -334,11 +336,10 @@ def log_posterior_and_grad(data: ModelData, x: np.ndarray) -> tuple[float, np.nd
     galpha += 1.0 - a_plus**2 / A_PLUS_PRIOR_SD**2
     gkappa += -kappa / KAPPA_PRIOR_SD**2
 
-    gc1 = gkappa.sum(axis=1)
+    gkappa.sum(axis=1, out=gc1)
     tail = np.cumsum(gkappa[:, ::-1], axis=1)[:, ::-1]  # tail[:, m] = sum_{k>=m}
-    ggamma = tail[:, 1:] * gaps + 1.0  # +1 from the log-gap Jacobian
-
-    grad = np.concatenate([gtheta.ravel(), galpha, gc1, ggamma.ravel()])
+    np.multiply(tail[:, 1:], gaps, out=ggamma)
+    ggamma += 1.0  # from the log-gap Jacobian
     return lp, grad
 
 
@@ -411,13 +412,11 @@ class MapFit:
 
 
 def _initial_point(data: ModelData, rng: np.random.Generator) -> np.ndarray:
-    n, j = data.n_units, data.design.n_items
-    g = data.design.n_threshold_groups
-    theta = 0.1 * rng.standard_normal(N_TRAITS * n)
-    alpha = 0.1 * rng.standard_normal(j)
-    c1 = -1.5 + 0.1 * rng.standard_normal(g)
-    gamma = math.log(0.6) + 0.1 * rng.standard_normal(5 * g)
-    return np.concatenate([theta, alpha, c1, gamma])
+    x = 0.1 * rng.standard_normal(param_dim(data))
+    _, _, c1, gamma = _split(data, x)
+    c1 += -1.5
+    gamma += math.log(0.6)
+    return x
 
 
 def fit_map(data: ModelData, opts: MapOptions = MapOptions()) -> MapFit:
@@ -440,11 +439,9 @@ def fit_map(data: ModelData, opts: MapOptions = MapOptions()) -> MapFit:
     if data.n_units == 0:
         raise SdrkitError("empty model data")
     rng = np.random.default_rng(opts.seed)
-    n, j = data.n_units, data.design.n_items
-    off = N_TRAITS * n
     alpha_hi = math.log(STRENGTH_CAP)
     upper = np.full(param_dim(data), np.inf)
-    upper[off : off + j] = alpha_hi
+    _split(data, upper)[1][:] = alpha_hi
     bounds = optimize.Bounds(-np.inf, upper)  # as arrays: scipy converts a list slowly
     x0s = [_initial_point(data, rng) for _ in range(opts.n_starts)]
     starts = _fan_out(partial(_map_start, data, bounds), x0s)
@@ -455,8 +452,8 @@ def fit_map(data: ModelData, opts: MapOptions = MapOptions()) -> MapFit:
             best, best_lp = k, s.log_posterior
     best_x, best_jac, _ = starts[best]
     projected = -best_jac  # the gradient L-BFGS-B last evaluated, at best_x
-    at_cap = best_x[off : off + j] >= alpha_hi - 1e-12
-    projected[off : off + j][at_cap & (projected[off : off + j] > 0)] = 0.0
+    alpha, g_alpha = _split(data, best_x)[1], _split(data, projected)[1]
+    g_alpha[(alpha >= alpha_hi - 1e-12) & (g_alpha > 0)] = 0.0
     return MapFit(
         params=unpack(data, best_x),
         grad_inf_norm=float(np.abs(projected).max()),

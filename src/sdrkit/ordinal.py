@@ -1,8 +1,10 @@
 """Ordered-logistic response kernel shared by the simulator and the IRT engine.
 
-All functions are vectorized over arbitrary leading shapes. Category indices
-are 1-based (1..K with K = 7). Thresholds are strictly increasing with the
-implicit conventions kappa_0 = -inf and kappa_K = +inf, so that
+``sigmoid``, ``category_probs`` and the survivor functions are vectorized
+over arbitrary leading shapes; ``log_prob_and_grads`` takes flat arrays
+grouped by a :class:`CategorySplit`. Category indices are 1-based (1..K
+with K = 7). Thresholds are strictly increasing with the implicit
+conventions kappa_0 = -inf and kappa_K = +inf, so that
 
     P(Y = k) = sigmoid(eta - kappa_{k-1}) - sigmoid(eta - kappa_k).
 """
@@ -89,33 +91,20 @@ def survivor_from_cutpoints(eta: np.ndarray, kappa_km1: np.ndarray) -> np.ndarra
 class CategorySplit:
     """Where the three kinds of answers sit in the kernel's flat inputs.
 
-    ``first`` (k = 1), ``last`` (k = 7) and ``interior`` (k = 2..6) select
-    entries, as slices when the inputs are grouped that way, else as index
-    arrays. An interior answer spans one threshold gap d = kappa_k -
-    kappa_{k-1}: ``gap_rep`` selects one interior entry per distinct gap and
-    ``gap_of`` maps each interior entry to its gap in that selection, so the
-    gap terms are computed once per gap rather than once per answer.
+    The inputs hold the k = 1 answers, then the k = 7 ones, then the interior
+    ones (k = 2..6); the slices ``first``, ``last`` and ``interior`` select
+    each group. An interior answer spans one threshold gap d = kappa_k -
+    kappa_{k-1}: the index array ``gap_rep`` selects one interior entry per
+    distinct gap and the index array ``gap_of`` maps each interior entry to
+    its gap in that selection, so the gap terms are computed once per gap
+    rather than once per answer.
     """
 
-    first: slice | np.ndarray
-    last: slice | np.ndarray
-    interior: slice | np.ndarray
-    gap_rep: slice | np.ndarray
-    gap_of: slice | np.ndarray
-
-    @classmethod
-    def from_thresholds(cls, kappa_lo: np.ndarray, kappa_hi: np.ndarray) -> "CategorySplit":
-        """Read the categories off the thresholds: -inf below marks k = 1,
-        +inf above marks k = 7; every interior answer is its own gap."""
-        lo_open = np.isinf(kappa_lo)
-        hi_open = np.isinf(kappa_hi)
-        return cls(
-            first=np.flatnonzero(lo_open),
-            last=np.flatnonzero(hi_open),
-            interior=np.flatnonzero(~(lo_open | hi_open)),
-            gap_rep=slice(None),
-            gap_of=slice(None),
-        )
+    first: slice
+    last: slice
+    interior: slice
+    gap_rep: np.ndarray
+    gap_of: np.ndarray
 
 
 def _gap_terms(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -135,29 +124,17 @@ def _gap_terms(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def log_prob_and_grads(
-    eta: np.ndarray,
-    kappa_lo: np.ndarray,
-    kappa_hi: np.ndarray,
-    split: CategorySplit | None = None,
+    eta: np.ndarray, kappa_lo: np.ndarray, kappa_hi: np.ndarray, split: CategorySplit
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Log P(Y = k) with derivatives, for responses with bracketing thresholds.
 
-    ``kappa_lo`` is kappa_{k-1} (-inf when k = 1) and ``kappa_hi`` is kappa_k
-    (+inf when k = 7); the three arrays share one shape. Returns ``(logp,
-    g_lo, g_hi)`` where ``g_lo`` is d logp / d(eta - kappa_lo) and ``g_hi`` is
-    d logp / d(eta - kappa_hi), so that d logp / d eta = g_lo + g_hi,
-    d logp / d kappa_lo = -g_lo, and d logp / d kappa_hi = -g_hi.
-
-    ``split`` says which flat entries hold which categories; without it the
-    categories are read off the infinite thresholds.
+    The three inputs are flat float64 arrays of one length, grouped as
+    ``split`` says. ``kappa_lo`` is kappa_{k-1} (-inf when k = 1) and
+    ``kappa_hi`` is kappa_k (+inf when k = 7). Returns ``(logp, g_lo, g_hi)``
+    where ``g_lo`` is d logp / d(eta - kappa_lo) and ``g_hi`` is d logp /
+    d(eta - kappa_hi), so that d logp / d eta = g_lo + g_hi, d logp / d
+    kappa_lo = -g_lo, and d logp / d kappa_hi = -g_hi.
     """
-    eta = np.asarray(eta, dtype=float)
-    shape = eta.shape
-    eta = eta.ravel()
-    kappa_lo = np.asarray(kappa_lo, dtype=float).ravel()
-    kappa_hi = np.asarray(kappa_hi, dtype=float).ravel()
-    s = split if split is not None else CategorySplit.from_thresholds(kappa_lo, kappa_hi)
-
     # One sigmoid/softplus pass over z = [v of every answer | u of the
     # interior ones], v = eta - kappa_hi and u = eta - kappa_lo, except that
     # a k = 7 entry of v is replaced by kappa_lo - eta, computed as such;
@@ -166,26 +143,25 @@ def log_prob_and_grads(
     #   k = 7:    P = 1 - sigmoid(kappa_lo - eta)
     #   interior: P = (e^u - e^v) / ((1 + e^u)(1 + e^v)), with d = u - v > 0.
     n = eta.size
-    ei, klo, khi = eta[s.interior], kappa_lo[s.interior], kappa_hi[s.interior]
-    log_em1, inv_lo, inv_hi = _gap_terms(khi[s.gap_rep] - klo[s.gap_rep])
+    ei, klo, khi = eta[split.interior], kappa_lo[split.interior], kappa_hi[split.interior]
+    log_em1, inv_lo, inv_hi = _gap_terms(khi[split.gap_rep] - klo[split.gap_rep])
     z = np.empty(n + ei.size)
     v = np.subtract(eta, kappa_hi, out=z[:n])
-    v[s.last] = kappa_lo[s.last] - eta[s.last]
+    v[split.last] = kappa_lo[split.last] - eta[split.last]
     np.subtract(ei, klo, out=z[n:])
-    logp_in = v[s.interior] + log_em1[s.gap_of]  # read v before the pass overwrites it
+    logp_in = v[split.interior] + log_em1[split.gap_of]  # read v before the pass overwrites it
     sig, sp = _sigmoid_softplus(z)
     sig_v, sig_u, sp_v, sp_u = sig[:n], sig[n:], sp[:n], sp[n:]
 
     logp_in -= sp_u
-    logp_in -= sp_v[s.interior]
-    g_hi_in = inv_hi[s.gap_of] - sig_v[s.interior]
+    logp_in -= sp_v[split.interior]
+    g_hi_in = inv_hi[split.gap_of] - sig_v[split.interior]
     g_lo = np.zeros(n)
-    g_lo[s.last] = sig_v[s.last]
-    g_lo[s.interior] = inv_lo[s.gap_of] - sig_u
+    g_lo[split.last] = sig_v[split.last]
+    g_lo[split.interior] = inv_lo[split.gap_of] - sig_u
     logp = np.negative(sp_v, out=sp_v)  # -softplus at k = 1 and 7
-    logp[s.interior] = logp_in
+    logp[split.interior] = logp_in
     g_hi = np.negative(sig_v, out=sig_v)
-    g_hi[s.last] = 0.0
-    g_hi[s.interior] = g_hi_in
-
-    return logp.reshape(shape), g_lo.reshape(shape), g_hi.reshape(shape)
+    g_hi[split.last] = 0.0
+    g_hi[split.interior] = g_hi_in
+    return logp, g_lo, g_hi

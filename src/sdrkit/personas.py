@@ -203,12 +203,13 @@ def write_persona_set(ps: PersonaSet, path: str | Path) -> None:
 def _persona(p: dict) -> Persona:
     pid = read_text(p["id"], "persona id")
     where = f"persona {pid!r}: "
-    return Persona(
-        id=pid,
-        z=tuple(read_list(p["z"], where + "z", read_number, 5)),
-        stanines=tuple(read_list(p["stanines"], where + "stanines", read_count, 5, low=1, high=9)),
-        description=read_text(p["description"], where + "description"),
-    )
+    z = tuple(read_list(p["z"], where + "z", read_number, 5))
+    stanines = tuple(read_list(p["stanines"], where + "stanines", read_count, 5, low=1, high=9))
+    expected = tuple(z_to_stanine(v) for v in z)
+    if stanines != expected:  # the description, rendered from the stanines, would not be z's
+        raise FieldError(f"{where}stanines {list(stanines)} do not match z's {list(expected)}")
+    description = read_text(p["description"], where + "description")
+    return Persona(id=pid, z=z, stanines=stanines, description=description)
 
 
 def _persona_set(raw: dict) -> PersonaSet:

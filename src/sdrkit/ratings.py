@@ -17,6 +17,7 @@ from .core import (
     read_csv_rows,
     read_text,
 )
+from .metrics import pearson_r
 
 
 class RatingError(SdrkitError):
@@ -149,7 +150,7 @@ def agreement_stats(
     pair_rs = []
     for a in range(k):
         for b in range(a + 1, k):
-            pair_rs.append(_pearson(x[:, a], x[:, b]))
+            pair_rs.append(pearson_r(x[:, a], x[:, b]))
     mean_pairwise = float(np.mean(pair_rs))
 
     rng = np.random.default_rng(rng_seed)
@@ -159,7 +160,7 @@ def agreement_stats(
         perm = rng.permutation(k)
         left = x[:, perm[:half]].mean(axis=1)
         right = x[:, perm[half:]].mean(axis=1)
-        split_rs[s] = _pearson(left, right)
+        split_rs[s] = pearson_r(left, right)
     lo, hi = np.percentile(split_rs, [2.5, 97.5])
 
     return AgreementStats(
@@ -172,12 +173,6 @@ def agreement_stats(
         n_items=n,
         n_items_dropped=dropped,
     )
-
-
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    if np.var(x) <= 0 or np.var(y) <= 0:
-        raise UndefinedStatisticError("Pearson r undefined: zero variance")
-    return float(np.corrcoef(x, y)[0, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -876,11 +876,11 @@ def test_fit_refuses_responses_newer_than_the_manifest_beside_them(
         return replace(src, dst)
 
     monkeypatch.setattr(os, "replace", fail_manifest)
-    with pytest.raises(OSError, match="killed"):
-        main(administer + ["--seed", "5"])
-    monkeypatch.undo()
-    assert responses.read_bytes() != before
     capsys.readouterr()
+    assert main(administer + ["--seed", "5"]) == EXIT_STAGE
+    monkeypatch.undo()
+    assert capsys.readouterr().err == "stage failure: killed\n"
+    assert responses.read_bytes() != before
     rc = main(_argv(instrument_files, tmp_path, "fit", "--starts", "1",
                     "--responses", str(runs)))
     assert rc == EXIT_STAGE
@@ -890,7 +890,7 @@ def test_fit_refuses_responses_newer_than_the_manifest_beside_them(
 
 
 def test_administer_whose_manifest_fails_to_write_keeps_both_earlier_files(
-    instrument_files, tmp_path, monkeypatch
+    instrument_files, tmp_path, capsys, monkeypatch
 ):
     # the responses and the manifest are staged together: neither is renamed
     # into place until both are written
@@ -907,8 +907,9 @@ def test_administer_whose_manifest_fails_to_write_keeps_both_earlier_files(
         return write_text(path, data, **kwargs)
 
     monkeypatch.setattr(Path, "write_text", fail_manifest)
-    with pytest.raises(OSError, match="no space left"):
-        main(administer + ["--seed", "5"])
+    capsys.readouterr()
+    assert main(administer + ["--seed", "5"]) == EXIT_STAGE
+    assert capsys.readouterr().err == "stage failure: no space left on device\n"
     assert _contents(runs) == before and not list(runs.glob(".*"))
 
 
@@ -931,7 +932,7 @@ def test_fit_refuses_a_manifest_that_records_no_digest(instrument_files, tmp_pat
 
 @pytest.mark.parametrize("fails", ["responses", "manifest"])
 def test_administer_that_fails_writing_leaves_the_previous_files(
-    instrument_files, tmp_path, monkeypatch, fails
+    instrument_files, tmp_path, capsys, monkeypatch, fails
 ):
     personas = tmp_path / "personas.json"
     assert main(["personas", "--n", "3", "--seed", "1", "--out", str(personas)]) == EXIT_OK
@@ -957,8 +958,9 @@ def test_administer_that_fails_writing_leaves_the_previous_files(
             raise OSError("no space left on device")
 
         monkeypatch.setattr(Path, "write_text", cut)
-    with pytest.raises(OSError, match="no space left"):
-        main(argv)
+    capsys.readouterr()
+    assert main(argv) == EXIT_STAGE
+    assert capsys.readouterr().err == "stage failure: no space left on device\n"
     # the rewritten responses are byte-identical; no temporary file is left
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
@@ -1086,6 +1088,24 @@ def test_administer_refuses_a_persona_set_that_repeats_an_id(instrument_files, t
     assert rc == EXIT_STAGE
     assert capsys.readouterr().err == (
         f"stage failure: {personas}: malformed persona set: persona id 'p001' is given twice\n")
+    assert not runs.exists()
+
+
+def test_administer_refuses_a_persona_whose_z_disagrees_with_its_stanines(
+    instrument_files, tmp_path, capsys
+):
+    # the simulator answers from z, an HTTP respondent reads the stanines' description
+    personas, runs = tmp_path / "personas.json", tmp_path / "runs"
+    assert main(["personas", "--n", "3", "--seed", "1", "--out", str(personas)]) == EXIT_OK
+    raw = json.loads(personas.read_text())
+    raw["personas"][1]["z"][0] -= 1.0  # 2.49 to 1.49: stanine 9 to 8
+    personas.write_text(json.dumps(raw))
+    capsys.readouterr()
+    rc = main(_argv(instrument_files, tmp_path, "administer", "--out", str(runs)))
+    assert rc == EXIT_STAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"stage failure: {personas}: malformed persona set: persona 'p002': "
+                          "stanines [9, ")
     assert not runs.exists()
 
 
@@ -1386,9 +1406,66 @@ def test_every_name_the_benchmark_tracer_wraps_resolves(monkeypatch):
     layers.install(Probe())
 
 
+def test_the_benchmark_tracer_reads_one_posterior_gradient(monkeypatch):
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    for name in ("layers", "spans"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    layers, spans = importlib.import_module("layers"), importlib.import_module("spans")
+    pool, inv = small_instrument()
+    y = np.random.default_rng(0).integers(1, 8, (3, 10))
+    units = tuple(("r", f"p{i}", "honest") for i in range(3))
+    data = irt.ModelData(irt.design_for(inv, pool, ResponseFormat.LIKERT), y, units)
+    x = np.random.default_rng(1).standard_normal(irt.param_dim(data))
+    tracer = spans.Tracer()
+    try:
+        layers.install(tracer)
+        irt.log_posterior_and_grad(data, x)
+    finally:
+        tracer.restore()
+    metrics, _ = layers.iteration_metrics(tracer)
+    assert metrics["irt.grad_evals"] == 1 and metrics["ordinal.calls"] == 1
+    assert metrics["ordinal.bytes_per_call"] == 6 * y.size * 8  # three inputs, three outputs
+
+
 # ---------------------------------------------------------------------------
 # Exit codes of the paths a study does not take
 # ---------------------------------------------------------------------------
+
+
+def _pool_is_a_directory(instrument_files, tmp_path):
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    return pool, ["assemble", "--pool", str(pool), "--blocks", "10",
+                  "--out", str(tmp_path / "inventory.csv")]
+
+
+def _out_in_a_missing_directory(instrument_files, tmp_path):
+    out = tmp_path / "missing" / "p.json"
+    return out, ["personas", "--n", "3", "--out", str(out)]
+
+
+def _out_dir_is_a_file(instrument_files, tmp_path):
+    out_dir = tmp_path / "afile"
+    out_dir.write_text("")
+    cfg = tmp_path / "pipeline.json"
+    cfg.write_text(json.dumps({"backend": "map", "out_dir": str(out_dir),
+                               **_small_study(instrument_files)}))
+    return out_dir, ["pipeline", "--config", str(cfg)]
+
+
+@pytest.mark.parametrize("case", [_pool_is_a_directory, _out_in_a_missing_directory,
+                                  _out_dir_is_a_file],
+                         ids=["assemble-pool-dir", "personas-out-missing-dir",
+                              "pipeline-out-dir-file"])
+def test_a_path_that_cannot_be_read_or_written_is_a_stage_failure(
+    instrument_files, tmp_path, capsys, case
+):
+    path, argv = case(instrument_files, tmp_path)
+    assert main(argv) == EXIT_STAGE  # returned, not raised: no traceback
+    err = capsys.readouterr().err
+    assert err.startswith("stage failure: ") and str(path) in err
 
 
 @pytest.mark.parametrize("flags", [["--model", "m"], ["--base-url", "http://localhost:9"]],

@@ -25,6 +25,17 @@ def random_kappa(rng, shape=()):
     return raw
 
 
+def per_answer_split(k):
+    """The split of answers grouped k = 1, then k = 7, then interior, with
+    each interior answer its own gap."""
+    k = np.asarray(k)
+    n1, n7 = int((k == 1).sum()), int((k == 7).sum())
+    assert (k[:n1] == 1).all() and (k[n1 : n1 + n7] == 7).all()
+    gaps = np.arange(k.size - n1 - n7)
+    return CategorySplit(first=slice(0, n1), last=slice(n1, n1 + n7),
+                         interior=slice(n1 + n7, None), gap_rep=gaps, gap_of=gaps)
+
+
 def test_sigmoid_matches_closed_form():
     x = np.linspace(-30, 30, 1001)
     expected = 1.0 / (1.0 + np.exp(-np.clip(x, None, 0))) * np.exp(np.clip(x, None, 0)) ** 0
@@ -77,7 +88,7 @@ def test_log_prob_matches_direct_probabilities():
     for k in range(1, 8):
         klo = np.where(k == 1, -np.inf, kappa[:, max(k - 2, 0)])
         khi = np.where(k == 7, np.inf, kappa[:, min(k - 1, 5)])
-        logp, _, _ = log_prob_and_grads(eta, klo, khi)
+        logp, _, _ = log_prob_and_grads(eta, klo, khi, per_answer_split(np.full(400, k)))
         assert np.allclose(np.exp(logp), probs[:, k - 1], rtol=1e-10, atol=1e-12)
 
 
@@ -90,19 +101,22 @@ def test_log_prob_gradients_match_finite_differences():
         k = int(rng.integers(1, 8))
         klo = -np.inf if k == 1 else kappa[k - 2]
         khi = np.inf if k == 7 else kappa[k - 1]
+        split = per_answer_split([k])
 
         def lp(e):
-            v, _, _ = log_prob_and_grads(np.array([e]), np.array([klo]), np.array([khi]))
+            v, _, _ = log_prob_and_grads(np.array([e]), np.array([klo]), np.array([khi]), split)
             return v[0]
 
-        _, g_lo, g_hi = log_prob_and_grads(np.array([eta]), np.array([klo]), np.array([khi]))
+        _, g_lo, g_hi = log_prob_and_grads(
+            np.array([eta]), np.array([klo]), np.array([khi]), split
+        )
         num = (lp(eta + h) - lp(eta - h)) / (2 * h)
         assert abs((g_lo[0] + g_hi[0]) - num) < 1e-5 * max(1.0, abs(num))
 
 
-def test_category_split_with_shared_gaps_matches_threshold_path():
+def test_category_split_with_shared_gaps_matches_per_answer_gaps():
     """Answers grouped k = 1 | k = 7 | interior, with each interior gap's
-    terms computed once, give what the thresholds alone give."""
+    terms computed once, give what one gap per interior answer gives."""
     rng = np.random.default_rng(4)
     kappa = random_kappa(rng, (3,))
     ext = np.concatenate([np.full((3, 1), -np.inf), kappa, np.full((3, 1), np.inf)], axis=1)
@@ -115,7 +129,8 @@ def test_category_split_with_shared_gaps_matches_threshold_path():
     split = CategorySplit(
         first=slice(0, 5), last=slice(5, 9), interior=slice(9, None), gap_rep=rep, gap_of=of
     )
-    for a, b in zip(log_prob_and_grads(eta, klo, khi, split), log_prob_and_grads(eta, klo, khi)):
+    per_answer = log_prob_and_grads(eta, klo, khi, per_answer_split(k))
+    for a, b in zip(log_prob_and_grads(eta, klo, khi, split), per_answer):
         assert np.allclose(a, b, rtol=1e-15, atol=0)
 
 
@@ -145,11 +160,11 @@ def test_extreme_eta_stays_finite():
         k = 7 if eta > 0 else 1
         klo = np.array([kappa[5] if k == 7 else -np.inf])
         khi = np.array([np.inf if k == 7 else kappa[0]])
-        logp, _, _ = log_prob_and_grads(np.array([eta]), klo, khi)
+        logp, _, _ = log_prob_and_grads(np.array([eta]), klo, khi, per_answer_split([k]))
         assert logp[0] > -1e-6
 
 
-def _four_pass_kernel(eta, kappa_lo, kappa_hi, split=None):
+def _four_pass_kernel(eta, kappa_lo, kappa_hi, s):
     """The kernel as it was before its one fused sigmoid/softplus pass: one
     pass each for k = 1, k = 7 and the interior u and v. The reference the
     fused kernel must match bit for bit."""
@@ -158,10 +173,6 @@ def _four_pass_kernel(eta, kappa_lo, kappa_hi, split=None):
         e = np.exp(-np.abs(x))
         return np.where(x >= 0, 1.0, e) / (1.0 + e), np.maximum(x, 0.0) + np.log1p(e)
 
-    eta = np.asarray(eta, dtype=float).ravel()
-    kappa_lo = np.asarray(kappa_lo, dtype=float).ravel()
-    kappa_hi = np.asarray(kappa_hi, dtype=float).ravel()
-    s = split if split is not None else CategorySplit.from_thresholds(kappa_lo, kappa_hi)
     logp, g_lo, g_hi = np.empty_like(eta), np.empty_like(eta), np.empty_like(eta)
     sig, sp = sigmoid_softplus(eta[s.first] - kappa_hi[s.first])
     logp[s.first], g_lo[s.first], g_hi[s.first] = -sp, 0.0, -sig
@@ -192,7 +203,8 @@ _GAP = st.one_of(st.just(0.0), st.floats(1e-300, 1e-12), st.floats(1e-12, 45.0))
 def test_fused_kernel_equals_the_four_pass_kernel_bit_for_bit(c1, gaps, answers):
     """Open thresholds (k = 1 and 7), |eta| up to 1e3, gaps that are 0 or
     underflow next to kappa_{k-1}, beyond the expm1 cap; with the split the
-    posterior builds (grouped categories, shared gaps) and without one."""
+    posterior builds (grouped categories, shared gaps) and with one gap per
+    interior answer."""
     g = len(c1)
     kappa = np.asarray(c1)[:, None] + np.cumsum(np.asarray(gaps[:g]), axis=1)
     kappa = np.concatenate([np.asarray(c1)[:, None], kappa], axis=1)
@@ -211,7 +223,7 @@ def test_fused_kernel_equals_the_four_pass_kernel_bit_for_bit(c1, gaps, answers)
                           interior=slice(n1 + n7, None), gap_rep=rep, gap_of=of)
     klo, khi = ext[col, k - 1], ext[col, k]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for s in (split, None):
+        for s in (split, per_answer_split(k)):
             for got, want in zip(log_prob_and_grads(eta, klo, khi, s),
                                  _four_pass_kernel(eta, klo, khi, s)):
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -66,6 +66,11 @@ def test_icc_undefined_without_item_variance():
         icc_absolute_agreement(x)
     # one class, so a caller catching the metrics error also catches this one
     assert UndefinedStatisticError is metrics.UndefinedStatisticError
+    # two complete items have item variance but no defined correlation
+    two_items = rating_rows([("i1", "r1", 1, 2), ("i1", "r1", 2, 3),
+                             ("i2", "r1", 1, 7), ("i2", "r1", 2, 8)])
+    with pytest.raises(UndefinedStatisticError, match="at least 3 observations"):
+        agreement_stats(two_items, "r1", splits=10)
 
 
 def test_dataset_validation_and_matrix():
