@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import bisect
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -129,9 +131,9 @@ class PersonaSet:
 
 def z_to_stanine(z: float) -> int:
     """Map a standard score to its stanine (1..9) with cuts every 0.5 SD."""
-    if not np.isfinite(z):
+    if not math.isfinite(z):
         raise PersonaError(f"non-finite trait score: {z}")
-    return 1 + int(sum(z > c for c in STANINE_CUTS))
+    return 1 + bisect.bisect_left(STANINE_CUTS, z)  # one more than the cuts below z
 
 
 def render_persona(z: Sequence[float], lexicon: Lexicon) -> str:
