@@ -123,12 +123,12 @@ def _digest(value) -> str:
 
 @cache
 def _code_digest() -> str:
-    """SHA-256 of sdrkit's modules and packaged data and of the numpy and scipy
-    versions: what a pipeline stage's key holds of the code that builds it."""
+    """SHA-256 of sdrkit's modules and packaged data and of the numpy version:
+    what a pipeline stage's key holds of the code that builds it."""
     from importlib import metadata  # here: importing sdrkit.cli needs none of it
 
     package = Path(__file__).parent
-    h = hashlib.sha256(json.dumps([metadata.version(d) for d in ("numpy", "scipy")]).encode())
+    h = hashlib.sha256(json.dumps([metadata.version("numpy")]).encode())
     for path in sorted([*package.glob("*.py"), *package.glob("data/*")]):
         h.update(f"{path.relative_to(package).as_posix()}\0".encode() + path.read_bytes())
     return h.hexdigest()
@@ -280,7 +280,7 @@ def cmd_personas(args) -> int:
     if args.lexicon:
         lex = Lexicon.from_file(_require(args.lexicon, "lexicon"), ConfigError)
     ps = sample_personas(args.n, cov=cov, seed=args.seed, lexicon=lex)
-    write_persona_set(ps, args.out)
+    _write_atomically([Path(args.out)], partial(write_persona_set, ps))
     print(f"sampled {len(ps)} personas -> {args.out}")
     return EXIT_OK
 

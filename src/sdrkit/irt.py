@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -377,10 +378,10 @@ class MapOptions:
 
 @dataclass(frozen=True)
 class StartStats:
-    """Optimizer statistics of one L-BFGS-B start.
+    """Optimizer statistics of one MAP start.
 
     ``grad_evals`` counts the start's posterior gradient evaluations, its
-    initial point's included; ``iterations`` counts its L-BFGS-B iterations.
+    initial point's included; ``iterations`` counts its accepted steps.
     """
 
     log_posterior: float
@@ -430,28 +431,21 @@ def fit_map(data: ModelData, opts: MapOptions = MapOptions()) -> MapFit:
     The reported ``grad_inf_norm`` is the projected gradient norm: components
     pointing outward at an active strength bound are zeroed, so a clean
     stationary point reports near-zero norm whether or not the cap is active.
-
-    ``scipy.optimize`` (about 0.6 s to load) is imported here, not with the
-    module, and before the fork, so the workers find it already loaded.
     """
-    from scipy import optimize
-
     if data.n_units == 0:
         raise SdrkitError("empty model data")
     rng = np.random.default_rng(opts.seed)
     alpha_hi = math.log(STRENGTH_CAP)
     upper = np.full(param_dim(data), np.inf)
     _split(data, upper)[1][:] = alpha_hi
-    bounds = optimize.Bounds(-np.inf, upper)  # as arrays: scipy converts a list slowly
     x0s = [_initial_point(data, rng) for _ in range(opts.n_starts)]
-    starts = _fan_out(partial(_map_start, data, bounds), x0s)
+    starts = _fan_out(partial(_map_start, data, upper), x0s)
     start_stats = tuple(s for _, _, s in starts)
     best, best_lp = None, -np.inf
     for k, s in enumerate(start_stats):
         if s.log_posterior > best_lp:  # strictly: a tie goes to the earlier start
             best, best_lp = k, s.log_posterior
-    best_x, best_jac, _ = starts[best]
-    projected = -best_jac  # the gradient L-BFGS-B last evaluated, at best_x
+    best_x, projected, _ = starts[best]  # the gradient is the one at best_x
     alpha, g_alpha = _split(data, best_x)[1], _split(data, projected)[1]
     g_alpha[(alpha >= alpha_hi - 1e-12) & (g_alpha > 0)] = 0.0
     return MapFit(
@@ -462,24 +456,72 @@ def fit_map(data: ModelData, opts: MapOptions = MapOptions()) -> MapFit:
     )
 
 
-def _map_start(data: ModelData, bounds, x0: np.ndarray):
-    from scipy.optimize import minimize  # loaded by fit_map before any fork
+def _map_start(data: ModelData, upper: np.ndarray, x0: np.ndarray):
+    x, grad, lp, iterations, evals, converged = _ascend(
+        partial(log_posterior_and_grad, data), x0, upper
+    )
+    return x, grad, StartStats(lp, iterations, evals, converged)
 
-    res = minimize(
-        lambda x: tuple(map(np.negative, log_posterior_and_grad(data, x))),
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={"maxiter": 3000, "gtol": 1e-9, "ftol": 1e-14},
-    )
-    stats = StartStats(
-        log_posterior=-float(res.fun),
-        iterations=int(res.nit),
-        grad_evals=int(res.nfev),
-        converged=bool(res.success),
-    )
-    return res.x, res.jac, stats
+
+def _ascend(fg, x0: np.ndarray, upper: np.ndarray):
+    """Maximize ``fg(x) -> (f, grad)`` subject to ``x <= upper`` by projected
+    limited-memory BFGS (Byrd, Lu, Nocedal & Zhu 1995; Nocedal & Wright 2006,
+    Alg. 7.4) with an Armijo backtracking search along ``min(x + t d, upper)``.
+
+    The settings are L-BFGS-B's as sdrkit used them: 10 pairs of memory, at
+    most 3000 steps, and convergence when the projected gradient's inf-norm
+    is at most 1e-9 or an accepted step raised f by at most 1e-14 relative.
+    A coordinate is active when it sits at its bound and the gradient pushes
+    it outward; the projected gradient and the direction are zero there. A
+    step is accepted only where f is finite, so a step into a zero-probability
+    state (f = -inf) backtracks. Returns (x, the gradient at x, f(x),
+    accepted steps, evaluations of ``fg``, converged).
+    """
+    x = np.minimum(x0, upper)
+    f, g = fg(x)
+    evals, iterations = 1, 0
+    pairs = deque(maxlen=10)  # (s, y, 1 / s.y) of the last accepted steps, oldest first
+    while True:
+        active = (x >= upper) & (g > 0)
+        pg = np.where(active, 0.0, g)
+        pg_norm = np.abs(pg).max()
+        if pg_norm <= 1e-9:
+            return x, g, f, iterations, evals, True
+        if iterations >= 3000:
+            return x, g, f, iterations, evals, False
+        d = pg.copy()  # two-loop recursion: d = H pg, H the inverse-Hessian estimate of -f
+        coefs = []
+        for s, y, rho in reversed(pairs):
+            a = rho * (s @ d)
+            d -= a * y
+            coefs.append(a)
+        if pairs:
+            s, y, _ = pairs[-1]
+            d *= (s @ y) / (y @ y)
+        for (s, y, rho), a in zip(pairs, reversed(coefs)):
+            d += (a - rho * (y @ d)) * s
+        d[active] = 0.0
+        if not d @ pg > 0:  # not an ascent direction: restart from the gradient
+            pairs.clear()
+            d = pg
+        t = 1.0 if pairs else min(1.0, 1.0 / pg_norm)
+        while True:
+            x_new = np.minimum(x + t * d, upper)
+            f_new, g_new = fg(x_new)
+            evals += 1
+            if math.isfinite(f_new) and f_new >= f + 1e-4 * (g @ (x_new - x)):
+                break
+            t *= 0.5
+            if t < 1e-20:
+                return x, g, f, iterations, evals, False
+        iterations += 1
+        s, y = x_new - x, g - g_new
+        if s @ y > 1e-10 * (y @ y):
+            pairs.append((s, y, 1.0 / (s @ y)))
+        rel = (f_new - f) / max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if rel <= 1e-14:
+            return x, g, f, iterations, evals, True
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ def pytest_report_header(config) -> list[str]:
     the recorded fit, draw and gradient digests are byte-stable per target and
     core, so a log of a digest failure says which kind of host ran it."""
     import numpy as np
-    import scipy.linalg  # noqa: F401  maps scipy's OpenBLAS, which L-BFGS-B calls
+    import scipy.linalg  # noqa: F401  maps scipy's OpenBLAS, which the tests' scipy references call
     from numpy._core import _multiarray_umath as umath
 
     active = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]

@@ -324,7 +324,9 @@ def test_administer_prepares_the_provider_with_its_stage_then_with_none(
 # study's data, fits and report; update them only on purpose. The fit and
 # report entries were re-recorded when the posterior moved to one loading
 # matrix: its gradient's last bits moved each fit by at most 1e-8, and every
-# verdict stayed.
+# verdict stayed. They were re-recorded again when MAP's optimizer became
+# ``irt._ascend``: each fit stops at the same optimum by another path, every
+# reported d and r moved by at most 2.6e-6, and every zone stayed.
 PIPELINE_DIGESTS = {
     "personas.json": "1a2cb817f0f02e5c0eb4aef464f593954bb9f68893c34c4a21f400a5a9053876",
     "sim_params.json": "48d143e6e2448579c22d826ea62e4169dfbf1241c424083181d51320d0620d0b",
@@ -332,13 +334,13 @@ PIPELINE_DIGESTS = {
     "runs/responses_likert_fake_good.csv": "6fcac9854c721542a820bd36b5caa0c0e40198509bc79e3eef071f7f74e76f24",
     "runs/responses_gfc_honest.csv": "ec21021b11d32ed663ff77e6f437472107af2c753f1c7ff741df01f54618e780",
     "runs/responses_gfc_fake_good.csv": "dec235abd6e36bd4a750b7a39ce601b35d1673f3fbcd86c8cf9360f837448551",
-    "fits/fit_likert.json": "8fd83cc75bbfbc1354225b4116bd75684a87926f7c833f0fa732311901a52f62",
-    "fits/fit_gfc.json": "cf10a44cfb3a60aba148eed86fa9f28e36451013f18c8ffecc4f0619cbf4f9f0",
-    "reports/effects.csv": "8d8cbd8e0ca84aeaf5c718d26619c8e24e88be8a4679d1191575fdd068e2b325",
-    "reports/tradeoff.csv": "a4af3b2a0ce9983306a1c078fb59862077e197ac5722912030a63d0cb5b9de2a",
-    "reports/report.json": "4dbdae4efec0494b58ecfadb8eea59cac002761f2b7927565b1958f56506796f",
+    "fits/fit_likert.json": "1348fd9b7050e857015f5698941b8a26cab628e409bdc8506f1451e12650f46f",
+    "fits/fit_gfc.json": "7e50c25437251f4f81a5562c5bf95efe5a9ada407e853547893e4585fd79435a",
+    "reports/effects.csv": "f07d86951a0f5e4d0fbdd47e0f1f8827bc898cc8597491d8b549b47b1628aec2",
+    "reports/tradeoff.csv": "8573b7911880fb700c7afbb0c00d21a65ff2261a82a9cf1aca1d17ebb40370a4",
+    "reports/report.json": "19de52758bb0e94f71a8ced6c1f727b1ba3003a83ee5c51616dc003b70c72726",
     "reports/shift_heatmap.svg": "6562eb677fdbdd4a29cb5354859582b20eaeb1ddde083676ba33d685f00510f9",
-    "reports/tradeoff_scatter.svg": "e21dc694c732243ce275a7fdb239005ec24c76b1ae0eaa83de2a1a86d9e9a3b4",
+    "reports/tradeoff_scatter.svg": "131cd1192a9dcf7b235a6db046a0c559eb427c316f97c2586848b6f14f83b668",
 }
 
 
@@ -776,6 +778,15 @@ def test_personas_refuses_a_malformed_lexicon_by_file_and_field(
     assert rc == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {lexicon}: malformed lexicon: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_personas_makes_its_output_directory(tmp_path):
+    from sdrkit.personas import load_persona_set
+
+    out = tmp_path / "missing" / "p.json"
+    assert main(["personas", "--n", "3", "--seed", "1", "--out", str(out)]) == EXIT_OK
+    assert len(load_persona_set(out).personas) == 3
+    assert sorted(p.name for p in out.parent.iterdir()) == ["p.json"]  # no staging left
 
 
 def _identity_with(*cells):
@@ -1441,9 +1452,10 @@ def _pool_is_a_directory(instrument_files, tmp_path):
                   "--out", str(tmp_path / "inventory.csv")]
 
 
-def _out_in_a_missing_directory(instrument_files, tmp_path):
-    out = tmp_path / "missing" / "p.json"
-    return out, ["personas", "--n", "3", "--out", str(out)]
+def _out_under_a_file(instrument_files, tmp_path):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    return afile, ["personas", "--n", "3", "--out", str(afile / "p.json")]
 
 
 def _out_dir_is_a_file(instrument_files, tmp_path):
@@ -1455,9 +1467,9 @@ def _out_dir_is_a_file(instrument_files, tmp_path):
     return out_dir, ["pipeline", "--config", str(cfg)]
 
 
-@pytest.mark.parametrize("case", [_pool_is_a_directory, _out_in_a_missing_directory,
+@pytest.mark.parametrize("case", [_pool_is_a_directory, _out_under_a_file,
                                   _out_dir_is_a_file],
-                         ids=["assemble-pool-dir", "personas-out-missing-dir",
+                         ids=["assemble-pool-dir", "personas-out-under-a-file",
                               "pipeline-out-dir-file"])
 def test_a_path_that_cannot_be_read_or_written_is_a_stage_failure(
     instrument_files, tmp_path, capsys, case

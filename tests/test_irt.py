@@ -510,10 +510,12 @@ def _map_digest(fit) -> str:
 #: the fits below, first recorded when the starts still ran one after another
 #: in one process; however the starts are scheduled, the fit must not change.
 #: Re-recorded when the posterior moved to one loading matrix, whose gradient
-#: differs from the statement-level one in the last bits.
+#: differs from the statement-level one in the last bits, and again when
+#: scipy's L-BFGS-B gave way to ``irt._ascend``, which stops each start at
+#: the same optimum to within 1e-14 relative in log posterior.
 MAP_FIT_SHA256 = {
-    ResponseFormat.LIKERT: "dd2f2d77f750b6037701843ded1398d7222f2619e4bb0de81e81b5733193292a",
-    ResponseFormat.GFC: "97c97bf604ba41f229c6e7dd551fdf153ca455a7b10df88421007e2562f0f112",
+    ResponseFormat.LIKERT: "b98b48a18f48a1bf72989c3c65ad9e7ee4d8735b8b7e3ebea00e6dba836ab88e",
+    ResponseFormat.GFC: "ada87674642ff0cf4e21598573ebaa5e50b824442457656c8b04d2f5adedb956",
 }
 SMALL_MAP = MapOptions(n_starts=4, seed=3)  # the digests' fits
 
@@ -522,6 +524,75 @@ SMALL_MAP = MapOptions(n_starts=4, seed=3)  # the digests' fits
 def test_map_fit_matches_the_recorded_digest(small_pool_inventory, fmt):
     data = make_data(small_pool_inventory, fmt, n_personas=8, seed=50)
     assert _map_digest(fit_map(data, SMALL_MAP)) == MAP_FIT_SHA256[fmt]
+
+
+def _recorded(fg):
+    """``fg`` that also records every point it is evaluated at."""
+    points = []
+
+    def recording(x):
+        points.append(x.copy())
+        return fg(x)
+
+    return recording, points
+
+
+def test_ascend_clips_a_separable_quadratic_at_its_bounds():
+    b = np.array([1.0, -2.0, 3.0, 0.5, 4.0])
+    w = np.array([1.0, 10.0, 0.1, 3.0, 1.0])
+    upper = np.array([np.inf, np.inf, 2.0, np.inf, -1.0])
+    fg, points = _recorded(lambda x: (-0.5 * float(w @ (x - b) ** 2), -w * (x - b)))
+    x, g, f, iterations, evals, converged = irt._ascend(fg, np.zeros(5), upper)
+    assert converged
+    assert np.abs(x - np.minimum(b, upper)).max() <= 1e-8
+    assert np.abs(np.where((x >= upper) & (g > 0), 0.0, g)).max() <= 1e-9
+    assert evals == len(points) and 1 <= iterations < evals
+    assert np.array_equal(points[-1], x) and f == fg(x)[0] and np.array_equal(g, fg(x)[1])
+
+
+def test_ascend_backtracks_out_of_a_zero_probability_state():
+    # the first step from 0.9 lands at 1.9, where f is -inf
+    def fg(x):
+        if x[0] >= 1.5:
+            return -np.inf, np.zeros_like(x)
+        return -5.0 * float((x[0] - 1.0) ** 2), np.array([-10.0 * (x[0] - 1.0)])
+
+    fg, points = _recorded(fg)
+    x, _, f, _, _, converged = irt._ascend(fg, np.array([0.9]), np.array([np.inf]))
+    assert points[1][0] == pytest.approx(1.9)
+    assert converged and math.isfinite(f)
+    assert x[0] == pytest.approx(1.0, abs=1e-8)
+
+
+def test_ascend_projects_a_start_above_the_cap():
+    upper = np.array([0.5, np.inf])
+    fg, points = _recorded(lambda x: (-0.5 * float(x @ x), -x))
+    x, _, _, _, _, converged = irt._ascend(fg, np.array([3.0, 2.0]), upper)
+    assert np.array_equal(points[0], [0.5, 2.0])
+    assert all(np.all(p <= upper) for p in points)
+    assert converged and np.abs(x).max() <= 1e-8
+
+
+@pytest.mark.parametrize("fmt", [ResponseFormat.LIKERT, ResponseFormat.GFC])
+def test_map_starts_reach_scipys_l_bfgs_b_optima(small_pool_inventory, fmt):
+    """From the same start points, each start's log posterior is L-BFGS-B's
+    to within 1e-6 relative."""
+    from scipy.optimize import Bounds, minimize
+
+    data = make_data(small_pool_inventory, fmt, n_personas=8, seed=50)
+    fit = fit_map(data, SMALL_MAP)
+    rng = np.random.default_rng(SMALL_MAP.seed)
+    upper = np.full(param_dim(data), np.inf)
+    irt._split(data, upper)[1][:] = math.log(irt.STRENGTH_CAP)
+    for stats in fit.start_stats:
+        res = minimize(
+            lambda x: tuple(map(np.negative, log_posterior_and_grad(data, x))),
+            irt._initial_point(data, rng), jac=True, method="L-BFGS-B",
+            bounds=Bounds(-np.inf, upper),
+            options={"maxiter": 3000, "gtol": 1e-9, "ftol": 1e-14},
+        )
+        assert res.success
+        assert stats.log_posterior == pytest.approx(-res.fun, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -60,39 +60,8 @@ def test_sdrkit_help_loads_neither_scipy_nor_requests():
     assert out[0].startswith("usage: sdrkit ") and out[-1] == "[]"
 
 
-def test_scipy_stats_is_never_loaded_and_optimize_is_loaded_before_the_fork():
-    """A MAP fit loads ``scipy.optimize`` before it fans out, so forked workers
-    find it loaded; neither it nor the diagnostics load ``scipy.stats``."""
-    code = """
-import sys
-import numpy as np
-sys.path.insert(0, {tests!r})
-from conftest import small_instrument
-from sdrkit import irt
-from sdrkit.core import ResponseFormat
-
-fan_out = irt._fan_out
-def checked(fn, tasks):
-    print("optimize before fan-out:", "scipy.optimize" in sys.modules)
-    return fan_out(fn, tasks)
-irt._fan_out = checked
-pool, inv = small_instrument()
-y = np.random.default_rng(0).integers(1, 8, (3, 10))
-units = tuple(("r", f"p{{i}}", "honest") for i in range(3))
-data = irt.ModelData(irt.design_for(inv, pool, ResponseFormat.LIKERT), y, units)
-irt.fit_map(data, irt.MapOptions(n_starts=2, seed=0))
-print("after fit_map:", "scipy.optimize" in sys.modules, "scipy.stats" in sys.modules)
-irt.diagnostics(irt.Posterior(np.random.default_rng(1).standard_normal((2, 8, 4)), ()))
-print("after diagnostics:", "scipy.special" in sys.modules, "scipy.stats" in sys.modules)
-""".format(tests=str(Path(__file__).resolve().parent))
-    assert _run_python("-c", code).splitlines() == [
-        "optimize before fan-out: True",
-        "after fit_map: True False",
-        "after diagnostics: True False",
-    ]
-
-
 def test_hmc_fit_and_diagnostics_load_no_scipy():
+    """Neither backend's fit loads scipy; a MAP fit is checked beside HMC's."""
     code = """
 import sys
 import numpy as np
@@ -105,17 +74,23 @@ pool, inv = small_instrument()
 y = np.random.default_rng(0).integers(1, 8, (3, 10))
 units = tuple(("r", f"p{{i}}", "honest") for i in range(3))
 data = irt.ModelData(irt.design_for(inv, pool, ResponseFormat.LIKERT), y, units)
-irt.diagnostics(irt.fit_hmc(data, irt.HmcOptions(chains=2, warmup=10, samples=8, seed=0)))
+{fit}
 {loaded}
-""".format(tests=str(Path(__file__).resolve().parent), loaded=_loaded(("scipy",)))
-    assert _run_python("-c", code).strip() == "[]"
+"""
+    for fit in (
+        "irt.diagnostics(irt.fit_hmc(data, irt.HmcOptions(chains=2, warmup=10, samples=8, seed=0)))",
+        "irt.fit_map(data, irt.MapOptions(n_starts=2, seed=0))",
+    ):
+        run = code.format(tests=str(Path(__file__).resolve().parent), fit=fit,
+                          loaded=_loaded(("scipy",)))
+        assert _run_python("-c", run).strip() == "[]", fit
 
 
 def test_a_fan_out_after_an_hmc_fit_pins_scipys_openblas_too():
-    """An HMC fit loads no scipy, so only numpy's OpenBLAS is mapped while its
-    chains fan out. A later fan-out, as a MAP fit's after it loads
-    ``scipy.optimize``, must still hold every OpenBLAS mapped by then to one
-    thread, and give each its count back afterwards."""
+    """sdrkit's fits load no scipy, so only numpy's OpenBLAS is mapped while
+    their starts or chains fan out. A later fan-out, after the caller has
+    loaded scipy's OpenBLAS, must still hold every OpenBLAS mapped by then to
+    one thread, and give each its count back afterwards."""
     code = """
 import sys
 import numpy as np
@@ -149,6 +124,7 @@ print([get() for get, _ in threads])
 
 
 def test_sdrkit_fit_with_hmc_loads_no_scipy(tmp_path):
+    """``sdrkit fit`` loads no scipy, with ``--backend map`` as with ``hmc``."""
     from conftest import small_instrument
     from sdrkit.cli import main
     from sdrkit.core import write_inventory, write_item_pool
@@ -160,15 +136,17 @@ def test_sdrkit_fit_with_hmc_loads_no_scipy(tmp_path):
     assert main(["personas", "--n", "3", "--seed", "1", "--out", str(tmp_path / "p.json")]) == 0
     assert main(["administer", *files, "--personas", str(tmp_path / "p.json"),
                  "--format", "likert", "--condition", "honest", "--out", str(tmp_path)]) == 0
-    argv = ["sdrkit", "fit", "--format", "likert", "--responses", str(tmp_path), *files,
-            "--backend", "hmc", "--chains", "2", "--warmup", "10", "--samples", "8",
-            "--out", str(tmp_path / "fit.json")]
-    code = ("import runpy, sys\n"
-            f"sys.argv = {argv!r}\n"
-            "try:\n    runpy.run_module('sdrkit', run_name='__main__')\n"
-            "except SystemExit:\n    pass\n" + _loaded(("scipy",)))
-    assert _run_python("-c", code).splitlines()[-1] == "[]"
-    assert (tmp_path / "fit.json").is_file()
+    for backend in (["--backend", "hmc", "--chains", "2", "--warmup", "10", "--samples", "8"],
+                    ["--backend", "map"]):
+        out = tmp_path / f"fit_{backend[1]}.json"
+        argv = ["sdrkit", "fit", "--format", "likert", "--responses", str(tmp_path), *files,
+                *backend, "--out", str(out)]
+        code = ("import runpy, sys\n"
+                f"sys.argv = {argv!r}\n"
+                "try:\n    runpy.run_module('sdrkit', run_name='__main__')\n"
+                "except SystemExit:\n    pass\n" + _loaded(("scipy",)))
+        assert _run_python("-c", code).splitlines()[-1] == "[]", backend
+        assert out.is_file()
 
 
 def test_cohens_dz_hand_example():
