@@ -642,9 +642,8 @@ def _fan_out(fn, tasks) -> list:
     the workers through fork, so only the tasks and results are pickled. A
     task's exception is raised here with its type and message.
 
-    Fork, not spawn: a spawned worker imports sdrkit, numpy and scipy afresh
-    (about 0.5 s, more than a whole hmc-likert fit) and would need ``fn``'s
-    data pickled. sdrkit starts no threads of its own.
+    Fork, not spawn: a spawned worker imports sdrkit and numpy afresh and
+    would need ``fn``'s data pickled. sdrkit starts no threads of its own.
 
     While the pool lives, every OpenBLAS loaded here runs on one thread, and
     the saved counts come back afterwards, also when a task raises. The
