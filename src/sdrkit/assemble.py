@@ -541,9 +541,7 @@ def brute_force_assemble(pool: ItemPool, cfg: AssemblyConfig) -> AssemblySolutio
     """Exact lexicographic optimum by exhaustive enumeration (test oracle).
 
     Walks every selection of ``block_count`` candidates that uses no item
-    twice and takes no trait past ``per_trait`` items nor trait pair past
-    ``per_trait_pair`` blocks, when those are set, in
-    ``itertools.combinations`` order, and accepts a selection through
+    twice, in ``itertools.combinations`` order, and accepts a selection through
     ``validate_inventory`` only when its (max gap, total squared gap) beats the
     best so far: the first feasible optimum in that order wins a tie. Refuses
     instances beyond a hard cap rather than running unboundedly.
@@ -564,31 +562,18 @@ def brute_force_assemble(pool: ItemPool, cfg: AssemblyConfig) -> AssemblySolutio
             return False
         return key[1] < ref[1] - 1e-15
 
-    trait_cap = math.inf if cfg.per_trait is None else cfg.per_trait
-    pair_cap = math.inf if cfg.per_trait_pair is None else cfg.per_trait_pair
-
-    def disjoint(start: int, used: frozenset[str], sel: tuple[CandidatePair, ...],
-                 traits: tuple[int, ...], pairs: tuple[int, ...]):
+    def disjoint(start: int, used: frozenset[str], sel: tuple[CandidatePair, ...]):
         if len(sel) == cfg.block_count:
             yield sel
             return
         for k in range(start, len(cands)):
             c = cands[k]
-            if c.left in used or c.right in used:
-                continue
-            # counts only grow, so a selection past a cap never becomes feasible
-            if (traits[c.left_trait] >= trait_cap or traits[c.right_trait] >= trait_cap
-                    or pairs[c.pair_group] >= pair_cap):
-                continue
-            t, p = list(traits), list(pairs)
-            t[c.left_trait] += 1
-            t[c.right_trait] += 1
-            p[c.pair_group] += 1
-            yield from disjoint(k + 1, used | {c.left, c.right}, sel + (c,), tuple(t), tuple(p))
+            if c.left not in used and c.right not in used:
+                yield from disjoint(k + 1, used | {c.left, c.right}, sel + (c,))
 
     best: tuple[GfcBlock, ...] | None = None
     best_key: tuple[float, float] | None = None
-    for sel in disjoint(0, frozenset(), (), (0,) * 5, (0,) * len(TRAIT_PAIRS)):
+    for sel in disjoint(0, frozenset(), ()):
         key = (max(c.gap for c in sel), sum(c.sq for c in sel))
         if not better(key, best_key):
             continue

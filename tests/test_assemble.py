@@ -408,27 +408,6 @@ def test_solver_matches_brute_force_with_per_trait_counts():
     assert feasible >= 19
 
 
-def test_brute_force_validates_no_selection_past_a_trait_count(monkeypatch):
-    # three A items and one B: every five-block selection of the ten items
-    # holds three A items, more than per_trait allows
-    traits = [0, 0, 0, 1, 2, 2, 3, 3, 4, 4]
-    pool = make_pool([(f"i{i:02d}", TRAITS[t], 1, 1.0 + 0.1 * i) for i, t in enumerate(traits)])
-    cfg = AssemblyConfig(block_count=5, per_trait=2, mixed_key_range=None, sign_floor=None)
-    calls = []
-    real = asm.validate_inventory
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(asm, "validate_inventory", counted)
-    with pytest.raises(InfeasibleError):
-        brute_force_assemble(pool, cfg)
-    assert calls == []
-    with pytest.raises(InfeasibleError):
-        solve_stage1(enumerate_candidates(pool), cfg)
-
-
 def test_solution_passes_its_own_validation(marker_pool):
     # small subset of the packaged pool keeps this fast
     subset = ItemPool(tuple(marker_pool.items[:20]))
