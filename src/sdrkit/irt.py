@@ -439,7 +439,8 @@ def fit_map(data: ModelData, opts: MapOptions = MapOptions()) -> MapFit:
     upper = np.full(param_dim(data), np.inf)
     _split(data, upper)[1][:] = alpha_hi
     x0s = [_initial_point(data, rng) for _ in range(opts.n_starts)]
-    starts = _fan_out(partial(_map_start, data, upper), x0s)
+    fg = partial(log_posterior_and_grad, data)
+    starts = _fan_out(partial(_ascend, fg, upper=upper), x0s)
     start_stats = tuple(s for _, _, s in starts)
     best, best_lp = None, -np.inf
     for k, s in enumerate(start_stats):
@@ -456,13 +457,6 @@ def fit_map(data: ModelData, opts: MapOptions = MapOptions()) -> MapFit:
     )
 
 
-def _map_start(data: ModelData, upper: np.ndarray, x0: np.ndarray):
-    x, grad, lp, iterations, evals, converged = _ascend(
-        partial(log_posterior_and_grad, data), x0, upper
-    )
-    return x, grad, StartStats(lp, iterations, evals, converged)
-
-
 def _ascend(fg, x0: np.ndarray, upper: np.ndarray):
     """Maximize ``fg(x) -> (f, grad)`` subject to ``x <= upper`` by projected
     limited-memory BFGS (Byrd, Lu, Nocedal & Zhu 1995; Nocedal & Wright 2006,
@@ -473,22 +467,27 @@ def _ascend(fg, x0: np.ndarray, upper: np.ndarray):
     is at most 1e-9 or an accepted step raised f by at most 1e-14 relative.
     A coordinate is active when it sits at its bound and the gradient pushes
     it outward; the projected gradient and the direction are zero there. A
-    step is accepted only where f is finite, so a step into a zero-probability
-    state (f = -inf) backtracks. Returns (x, the gradient at x, f(x),
-    accepted steps, evaluations of ``fg``, converged).
+    step is accepted only where f is finite and not below f(x), so a step
+    into a zero-probability state (f = -inf) backtracks. The search fails,
+    and the start has not converged, when the step rounds back to x or t
+    falls below 1e-20. Returns (x, the gradient at x, ``StartStats``).
     """
     x = np.minimum(x0, upper)
     f, g = fg(x)
     evals, iterations = 1, 0
     pairs = deque(maxlen=10)  # (s, y, 1 / s.y) of the last accepted steps, oldest first
+
+    def stop(converged: bool):
+        return x, g, StartStats(f, iterations, evals, converged)
+
     while True:
         active = (x >= upper) & (g > 0)
         pg = np.where(active, 0.0, g)
         pg_norm = np.abs(pg).max()
         if pg_norm <= 1e-9:
-            return x, g, f, iterations, evals, True
+            return stop(True)
         if iterations >= 3000:
-            return x, g, f, iterations, evals, False
+            return stop(False)
         d = pg.copy()  # two-loop recursion: d = H pg, H the inverse-Hessian estimate of -f
         coefs = []
         for s, y, rho in reversed(pairs):
@@ -507,13 +506,14 @@ def _ascend(fg, x0: np.ndarray, upper: np.ndarray):
         t = 1.0 if pairs else min(1.0, 1.0 / pg_norm)
         while True:
             x_new = np.minimum(x + t * d, upper)
+            if t < 1e-20 or np.array_equal(x_new, x):
+                return stop(False)
             f_new, g_new = fg(x_new)
             evals += 1
-            if math.isfinite(f_new) and f_new >= f + 1e-4 * (g @ (x_new - x)):
+            # f_new >= f as well: clipping can make g.(x_new - x) negative
+            if math.isfinite(f_new) and f_new >= max(f, f + 1e-4 * (g @ (x_new - x))):
                 break
             t *= 0.5
-            if t < 1e-20:
-                return x, g, f, iterations, evals, False
         iterations += 1
         s, y = x_new - x, g - g_new
         if s @ y > 1e-10 * (y @ y):
@@ -521,7 +521,7 @@ def _ascend(fg, x0: np.ndarray, upper: np.ndarray):
         rel = (f_new - f) / max(abs(f), abs(f_new), 1.0)
         x, f, g = x_new, f_new, g_new
         if rel <= 1e-14:
-            return x, g, f, iterations, evals, True
+            return stop(True)
 
 
 # ---------------------------------------------------------------------------

@@ -542,12 +542,13 @@ def test_ascend_clips_a_separable_quadratic_at_its_bounds():
     w = np.array([1.0, 10.0, 0.1, 3.0, 1.0])
     upper = np.array([np.inf, np.inf, 2.0, np.inf, -1.0])
     fg, points = _recorded(lambda x: (-0.5 * float(w @ (x - b) ** 2), -w * (x - b)))
-    x, g, f, iterations, evals, converged = irt._ascend(fg, np.zeros(5), upper)
-    assert converged
+    x, g, stats = irt._ascend(fg, np.zeros(5), upper)
+    assert stats.converged
     assert np.abs(x - np.minimum(b, upper)).max() <= 1e-8
     assert np.abs(np.where((x >= upper) & (g > 0), 0.0, g)).max() <= 1e-9
-    assert evals == len(points) and 1 <= iterations < evals
-    assert np.array_equal(points[-1], x) and f == fg(x)[0] and np.array_equal(g, fg(x)[1])
+    assert stats.grad_evals == len(points) and 1 <= stats.iterations < stats.grad_evals
+    assert np.array_equal(points[-1], x)
+    assert stats.log_posterior == fg(x)[0] and np.array_equal(g, fg(x)[1])
 
 
 def test_ascend_backtracks_out_of_a_zero_probability_state():
@@ -558,33 +559,40 @@ def test_ascend_backtracks_out_of_a_zero_probability_state():
         return -5.0 * float((x[0] - 1.0) ** 2), np.array([-10.0 * (x[0] - 1.0)])
 
     fg, points = _recorded(fg)
-    x, _, f, _, _, converged = irt._ascend(fg, np.array([0.9]), np.array([np.inf]))
+    x, _, stats = irt._ascend(fg, np.array([0.9]), np.array([np.inf]))
     assert points[1][0] == pytest.approx(1.9)
-    assert converged and math.isfinite(f)
+    assert stats.converged and math.isfinite(stats.log_posterior)
     assert x[0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_ascend_projects_a_start_above_the_cap():
     upper = np.array([0.5, np.inf])
     fg, points = _recorded(lambda x: (-0.5 * float(x @ x), -x))
-    x, _, _, _, _, converged = irt._ascend(fg, np.array([3.0, 2.0]), upper)
+    x, _, stats = irt._ascend(fg, np.array([3.0, 2.0]), upper)
     assert np.array_equal(points[0], [0.5, 2.0])
     assert all(np.all(p <= upper) for p in points)
-    assert converged and np.abs(x).max() <= 1e-8
+    assert stats.converged and np.abs(x).max() <= 1e-8
 
 
-@pytest.mark.parametrize("fmt", [ResponseFormat.LIKERT, ResponseFormat.GFC])
-def test_map_starts_reach_scipys_l_bfgs_b_optima(small_pool_inventory, fmt):
-    """From the same start points, each start's log posterior is L-BFGS-B's
-    to within 1e-6 relative."""
+def test_ascend_reports_a_failed_search_as_not_converged():
+    # the gradient has the wrong sign, so no step along it raises f
+    fg, points = _recorded(lambda x: (-float((x[0] - 1.0) ** 2), 2.0 * (x - 1.0)))
+    x, _, stats = irt._ascend(fg, np.array([3.0]), np.array([np.inf]))
+    assert not stats.converged
+    assert np.array_equal(x, [3.0]) and stats.log_posterior == -4.0
+    assert stats.iterations == 0 and stats.grad_evals == len(points) > 1
+
+
+def _l_bfgs_b_optima(data, opts):
+    """The log posterior scipy's L-BFGS-B reaches from each of ``fit_map``'s
+    start points, with the settings sdrkit used it with."""
     from scipy.optimize import Bounds, minimize
 
-    data = make_data(small_pool_inventory, fmt, n_personas=8, seed=50)
-    fit = fit_map(data, SMALL_MAP)
-    rng = np.random.default_rng(SMALL_MAP.seed)
+    rng = np.random.default_rng(opts.seed)
     upper = np.full(param_dim(data), np.inf)
     irt._split(data, upper)[1][:] = math.log(irt.STRENGTH_CAP)
-    for stats in fit.start_stats:
+    optima = []
+    for _ in range(opts.n_starts):
         res = minimize(
             lambda x: tuple(map(np.negative, log_posterior_and_grad(data, x))),
             irt._initial_point(data, rng), jac=True, method="L-BFGS-B",
@@ -592,7 +600,36 @@ def test_map_starts_reach_scipys_l_bfgs_b_optima(small_pool_inventory, fmt):
             options={"maxiter": 3000, "gtol": 1e-9, "ftol": 1e-14},
         )
         assert res.success
-        assert stats.log_posterior == pytest.approx(-res.fun, rel=1e-6)
+        optima.append(-res.fun)
+    return optima
+
+
+@pytest.mark.parametrize("fmt", [ResponseFormat.LIKERT, ResponseFormat.GFC])
+def test_map_starts_reach_scipys_l_bfgs_b_optima(small_pool_inventory, fmt):
+    """From the same start points, each start's log posterior is L-BFGS-B's
+    to within 1e-6 relative."""
+    data = make_data(small_pool_inventory, fmt, n_personas=8, seed=50)
+    fit = fit_map(data, SMALL_MAP)
+    for stats, lp in zip(fit.start_stats, _l_bfgs_b_optima(data, SMALL_MAP), strict=True):
+        assert stats.log_posterior == pytest.approx(lp, rel=1e-6)
+
+
+def test_map_returns_the_higher_of_two_optima(marker_pool, marker_inventory):
+    """This GFC posterior has two optima 0.02 apart. At fit seed 1, starts 0
+    and 3 end at the lower one and starts 1 and 2 at the higher, as they do
+    under L-BFGS-B; the fit is the higher optimum's first start."""
+    data = make_data(
+        (marker_pool, marker_inventory), ResponseFormat.GFC, n_personas=40, seed=40,
+        conditions=[InstructionCondition.HONEST, InstructionCondition.FAKE_GOOD],
+    )
+    opts = MapOptions(n_starts=4, seed=1)
+    fit = fit_map(data, opts)
+    lps = [s.log_posterior for s in fit.start_stats]
+    lower, upper = -3852.76184357, -3852.74190470
+    assert lps == pytest.approx([lower, upper, upper, lower], abs=1e-7)
+    assert lps == pytest.approx(_l_bfgs_b_optima(data, opts), abs=1e-7)
+    assert all(s.converged for s in fit.start_stats)
+    assert fit.best_start == 1 and fit.log_posterior == max(lps)
 
 
 # ---------------------------------------------------------------------------
