@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -41,7 +42,7 @@ from .core import (
     read_number,
     read_text,
 )
-from .ordinal import CategorySplit, log_prob_and_grads
+from .ordinal import CategorySplit, KernelBuffers, log_prob_and_grads
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -136,6 +137,13 @@ def _response_layout(y: np.ndarray) -> ResponseLayout:
     )
 
 
+class _PerThread(threading.local):
+    """Attributes seen only by the thread that set them; pickled empty."""
+
+    def __reduce__(self):
+        return type(self), ()
+
+
 @dataclass(frozen=True)
 class ModelData:
     """Answers of one format with their design.
@@ -148,6 +156,8 @@ class ModelData:
     y: np.ndarray  # (N, J) or (N, P), values 1..7, complete
     units: tuple[UnitKey, ...]
     layout: ResponseLayout = field(init=False, repr=False, compare=False)
+    #: the posterior's buffers, one set per thread (see ``_workspace``)
+    per_thread: _PerThread = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         y = np.array(self.y)
@@ -163,6 +173,7 @@ class ModelData:
         y.setflags(write=False)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "layout", _response_layout(y))
+        object.__setattr__(self, "per_thread", _PerThread())
 
     @property
     def n_units(self) -> int:
@@ -291,11 +302,41 @@ def loading_matrix(trait_idx: np.ndarray, strength: np.ndarray, paired: bool) ->
     return flat.reshape(n_columns, N_TRAITS)
 
 
+class _Workspace:
+    """The posterior's large per-call arrays for one ``ModelData``: eta
+    (N, C), which later holds d logp / d eta, and the kernel's three flat
+    inputs, the first of which later holds g_lo + g_hi, and its buffers."""
+
+    __slots__ = ("eta", "eta_o", "kappa_lo", "kappa_hi", "kernel")
+
+    def __init__(self, data: ModelData):
+        self.eta = np.empty(data.y.shape)
+        self.eta_o, self.kappa_lo, self.kappa_hi = (np.empty(data.y.size) for _ in range(3))
+        self.kernel = KernelBuffers(data.y.size, data.layout.split)
+
+
+def _workspace(data: ModelData) -> _Workspace:
+    """The calling thread's workspace for ``data``, made on its first call.
+
+    The arrays are kept between calls because, once freed, arrays above
+    glibc's mmap threshold go back to the OS and are faulted in again on
+    the next call.
+    Made lazily and per thread, so that a forked worker makes its own, a
+    parent that only forks makes none, and two threads never share one.
+    """
+    try:
+        return data.per_thread.work
+    except AttributeError:
+        data.per_thread.work = _Workspace(data)
+        return data.per_thread.work
+
+
 def log_posterior_and_grad(data: ModelData, x: np.ndarray) -> tuple[float, np.ndarray]:
     if not np.isfinite(x).all():
         raise SdrkitError("non-finite parameter value")
     design = data.design
     layout = data.layout
+    work = _workspace(data)
     theta, alpha, c1, gamma = _split(data, x)
     a_plus = np.exp(alpha)
     a_signed = design.keying * a_plus
@@ -303,11 +344,17 @@ def log_posterior_and_grad(data: ModelData, x: np.ndarray) -> tuple[float, np.nd
     kappa_ext = _thresholds(c1, gaps)
     kappa = kappa_ext[:, 1:N_CATEGORIES]
     loadings = loading_matrix(design.trait_idx, a_signed, design.paired)
-    eta = theta @ loadings.T
+    eta = np.matmul(theta, loadings.T, out=work.eta)
 
     k_flat = kappa_ext.ravel()
+    # mode "clip": under "raise", take writes out= through a temporary copy;
+    # every index is in range
     logp, g_lo, g_hi = log_prob_and_grads(
-        eta.ravel()[layout.order], k_flat[layout.lo], k_flat[layout.hi], layout.split
+        np.take(eta.ravel(), layout.order, out=work.eta_o, mode="clip"),
+        np.take(k_flat, layout.lo, out=work.kappa_lo, mode="clip"),
+        np.take(k_flat, layout.hi, out=work.kappa_hi, mode="clip"),
+        layout.split,
+        work.kernel,
     )
     lp = float(logp.sum())
     if not math.isfinite(lp):
@@ -323,7 +370,8 @@ def log_posterior_and_grad(data: ModelData, x: np.ndarray) -> tuple[float, np.nd
 
     grad = np.empty_like(x)
     gtheta, galpha, gc1, ggamma = _split(data, grad)
-    geta = (g_lo + g_hi)[layout.restore].reshape(eta.shape)
+    geta = eta  # spent, as are the kernel's inputs
+    np.take(np.add(g_lo, g_hi, out=work.eta_o), layout.restore, out=geta.ravel(), mode="clip")
     np.matmul(geta, loadings, out=gtheta)
     column, scale = _slots(design.n_items, design.paired)
     # d eta / d alpha_j is the statement's own entry of the loading matrix
@@ -648,11 +696,13 @@ def _fan_out(fn, tasks) -> list:
     While the pool lives, every OpenBLAS loaded here runs on one thread, and
     the saved counts come back afterwards, also when a task raises. The
     workers already fill the CPUs, and each forked child would otherwise
-    start an OpenBLAS thread pool of the inherited size: on a 2-vCPU host,
-    four L-BFGS-B starts of a 200-unit Likert fit took 1.2-2.1 s fanned out
-    under the default count, 0.7 s one after another and 0.38 s fanned out
-    on one thread. The count is set here, before the fork, not in each
-    worker: the workers inherit one thread and start no pool, and the
+    start an OpenBLAS thread pool of the inherited size. With ``_ascend``
+    this no longer shows at study size: on a 2-vCPU host, four starts of a
+    200-unit Likert fit took 0.24 s (0.15-0.28) fanned out on one thread,
+    0.21 s (0.15-0.27) fanned out under the default count and 0.23 s
+    (0.22-0.36) one after another, medians of 7 alternated fresh-process
+    runs (ROADMAP item 19). The count is set here, before the fork, not in
+    each worker: the workers inherit one thread and start no pool, and the
     counts are restored in the process that saved them. Restoring them
     re-creates this process's pool, whose threads spin before they sleep,
     but pinning in each worker's initializer instead costs wall time: under

@@ -20,20 +20,25 @@ from .core import N_CATEGORIES, SdrkitError
 _EXP_CAP = 30.0  # beyond this, log(expm1(d)) == d to double precision
 
 
-def _sigmoid_softplus(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sigmoid(x) and softplus(x), both from one exp(-|x|); the sigmoid
-    overwrites ``x``.
+def _sigmoid_softplus(
+    x: np.ndarray, pos: np.ndarray, above: np.ndarray, sp: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """sigmoid(x) and softplus(x), both from one exp(-|x|): the sigmoid
+    overwrites ``x`` and the softplus is written to ``sp``. ``pos`` (float)
+    and ``above`` (bool) are scratch arrays of x's shape.
 
-    The steps work in place, in three buffers: once arrays outgrow the C
-    allocator's reuse threshold (128 KiB under glibc), every fresh temporary
-    costs page faults.
+    Every step writes into these four arrays, which the posterior keeps
+    between calls (see :class:`KernelBuffers`): once arrays outgrow the C
+    allocator's reuse threshold (128 KiB under glibc), a fresh temporary
+    per call is handed back to the OS when freed and costs page faults on
+    the next call.
     """
-    pos = np.maximum(x, 0.0)
-    above = x >= 0
+    np.maximum(x, 0.0, out=pos)
+    np.greater_equal(x, 0, out=above)
     e = np.abs(x, out=x)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    sp = np.log1p(e)
+    np.log1p(e, out=sp)
     sp += pos
     np.add(e, 1.0, out=pos)
     # where(x >= 0, 1, e) as max(e, x >= 0), since 0 <= e <= 1: the same
@@ -107,6 +112,22 @@ class CategorySplit:
     gap_of: np.ndarray
 
 
+class KernelBuffers:
+    """The arrays :func:`log_prob_and_grads` writes, for inputs of ``n``
+    entries grouped by ``split``. One set serves any number of calls, one
+    at a time: the arrays a call returns are views of these buffers and
+    hold until the next call with them."""
+
+    __slots__ = ("z", "pos", "above", "sp", "logp_in", "g_hi_in", "g_lo")
+
+    def __init__(self, n: int, split: CategorySplit):
+        n_interior = len(range(n)[split.interior])
+        self.z, self.pos, self.sp = (np.empty(n + n_interior) for _ in range(3))
+        self.above = np.empty(n + n_interior, dtype=bool)
+        self.logp_in, self.g_hi_in = np.empty(n_interior), np.empty(n_interior)
+        self.g_lo = np.empty(n)
+
+
 def _gap_terms(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """log(expm1(d)), 1 / -expm1(-d) and -1 / expm1(d) for gaps d >= 0.
 
@@ -124,7 +145,11 @@ def _gap_terms(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def log_prob_and_grads(
-    eta: np.ndarray, kappa_lo: np.ndarray, kappa_hi: np.ndarray, split: CategorySplit
+    eta: np.ndarray,
+    kappa_lo: np.ndarray,
+    kappa_hi: np.ndarray,
+    split: CategorySplit,
+    buffers: KernelBuffers | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Log P(Y = k) with derivatives, for responses with bracketing thresholds.
 
@@ -133,7 +158,9 @@ def log_prob_and_grads(
     ``kappa_hi`` is kappa_k (+inf when k = 7). Returns ``(logp, g_lo, g_hi)``
     where ``g_lo`` is d logp / d(eta - kappa_lo) and ``g_hi`` is d logp /
     d(eta - kappa_hi), so that d logp / d eta = g_lo + g_hi, d logp / d
-    kappa_lo = -g_lo, and d logp / d kappa_hi = -g_hi.
+    kappa_lo = -g_lo, and d logp / d kappa_hi = -g_hi. The results are
+    written into ``buffers``, made for this length and split; without them
+    the call makes its own.
     """
     # One sigmoid/softplus pass over z = [v of every answer | u of the
     # interior ones], v = eta - kappa_hi and u = eta - kappa_lo, except that
@@ -142,23 +169,31 @@ def log_prob_and_grads(
     #   k = 1:    P = 1 - sigmoid(v)
     #   k = 7:    P = 1 - sigmoid(kappa_lo - eta)
     #   interior: P = (e^u - e^v) / ((1 + e^u)(1 + e^v)), with d = u - v > 0.
+    # Gathers take mode="clip": under "raise", take writes out= through a
+    # temporary copy. Every index is in range.
     n = eta.size
+    buf = KernelBuffers(n, split) if buffers is None else buffers
     ei, klo, khi = eta[split.interior], kappa_lo[split.interior], kappa_hi[split.interior]
     log_em1, inv_lo, inv_hi = _gap_terms(khi[split.gap_rep] - klo[split.gap_rep])
-    z = np.empty(n + ei.size)
+    z = buf.z
     v = np.subtract(eta, kappa_hi, out=z[:n])
-    v[split.last] = kappa_lo[split.last] - eta[split.last]
+    np.subtract(kappa_lo[split.last], eta[split.last], out=v[split.last])
     np.subtract(ei, klo, out=z[n:])
-    logp_in = v[split.interior] + log_em1[split.gap_of]  # read v before the pass overwrites it
-    sig, sp = _sigmoid_softplus(z)
+    # read v before the pass overwrites it
+    logp_in = np.take(log_em1, split.gap_of, out=buf.logp_in, mode="clip")
+    np.add(v[split.interior], logp_in, out=logp_in)
+    sig, sp = _sigmoid_softplus(z, buf.pos, buf.above, buf.sp)
     sig_v, sig_u, sp_v, sp_u = sig[:n], sig[n:], sp[:n], sp[n:]
 
     logp_in -= sp_u
     logp_in -= sp_v[split.interior]
-    g_hi_in = inv_hi[split.gap_of] - sig_v[split.interior]
-    g_lo = np.zeros(n)
+    g_hi_in = np.take(inv_hi, split.gap_of, out=buf.g_hi_in, mode="clip")
+    g_hi_in -= sig_v[split.interior]
+    g_lo = buf.g_lo
+    g_lo[split.first] = 0.0
     g_lo[split.last] = sig_v[split.last]
-    g_lo[split.interior] = inv_lo[split.gap_of] - sig_u
+    g_lo_in = np.take(inv_lo, split.gap_of, out=g_lo[split.interior], mode="clip")
+    g_lo_in -= sig_u
     logp = np.negative(sp_v, out=sp_v)  # -softplus at k = 1 and 7
     logp[split.interior] = logp_in
     g_hi = np.negative(sig_v, out=sig_v)

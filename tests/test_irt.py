@@ -4,6 +4,9 @@ import hashlib
 import math
 import multiprocessing
 import os
+import pickle
+import sys
+import threading
 from dataclasses import replace
 from statistics import NormalDist
 
@@ -450,6 +453,99 @@ def test_non_finite_input_rejected(small_pool_inventory):
     x[0] = np.nan
     with pytest.raises(SdrkitError):
         log_posterior(data, x)
+
+
+def _digest_pair(lp, grad) -> bytes:
+    return np.float64(lp).tobytes() + grad.tobytes()
+
+
+def _fresh_result(data, x) -> bytes:
+    """The posterior at x from a new ModelData of the same answers, whose
+    buffers no earlier call has touched."""
+    return _digest_pair(*log_posterior_and_grad(ModelData(data.design, data.y, data.units), x))
+
+
+def _poison(data) -> None:
+    """Fill the calling thread's posterior buffers for data with NaN (True
+    where boolean), so that a call that reads a buffer entry it did not
+    write first gives a different result."""
+    work = data.per_thread.work
+    for holder in (work, work.kernel):
+        for name in holder.__slots__:
+            buf = getattr(holder, name)
+            if isinstance(buf, np.ndarray):
+                buf.fill(True if buf.dtype == bool else np.nan)
+
+
+@pytest.mark.parametrize("fmt", list(ResponseFormat))
+def test_reused_gradient_buffers_carry_nothing_between_calls(small_pool_inventory, fmt):
+    """Points A, then B (x40: -inf, returned after the kernel has run), then
+    A again, alternating between two data sets whose buffers are poisoned
+    before each call: every result has the bits of a fresh ModelData's, and
+    a returned gradient does not change when a later call runs."""
+    datasets = [
+        make_data(small_pool_inventory, fmt, n_personas=8, seed=seed,
+                  conditions=list(InstructionCondition))
+        for seed in (60, 64)
+    ]
+    rng = np.random.default_rng(61)
+    a, b = 0.5 * rng.standard_normal(param_dim(datasets[0])), 40.0 * rng.standard_normal(
+        param_dim(datasets[0]))
+    returned = []
+    for x in (a, b, a):
+        for data in datasets:
+            if hasattr(data.per_thread, "work"):
+                _poison(data)
+            lp, grad = log_posterior_and_grad(data, x)
+            assert _digest_pair(lp, grad) == _fresh_result(data, x)
+            assert (lp == -np.inf) == (x is b)
+            returned.append((grad, grad.copy()))
+    for grad, copy in returned:
+        assert grad.tobytes() == copy.tobytes()
+
+
+@pytest.mark.parametrize("fmt", list(ResponseFormat))
+def test_threads_share_model_data_not_buffers(small_pool_inventory, fmt):
+    """Threads taking gradients on one ModelData at once, more of them than
+    this host has CPUs, each get the single-thread result, bit for bit."""
+    data = make_data(small_pool_inventory, fmt, n_personas=8, seed=60,
+                     conditions=list(InstructionCondition))
+    rng = np.random.default_rng(61)
+    points = [scale * rng.standard_normal(param_dim(data)) for scale in (0.1, 0.5, 2.0, 40.0)]
+    want = [_fresh_result(data, x) for x in points]
+    n_threads, calls = 3, 200
+    start = threading.Barrier(n_threads, timeout=60)
+    results = [[] for _ in range(n_threads)]
+
+    def take(thread: int) -> None:
+        start.wait()
+        for k in range(calls):
+            i = (k + thread) % len(points)  # the threads visit the points out of step
+            results[thread].append(
+                _digest_pair(*log_posterior_and_grad(data, points[i])) == want[i]
+            )
+
+    threads = [threading.Thread(target=take, args=(t,)) for t in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[True] * calls] * n_threads
+
+
+def test_model_data_pickles_without_its_buffers(small_pool_inventory):
+    data = make_data(small_pool_inventory, ResponseFormat.GFC, n_personas=3, seed=62)
+    x = 0.5 * np.random.default_rng(63).standard_normal(param_dim(data))
+    want = _digest_pair(*log_posterior_and_grad(data, x))
+    copy = pickle.loads(pickle.dumps(data))
+    assert not hasattr(copy.per_thread, "work")
+    assert _digest_pair(*log_posterior_and_grad(copy, x)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -1038,6 +1134,19 @@ def test_map_single_start_forks_nothing(small_pool_inventory, monkeypatch):
     assert stats.grad_evals == calls[0] > 0  # every gradient was evaluated here
     assert fit.best_start == 0
     assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_map_workers_make_their_own_gradient_buffers(small_pool_inventory, monkeypatch):
+    """A parent whose starts all run in forked workers makes no posterior
+    buffers; a fit run here makes them once, for this thread."""
+    data = make_data(small_pool_inventory, ResponseFormat.LIKERT, n_personas=8, seed=50)
+    _set_cpus(monkeypatch, 2)
+    fit_map(data, SMALL_MAP)
+    assert not hasattr(data.per_thread, "work")
+    _set_cpus(monkeypatch, 1)
+    fit_map(data, SMALL_MAP)
+    assert isinstance(data.per_thread.work, irt._Workspace)
 
 
 @pytest.mark.parametrize("fails", [False, True])
