@@ -404,14 +404,6 @@ class _Search:
             # can candidates i..n-1 still complete the selection?
             if n - i < need:
                 return False
-            if per_pair is not None:
-                for have, left in zip(pair_counts, suf_pair[i]):
-                    if have > per_pair or have + left < per_pair:
-                        return False
-            if per_trait is not None:
-                for have in trait_counts:
-                    if have > per_trait:
-                        return False
             if check_mixed:
                 if mixed > mixed_hi:
                     return False
@@ -421,11 +413,16 @@ class _Search:
                 for have, left in zip(plus, suf_plus[i]):
                     if have > phi or have + left < plo:
                         return False
+            # the candidate loop below never fills a trait or trait pair past
+            # its cap, so a pair group fails only when too few candidates are
+            # left for it
             bound = sse
             if per_pair is not None:
-                for have, min_sq in zip(pair_counts, suf_min_sq_pair[i]):
+                for have, left, min_sq in zip(pair_counts, suf_pair[i], suf_min_sq_pair[i]):
                     need_g = per_pair - have
                     if need_g > 0:
+                        if left < need_g:
+                            return False
                         bound += need_g * min_sq
             else:
                 bound += need * suf_min_sq[i]

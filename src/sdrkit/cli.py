@@ -125,10 +125,8 @@ def _digest(value) -> str:
 def _code_digest() -> str:
     """SHA-256 of sdrkit's modules and packaged data and of the numpy version:
     what a pipeline stage's key holds of the code that builds it."""
-    from importlib import metadata  # here: importing sdrkit.cli needs none of it
-
     package = Path(__file__).parent
-    h = hashlib.sha256(json.dumps([metadata.version("numpy")]).encode())
+    h = hashlib.sha256(json.dumps([np.__version__]).encode())
     for path in sorted([*package.glob("*.py"), *package.glob("data/*")]):
         h.update(f"{path.relative_to(package).as_posix()}\0".encode() + path.read_bytes())
     return h.hexdigest()

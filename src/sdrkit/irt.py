@@ -696,21 +696,22 @@ def _fan_out(fn, tasks) -> list:
     While the pool lives, every OpenBLAS loaded here runs on one thread, and
     the saved counts come back afterwards, also when a task raises. The
     workers already fill the CPUs, and each forked child would otherwise
-    start an OpenBLAS thread pool of the inherited size. With ``_ascend``
-    this no longer shows at study size: on a 2-vCPU host, four starts of a
-    200-unit Likert fit took 0.24 s (0.15-0.28) fanned out on one thread,
-    0.21 s (0.15-0.27) fanned out under the default count and 0.23 s
-    (0.22-0.36) one after another, medians of 7 alternated fresh-process
-    runs (ROADMAP item 19). The count is set here, before the fork, not in
-    each worker: the workers inherit one thread and start no pool, and the
-    counts are restored in the process that saved them. Restoring them
-    re-creates this process's pool, whose threads spin before they sleep,
-    but pinning in each worker's initializer instead costs wall time: under
-    default OpenBLAS threads on 2 vCPUs, a fan-out of 4 tasks of 20
-    300 x 300 matrix products took 8-10 ms of this process's CPU time
-    against 135-137 ms, and 1.5-1.9x the wall time (112-181 against
-    66-118 ms, medians of 7, three alternated runs), because each forked
-    worker then starts its own thread pool.
+    start an OpenBLAS thread pool of the inherited size. Those pools
+    oversubscribe the CPUs once the matrix products are large enough to run
+    multithreaded: on a 2-vCPU host under OpenBLAS's default 2 threads, four
+    starts of a 2,000-unit Likert fit took 7.9x as long unpinned (medians of
+    7 alternated fresh-process runs), though in one process a 2,000 x 60
+    gradient takes 3.0 ms on one thread or two. At 200 units, and for
+    60-unit HMC chains, the two are equal (ROADMAP item 19). The count is
+    set here, before the fork, not in each worker: the workers inherit one
+    thread and start no pool, and the counts are restored in the process
+    that saved them. Restoring them re-creates this process's pool, whose
+    threads spin before they sleep, but pinning in each worker's initializer
+    instead costs wall time: under default OpenBLAS threads on 2 vCPUs, a
+    fan-out of 4 tasks of 20 300 x 300 matrix products took 8-10 ms of this
+    process's CPU time against 135-137 ms, and 1.5-1.9x the wall time
+    (112-181 against 66-118 ms, medians of 7, three alternated runs),
+    because each forked worker then starts its own thread pool.
     """
     tasks = list(tasks)
     affinity = getattr(os, "sched_getaffinity", None)
@@ -731,11 +732,13 @@ def _fan_out(fn, tasks) -> list:
     return [fn(t) for t in tasks]
 
 
-def _openblas_libraries() -> list:
-    """(path, library, symbol template) of every OpenBLAS mapped into this
-    process, such as numpy's ``"scipy_openblas_{}64_"`` and scipy's
-    ``"scipy_openblas_{}"``; empty without ``/proc/self/maps``. Scanned on
-    every call (about 1 ms), since importing scipy maps a second OpenBLAS."""
+def _openblas_libraries() -> list[tuple]:
+    """(file name, ``get_config()`` text, thread-count getter, setter) of every
+    OpenBLAS mapped into this process, such as numpy's and, once
+    ``scipy.linalg`` is loaded, scipy's; empty without ``/proc/self/maps``.
+    The text names the version, the build options and the core it dispatched
+    to. Scanned on every call (about 1 ms), since importing scipy maps a
+    second OpenBLAS."""
     import ctypes
 
     try:
@@ -752,30 +755,29 @@ def _openblas_libraries() -> list:
         for template in ("scipy_openblas_{}64_", "scipy_openblas_{}",
                          "openblas_{}64_", "openblas_{}"):
             if hasattr(lib, template.format("get_num_threads")):
-                found.append((path, lib, template))
+                config, get, set_ = (getattr(lib, template.format(f)) for f in
+                                     ("get_config", "get_num_threads", "set_num_threads"))
+                config.argtypes, config.restype = [], ctypes.c_char_p
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((Path(path).name, config().decode(), get, set_))
                 break
     return found
 
 
-def _openblas_threads() -> list:
-    """(get, set) thread-count functions of every OpenBLAS mapped into this process."""
-    import ctypes
+def _numpy_simd() -> tuple[list[str], list[str]]:
+    """numpy's SIMD baseline and the dispatch targets it uses on this CPU."""
+    from numpy._core import _multiarray_umath as umath
 
-    found = []
-    for _, lib, template in _openblas_libraries():
-        get = getattr(lib, template.format("get_num_threads"))
-        set_ = getattr(lib, template.format("set_num_threads"))
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        found.append((get, set_))
-    return found
+    active = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return list(umath.__cpu_baseline__), active
 
 
 @contextmanager
 def _one_blas_thread():
     """Hold every OpenBLAS of this process to one thread, then restore the
     saved counts."""
-    saved = [(set_, get()) for get, set_ in _openblas_threads()]
+    saved = [(set_, get()) for _, _, get, set_ in _openblas_libraries()]
     try:
         for set_, count in saved:
             if count != 1:

@@ -19,35 +19,21 @@ from sdrkit.core import (
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "sdrkit" / "data"
 
 
-def _openblas_configs() -> list[str]:
-    """``get_config`` of every OpenBLAS mapped into this process (numpy's and,
-    once ``scipy.linalg`` is loaded, scipy's): version, build options and the
-    core it dispatched to. Empty without ``/proc/self/maps``."""
-    import ctypes
-
-    from sdrkit.irt import _openblas_libraries
-
-    configs = []
-    for path, lib, template in _openblas_libraries():
-        get = getattr(lib, template.format("get_config"))
-        get.argtypes, get.restype = [], ctypes.c_char_p
-        configs.append(f"{Path(path).name}: {get().decode()}")
-    return configs
-
-
 def pytest_report_header(config) -> list[str]:
     """Name the numpy SIMD targets and OpenBLAS cores this host dispatches to:
     the recorded fit, draw and gradient digests are byte-stable per target and
     core, so a log of a digest failure says which kind of host ran it."""
     import numpy as np
     import scipy.linalg  # noqa: F401  maps scipy's OpenBLAS, which the tests' scipy references call
-    from numpy._core import _multiarray_umath as umath
 
-    active = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    from sdrkit.irt import _numpy_simd, _openblas_libraries
+
+    baseline, active = _numpy_simd()
+    blas = [f"{name}: {config}" for name, config, *_ in _openblas_libraries()]
     return [
-        f"numpy {np.__version__} SIMD: baseline {' '.join(umath.__cpu_baseline__)}, "
+        f"numpy {np.__version__} SIMD: baseline {' '.join(baseline)}, "
         f"dispatch {' '.join(active) or 'none'}",
-        *(f"OpenBLAS {c}" for c in _openblas_configs() or ["not found"]),
+        *(f"OpenBLAS {c}" for c in blas or ["not found"]),
     ]
 
 

@@ -246,6 +246,16 @@ def test_standard_config_solves_recorded_instance_exactly(marker_pool):
     assert report.ok, report.failed()
 
 
+def test_stage2_walks_the_recorded_tree(marker_pool):
+    # the node count pins which nodes the search prunes, and the running sum
+    # the order it adds and removes squared gaps in
+    cands = enumerate_candidates(standard_10_subset(marker_pool))
+    eligible = [c for c in cands if c.gap <= STANDARD_10_M_STAR + asm.STAGE2_EPSILON]
+    search = asm._Search(eligible, AssemblyConfig.standard(10))
+    _, sse = search.search()
+    assert (search.nodes, sse) == (19_856, STANDARD_10_SSE)
+
+
 def test_stage1_never_searches_a_cap_its_witness_already_answers(marker_pool, monkeypatch):
     searches = []  # (cap, largest gap of the witness found or None), in order
     real = asm._ItemSearch.search

@@ -1152,7 +1152,7 @@ def test_map_workers_make_their_own_gradient_buffers(small_pool_inventory, monke
 @pytest.mark.parametrize("fails", [False, True])
 @needs_fork
 def test_fan_out_restores_blas_threads(monkeypatch, fails):
-    controls = irt._openblas_threads()
+    controls = [(get, set_) for _, _, get, set_ in irt._openblas_libraries()]
     if not controls:
         pytest.skip("no OpenBLAS found in this process")
     saved = [get() for get, _ in controls]
@@ -1160,7 +1160,7 @@ def test_fan_out_restores_blas_threads(monkeypatch, fails):
     def worker_counts(task):
         if fails:
             raise ValueError("task failed")
-        return [get() for get, _ in irt._openblas_threads()]
+        return [get() for _, _, get, _ in irt._openblas_libraries()]
 
     _set_cpus(monkeypatch, 2)
     try:

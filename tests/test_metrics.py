@@ -44,11 +44,21 @@ def _loaded(names) -> str:
 @pytest.mark.parametrize("modules, absent", [
     ("sdrkit.metrics, sdrkit.report", ("sdrkit.simulate",)),
     ("sdrkit.irt", ("sdrkit.administer", *HEAVY)),  # the scorer needs no HTTP client
-    # each command loads scipy, requests or importlib.metadata only where it calls them
+    # each command loads scipy or requests only where it calls them, and
+    # importlib.metadata nowhere
     ("sdrkit.cli", (*HEAVY, "importlib.metadata")),
 ], ids=["metrics-report", "irt", "cli"])
 def test_importing_a_layer_leaves_out_what_it_does_not_use(modules, absent):
     assert _run_python("-c", f"import sys, {modules}; {_loaded(absent)}").strip() == "[]"
+
+
+def test_the_code_digest_loads_no_importlib_metadata():
+    """Every stage key hashes ``cli._code_digest()``, which reads numpy's
+    version from ``numpy.__version__``: reading the installed package's
+    metadata instead would load ``importlib.metadata`` and the ``email`` and
+    ``calendar`` modules it pulls in on every pipeline run."""
+    code = f"import sys, sdrkit.cli; sdrkit.cli._code_digest(); {_loaded(('importlib.metadata',))}"
+    assert _run_python("-c", code).strip() == "[]"
 
 
 def test_sdrkit_help_loads_neither_scipy_nor_requests():
@@ -109,7 +119,7 @@ with irt._one_blas_thread():  # what the chains' fan-out does on more than one C
 import scipy.optimize
 with open("/proc/self/maps", encoding="utf-8") as fh:
     print(len({{ln.split()[-1] for ln in fh if "openblas" in ln.lower()}}))
-threads = irt._openblas_threads()
+threads = [(get, set_) for _, _, get, set_ in irt._openblas_libraries()]
 for _, set_ in threads:
     set_(2)  # more than one, whatever this host's CPU count
 print([get() for get, _ in threads])

@@ -133,26 +133,17 @@ def summarize(n_personas: int, cpus: int, runs: list[list[dict]]) -> list[dict]:
 
 
 def host() -> dict:
-    import ctypes
-
-    from numpy._core import _multiarray_umath as umath
-
     def git(*args: str) -> str:
         return subprocess.run(["git", "-C", str(ROOT), *args],
                               capture_output=True, text=True).stdout.strip()
 
-    blas = []
-    for path, lib, template in irt._openblas_libraries():
-        get = getattr(lib, template.format("get_config"))
-        get.argtypes, get.restype = [], ctypes.c_char_p
-        blas.append(f"{Path(path).name}: {get().decode()}")
     return {
         "commit": git("rev-parse", "HEAD") or None,
         "src_modified": bool(git("status", "--porcelain", "--", "src")),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "numpy_dispatch": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)],
-        "openblas": blas,
+        "numpy_dispatch": irt._numpy_simd()[1],
+        "openblas": [f"{name}: {config}" for name, config, *_ in irt._openblas_libraries()],
         "cpus": len(os.sched_getaffinity(0)),
     }
 
